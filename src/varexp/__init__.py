@@ -9,12 +9,11 @@ from .analysis import (ErrorReport, TerminalStats, diffusion_range,
                        terminal_stats)
 from .bounds import (BoundInputs, BoundTable, bound_table, coefficient,
                      error_bound, lambda_factor, moment_bound)
-from .engine import (BlowUpError, PathBatch, SimConfig, antithetic_of,
-                     gen_increments, increment_matrix, run_with_increments,
-                     simulate_batch, simulate_coupled, simulate_coupled_stats,
-                     simulate_coupled_terminals,
-                     step_euler, step_log_euler, step_log_milstein,
-                     step_milstein)
+from .engine import (BlowUpError, PathBatch, SimConfig, gen_increments,
+                     increment_matrix, run_with_increments, simulate_batch,
+                     simulate_coupled, simulate_coupled_stats,
+                     simulate_coupled_terminals, step_euler,
+                     step_log_milstein, step_milstein)
 from .exponent import (CheckReport, ExponentSpec, GrowthConstants,
                        check_admissibility, estimate_constants, eval_dp,
                        eval_dphi, eval_p, eval_phi, sup_deviation)

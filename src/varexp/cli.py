@@ -36,11 +36,26 @@ from .pricing import coupled_smile, smile_from_terminal, smile_to_csv
 from .svgplot import histogram_chart, line_chart
 
 
-def _manifest(out: Path, command: str, config_text: str, seed: int) -> None:
+def _config_sha256(cfg: RunConfig) -> str:
+    """sha256 of the canonical JSON of the effective config, after CLI
+    overrides; the output directory and the config file path are left out."""
+    effective = {
+        "labels": cfg.labels,
+        "models": [m.to_dict() for m in cfg.models],
+        "sim": cfg.sim.to_dict(),
+        "bound_cases": [list(case) for case in cfg.bound_cases],
+        "smile": cfg.smile.to_dict() if cfg.smile is not None else None,
+        "smile_n_base_paths": cfg.smile_n_base_paths,
+        "formats": list(cfg.formats),
+    }
+    return hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
+
+
+def _manifest(out: Path, command: str, cfg: RunConfig) -> None:
     payload = {
         "command": command,
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "seed": seed,
+        "config_sha256": _config_sha256(cfg),
+        "seed": cfg.sim.seed,
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -257,10 +272,8 @@ def main(argv=None) -> int:
                     raise ConfigError(f"unknown output format {f!r}")
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        config_text = json.dumps({"config": args.config, "sim": cfg.sim.to_dict()},
-                                 sort_keys=True)
         code = COMMANDS[args.command](cfg, out)
-        _manifest(out, args.command, config_text, cfg.sim.seed)
+        _manifest(out, args.command, cfg)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,11 +2,14 @@
 
 Brownian increments come from counter-based Philox streams keyed by
 (seed, path_index), so every path's noise is reproducible regardless of
-how paths are partitioned across workers. Four schemes are provided; the
-log-transformed Milstein scheme is the default: it discretizes Y = ln X,
-which keeps every path strictly positive by construction and is exact for
-geometric Brownian motion (the Milstein correction vanishes when the
-log-space diffusion is constant).
+how paths are partitioned across workers. One private kernel, `_advance`,
+steps every model over the increment matrix; the entry points differ only
+in what they observe after each step: dense paths, terminal values only,
+or streaming reductions. Four schemes are provided; the log-transformed
+Milstein scheme is the default: it discretizes Y = ln X, which keeps every
+path strictly positive by construction and is exact for geometric Brownian
+motion (the Milstein correction vanishes when the log-space diffusion is
+constant).
 
 Log-space coefficients, with x = e^y:
 
@@ -20,7 +23,7 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,7 +45,8 @@ POSITIVITY_FLOOR = 1e-12
 # |ln X| beyond this is a blown-up path (exp would overflow float64 soon).
 LOG_OVERFLOW_LIMIT = 700.0
 
-# Dense path storage cap; larger runs must use simulate_coupled_stats.
+# Cap on each O(n_paths * n_steps) array: the increment matrix, and the
+# dense paths of a coupled run (larger runs use simulate_coupled_stats).
 MEMORY_CAP_BYTES = 2 << 30
 
 
@@ -136,23 +140,26 @@ def gen_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.nd
     return rng.normal(0.0, math.sqrt(dt), n_steps)
 
 
-def antithetic_of(increments: np.ndarray) -> np.ndarray:
-    """Element-wise negation; pairs path i with path n_base_paths + i."""
-    return -np.asarray(increments)
-
-
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
     """(n_paths, n_steps) increment matrix for a whole run.
 
     Rows 0..n_base_paths-1 come straight from gen_increments; with
     antithetic sampling row n_base_paths + i is the negation of row i.
+    Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
     """
-    base = np.empty((cfg.n_base_paths, cfg.n_steps))
-    for i in range(cfg.n_base_paths):
-        base[i] = gen_increments(cfg.seed, i, cfg.n_steps, cfg.dt)
-    if not cfg.antithetic:
-        return base
-    return np.concatenate([base, antithetic_of(base)], axis=0)
+    need = cfg.n_paths * cfg.n_steps * 8
+    if need > MEMORY_CAP_BYTES:
+        raise MemoryError(
+            f"increment matrix needs {need / 2**30:.1f} GiB > cap "
+            f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB"
+        )
+    n = cfg.n_base_paths
+    dw = np.empty((cfg.n_paths, cfg.n_steps))
+    for i in range(n):
+        dw[i] = gen_increments(cfg.seed, i, cfg.n_steps, cfg.dt)
+    if cfg.antithetic:
+        np.negative(dw[:n], out=dw[n:])
+    return dw
 
 
 # -- single steps (the schemes) ---------------------------------------------
@@ -182,23 +189,10 @@ def step_log_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 and np.ndim(dw) == 0 else out
 
 
-def step_log_euler(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """Log-space Euler-Maruyama step (drops the Milstein correction)."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("state must be positive")
-    y2 = _log_step(m, np.log(xs), xs, dt, np.asarray(dw, dtype=float), milstein=False)
-    bad = np.abs(y2) > LOG_OVERFLOW_LIMIT
-    if np.any(bad):
-        raise BlowUpError(np.nonzero(np.atleast_1d(bad))[0], step_index=0)
-    out = np.exp(y2)
-    return float(out) if np.ndim(x) == 0 and np.ndim(dw) == 0 else out
-
-
 def step_euler(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
     """Direct-space Euler-Maruyama step; may return a non-positive value.
 
-    Callers are responsible for the positivity policy (simulate_batch
+    Callers are responsible for the positivity policy (_advance
     clamps to POSITIVITY_FLOOR and counts the breach).
     """
     return x + drift(m, x) * dt + diffusion(m, x) * np.asarray(dw, dtype=float)
@@ -222,11 +216,7 @@ class PathBatch:
     values: np.ndarray  # (n_paths, n_steps + 1)
     model_label: str
     config: SimConfig
-    breach_counts: np.ndarray = field(default=None)  # per-path floor clamps
-
-    def __post_init__(self):
-        if self.breach_counts is None:
-            self.breach_counts = np.zeros(self.values.shape[0], dtype=int)
+    breach_counts: np.ndarray  # per-path floor clamps
 
     @property
     def terminal(self) -> np.ndarray:
@@ -255,17 +245,56 @@ class PathBatch:
                    fmt="%.12g")
 
 
-def _dense_bytes(cfg: SimConfig) -> int:
-    return cfg.n_paths * (cfg.n_steps + 1) * 8
-
-
 def _require_dense_fits(cfg: SimConfig, n_models: int = 1) -> None:
-    need = _dense_bytes(cfg) * n_models
+    need = cfg.n_paths * (cfg.n_steps + 1) * 8 * n_models
     if need > MEMORY_CAP_BYTES:
         raise MemoryError(
             f"dense path storage needs {need / 2**30:.1f} GiB > cap "
             f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB; use simulate_coupled_stats"
         )
+
+
+def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
+             labels: Sequence[str], observe=None):
+    """Step every model over the shared increments dw (n_paths, n_steps).
+
+    Step-outer, model-inner; after step k, observe(k, xs) sees the list of
+    current states, one per model. Returns the terminal states and the
+    per-path positivity-floor breach counts of each model.
+    """
+    n_paths, n_steps = dw.shape
+    dt = cfg.dt
+    log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
+    milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
+    step = step_milstein if milstein else step_euler
+    # Per-model states are 1-D arrays rebound each step (in-place row writes
+    # were measured slower). Log schemes start from exp(log(x0)), which
+    # differs from x0 in the last ulp unless x0 == 1; outputs depend on it.
+    ys = [np.full(n_paths, math.log(cfg.x0)) for _ in models]
+    xs = [np.exp(y) for y in ys] if log_space else [np.full(n_paths, cfg.x0) for _ in models]
+    breaches = [np.zeros(n_paths, dtype=int) for _ in models]
+    for k in range(n_steps):
+        dwk = dw[:, k]
+        for j, m in enumerate(models):
+            if log_space:
+                y = _log_step(m, ys[j], xs[j], dt, dwk, milstein)
+                bad = np.abs(y) > LOG_OVERFLOW_LIMIT
+                if bad.any():
+                    raise BlowUpError(np.nonzero(bad)[0], k, labels[j])
+                ys[j] = y
+                xs[j] = np.exp(y)
+                continue
+            x = step(m, xs[j], dt, dwk)
+            low = x < POSITIVITY_FLOOR
+            if low.any():
+                breaches[j] += low
+                x = np.where(low, POSITIVITY_FLOOR, x)
+            if not np.all(np.isfinite(x)):
+                raise BlowUpError(np.nonzero(~np.isfinite(x))[0], k, labels[j])
+            xs[j] = x
+        if observe is not None:
+            observe(k, xs)
+    return xs, breaches
 
 
 def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
@@ -275,45 +304,28 @@ def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
     dw = np.asarray(dw, dtype=float)
     if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
         raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
-    n_paths, n_steps = dw.shape
-    dt = cfg.dt
-    values = np.empty((n_paths, n_steps + 1))
+    values = np.empty((dw.shape[0], dw.shape[1] + 1))
     values[:, 0] = cfg.x0
-    breaches = np.zeros(n_paths, dtype=int)
 
-    if cfg.scheme in (LOG_EULER, LOG_MILSTEIN):
-        milstein = cfg.scheme == LOG_MILSTEIN
-        y = np.full(n_paths, math.log(cfg.x0))
-        x = np.exp(y)
-        for k in range(n_steps):
-            y = _log_step(m, y, x, dt, dw[:, k], milstein)
-            bad = np.abs(y) > LOG_OVERFLOW_LIMIT
-            if bad.any():
-                raise BlowUpError(np.nonzero(bad)[0], k, label)
-            x = np.exp(y)
-            values[:, k + 1] = x
-    else:
-        step = step_milstein if cfg.scheme == MILSTEIN else step_euler
-        x = np.full(n_paths, cfg.x0)
-        for k in range(n_steps):
-            x2 = step(m, x, dt, dw[:, k])
-            low = x2 < POSITIVITY_FLOOR
-            if low.any():
-                breaches += low
-                x2 = np.where(low, POSITIVITY_FLOOR, x2)
-            if not np.all(np.isfinite(x2)):
-                raise BlowUpError(np.nonzero(~np.isfinite(x2))[0], k, label)
-            x = x2
-            values[:, k + 1] = x
+    def record(k, xs):
+        values[:, k + 1] = xs[0]
 
+    _, (breaches,) = _advance([m], cfg, dw, [label], record)
     return PathBatch(time_grid=cfg.time_grid, values=values,
                      model_label=label, config=cfg, breach_counts=breaches)
 
 
 def simulate_batch(m: ModelSpec, cfg: SimConfig, label: str = "model") -> PathBatch:
     """Simulate one model; deterministic for fixed (m, cfg)."""
-    _require_dense_fits(cfg)
-    return run_with_increments(m, cfg, increment_matrix(cfg), label)
+    return simulate_coupled([m], cfg, [label])[0]
+
+
+def _labels_for(models: Sequence[ModelSpec], labels: Optional[Sequence[str]]) -> list[str]:
+    if labels is None:
+        labels = [f"model_{i}" for i in range(len(models))]
+    if len(labels) != len(models):
+        raise ValueError("labels must match models")
+    return list(labels)
 
 
 def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
@@ -323,10 +335,7 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
     Path i of every returned batch consumed the same increment array, so
     pathwise differences isolate model structure rather than noise.
     """
-    if labels is None:
-        labels = [f"model_{i}" for i in range(len(models))]
-    if len(labels) != len(models):
-        raise ValueError("labels must match models")
+    labels = _labels_for(models, labels)
     _require_dense_fits(cfg, n_models=len(models))
     dw = increment_matrix(cfg)
     return [run_with_increments(m, cfg, dw, lab) for m, lab in zip(models, labels)]
@@ -364,25 +373,10 @@ def simulate_coupled_terminals(models: Sequence[ModelSpec], cfg: SimConfig) -> l
     """Coupled simulation keeping only the terminal values.
 
     Lean variant for pricing workloads: identical increments and stepping
-    as simulate_coupled, no per-path accumulators.
+    as simulate_coupled, no per-path accumulators, any scheme.
     """
-    if cfg.scheme not in (LOG_EULER, LOG_MILSTEIN):
-        batches = simulate_coupled(models, cfg)
-        return [b.terminal for b in batches]
-    milstein = cfg.scheme == LOG_MILSTEIN
-    dw = increment_matrix(cfg)
-    out = []
-    for j, m in enumerate(models):
-        y = np.full(cfg.n_paths, math.log(cfg.x0))
-        x = np.exp(y)
-        for k in range(cfg.n_steps):
-            y = _log_step(m, y, x, cfg.dt, dw[:, k], milstein)
-            bad = np.abs(y) > LOG_OVERFLOW_LIMIT
-            if bad.any():
-                raise BlowUpError(np.nonzero(bad)[0], k, f"model_{j}")
-            x = np.exp(y)
-        out.append(x)
-    return out
+    terminals, _ = _advance(models, cfg, increment_matrix(cfg), _labels_for(models, None))
+    return terminals
 
 
 def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
@@ -391,71 +385,35 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
 
     Produces exactly the statistics the analysis layer needs (terminal
     values, per-path sups, state extrema, diffusion-factor range and
-    sup-differences vs the first model) with O(n_paths) memory.
+    sup-differences vs the first model) with O(n_paths) memory beyond the
+    increment matrix.
     """
-    if labels is None:
-        labels = [f"model_{i}" for i in range(len(models))]
-    if len(labels) != len(models):
-        raise ValueError("labels must match models")
+    labels = _labels_for(models, labels)
     if cfg.scheme not in (LOG_EULER, LOG_MILSTEIN):
         raise ValueError("streaming reduction supports the log-space schemes only")
-    milstein = cfg.scheme == LOG_MILSTEIN
+    dw = increment_matrix(cfg)
+    x0 = cfg.x0
+    path_sup = [np.full(cfg.n_paths, x0) for _ in models]
+    min_val = [x0] * len(models)
+    phi_min = [float(eval_phi(m.exponent, x0)) for m in models]
+    phi_max = list(phi_min)
+    sup_diff = np.zeros((len(models), cfg.n_paths))
 
-    n_models = len(models)
-    n_paths, n_steps, dt = cfg.n_paths, cfg.n_steps, cfg.dt
-    y = np.full((n_models, n_paths), math.log(cfg.x0))
-    x = np.exp(y)
-    path_sup = np.full((n_models, n_paths), cfg.x0)
-    min_val = np.full(n_models, cfg.x0)
-    max_val = np.full(n_models, cfg.x0)
-    phi_min = np.empty(n_models)
-    phi_max = np.empty(n_models)
-    for j, m in enumerate(models):
-        phi_min[j] = phi_max[j] = float(eval_phi(m.exponent, cfg.x0))
-    sup_diff = np.zeros((n_models, n_paths))
-
-    # The increment matrix itself usually fits even when the dense path
-    # matrices do not; stream it column-wise. If it does not fit, advance
-    # each path's Philox stream one step at a time instead (same streams,
-    # same numbers, just drawn lazily).
-    if n_paths * n_steps * 8 <= MEMORY_CAP_BYTES // 2:
-        full = increment_matrix(cfg)
-
-        def get_col(k: int) -> np.ndarray:
-            return full[:, k]
-    else:  # pragma: no cover - exercised only at extreme scale
-        streams = [
-            np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
-            for i in range(cfg.n_base_paths)
-        ]
-        sqdt = math.sqrt(dt)
-
-        def get_col(k: int) -> np.ndarray:
-            col = np.array([g.normal(0.0, sqdt) for g in streams])
-            return np.concatenate([col, -col]) if cfg.antithetic else col
-
-    for k in range(n_steps):
-        dwk = get_col(k)
-        for j, m in enumerate(models):
-            y[j] = _log_step(m, y[j], x[j], dt, dwk, milstein)
-            bad = np.abs(y[j]) > LOG_OVERFLOW_LIMIT
-            if bad.any():
-                raise BlowUpError(np.nonzero(bad)[0], k, labels[j])
-            x[j] = np.exp(y[j])
-            np.maximum(path_sup[j], x[j], out=path_sup[j])
-            min_val[j] = min(min_val[j], float(x[j].min()))
-            max_val[j] = max(max_val[j], float(x[j].max()))
-            phi = np.asarray(eval_phi(m.exponent, x[j]))
+    def accumulate(k, xs):
+        for j, (m, x) in enumerate(zip(models, xs)):
+            np.maximum(path_sup[j], x, out=path_sup[j])
+            min_val[j] = min(min_val[j], float(x.min()))
+            phi = np.asarray(eval_phi(m.exponent, x))
             phi_min[j] = min(phi_min[j], float(phi.min()))
             phi_max[j] = max(phi_max[j], float(phi.max()))
             if j > 0:
-                np.maximum(sup_diff[j], np.abs(x[j] - x[0]), out=sup_diff[j])
+                np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
 
+    terminals, _ = _advance(models, cfg, dw, labels, accumulate)
     stats = [
-        ModelPathStats(label=labels[j], terminal=x[j].copy(),
-                       path_sup=path_sup[j], min_value=float(min_val[j]),
-                       max_value=float(max_val[j]), phi_min=float(phi_min[j]),
-                       phi_max=float(phi_max[j]))
-        for j in range(n_models)
+        ModelPathStats(label=labels[j], terminal=terminals[j], path_sup=path_sup[j],
+                       min_value=min_val[j], max_value=float(path_sup[j].max()),
+                       phi_min=phi_min[j], phi_max=phi_max[j])
+        for j in range(len(models))
     ]
     return CoupledStats(config=cfg, models=stats, sup_abs_diff=sup_diff)

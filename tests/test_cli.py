@@ -208,3 +208,27 @@ class TestManifest:
         assert manifest["seed"] == 99
         assert manifest["tool_version"]
         assert "config_sha256" in manifest and "created_utc" in manifest
+
+    @staticmethod
+    def _hash(cfg_path, out, *extra):
+        assert main(["bound-table", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+        return json.loads((out / "run_manifest.json").read_text())["config_sha256"]
+
+    def test_hash_covers_model_parameters(self, tmp_path):
+        base = self._hash(_write_config(tmp_path), tmp_path / "a")
+        raw = json.loads((tmp_path / "config.json").read_text())
+        raw["models"][1]["exponent"]["a"] = 0.004
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert self._hash(tmp_path / "config.json", tmp_path / "b") != base
+
+    def test_hash_ignores_config_path_and_out_dir(self, tmp_path):
+        first = _write_config(tmp_path)
+        second = tmp_path / "copy" / "renamed.json"
+        second.parent.mkdir()
+        second.write_text(first.read_text())
+        assert self._hash(first, tmp_path / "a") == self._hash(second, tmp_path / "b")
+
+    def test_hash_covers_seed_override(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert self._hash(cfg, tmp_path / "a") != \
+            self._hash(cfg, tmp_path / "b", "--seed", "123")

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from varexp import (BlowUpError, SimConfig, antithetic_of, cev,
-                    gen_increments, increment_matrix, gbm, simulate_batch,
-                    simulate_coupled, simulate_coupled_stats,
+from varexp import (BlowUpError, SimConfig, cev, diffusion_range,
+                    gen_increments, increment_matrix, gbm, run_with_increments,
+                    simulate_batch, simulate_coupled, simulate_coupled_stats,
                     simulate_coupled_terminals, step_euler, step_log_milstein,
                     step_milstein)
-from varexp.engine import LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN
+from varexp.engine import LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, SCHEMES
+
+# 4M paths x 100k steps: far beyond every memory cap.
+OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
 
 
 class TestSimConfig:
@@ -53,12 +57,6 @@ class TestIncrements:
         pool = np.concatenate([gen_increments(7, i, 1000, dt) for i in range(1000)])
         assert abs(pool.mean()) < 3.0 * math.sqrt(dt / pool.size)
         assert abs(pool.var() - dt) < 0.01 * dt
-
-    def test_antithetic_involution(self):
-        w = gen_increments(1, 2, 50, 0.01)
-        assert np.array_equal(antithetic_of(antithetic_of(w)), w)
-        assert np.array_equal(antithetic_of(w), -w)
-        assert (w + antithetic_of(w)).sum() == 0.0
 
     def test_matrix_layout(self):
         cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=4, seed=3)
@@ -191,9 +189,38 @@ class TestSimulateBatch:
         assert len(exc.value.path_indices) >= 1
 
     def test_memory_cap(self, gbm_model):
-        cfg = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
         with pytest.raises(MemoryError):
-            simulate_batch(gbm_model, cfg)
+            simulate_batch(gbm_model, OVERSIZE_CFG)
+
+    @pytest.mark.parametrize("run", [
+        lambda models: simulate_coupled_stats(models, OVERSIZE_CFG),
+        lambda models: simulate_coupled_terminals(models, OVERSIZE_CFG),
+    ], ids=["stats", "terminals"])
+    def test_increment_cap_before_allocating(self, gbm_model, p1_model, run):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="increment matrix needs .* GiB > cap 2 GiB"):
+                run([gbm_model, p1_model])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, EULER])
+    def test_partition_invariance(self, p1_model, scheme, antithetic):
+        # results do not depend on how paths are split across calls
+        cfg = SimConfig(t_horizon=1.0, dt=0.25, n_base_paths=20, seed=17,
+                        antithetic=antithetic, scheme=scheme)
+        dw = increment_matrix(cfg)
+        for m in (p1_model, gbm(0.0, 3.0)):  # the latter breaches the floor under euler
+            full = run_with_increments(m, cfg, dw, "full")
+            parts = [run_with_increments(m, cfg, dw[rows], "part")
+                     for rows in (slice(0, 7), slice(7, None))]
+            stacked = np.concatenate([b.values for b in parts])
+            assert stacked.tobytes() == full.values.tobytes()
+            assert np.array_equal(np.concatenate([b.breach_counts for b in parts]),
+                                  full.breach_counts)
 
 
 class TestCoupled:
@@ -209,22 +236,29 @@ class TestCoupled:
         assert np.array_equal(solo.values, coupled.values)
 
     def test_stats_match_dense(self, gbm_model, p1_model, small_cfg):
-        dense = simulate_coupled([gbm_model, p1_model], small_cfg, ["gbm", "p1"])
-        stats = simulate_coupled_stats([gbm_model, p1_model], small_cfg, ["gbm", "p1"])
-        for j, b in enumerate(dense):
-            ms = stats.models[j]
-            assert np.array_equal(ms.terminal, b.terminal)
-            assert np.array_equal(ms.path_sup, b.values.max(axis=1))
-            assert ms.min_value == b.values.min()
-            assert ms.max_value == b.values.max()
-        sup_diff = np.max(np.abs(dense[1].values - dense[0].values), axis=1)
-        assert np.array_equal(stats.sup_abs_diff[1], sup_diff)
+        models = [gbm_model, p1_model]
+        for scheme in (LOG_EULER, LOG_MILSTEIN):
+            for x0 in (1.0, 1.7):
+                cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme, "x0": x0})
+                dense = simulate_coupled(models, cfg, ["gbm", "p1"])
+                stats = simulate_coupled_stats(models, cfg, ["gbm", "p1"])
+                for j, b in enumerate(dense):
+                    ms = stats.models[j]
+                    assert np.array_equal(ms.terminal, b.terminal)
+                    assert np.array_equal(ms.path_sup, b.values.max(axis=1))
+                    assert ms.min_value == b.values.min()
+                    assert ms.max_value == b.values.max()
+                    assert (ms.phi_min, ms.phi_max) == diffusion_range(b, models[j])
+                sup_diff = np.max(np.abs(dense[1].values - dense[0].values), axis=1)
+                assert np.array_equal(stats.sup_abs_diff[1], sup_diff)
 
     def test_terminals_match_dense(self, gbm_model, p1_model, small_cfg):
-        dense = simulate_coupled([gbm_model, p1_model], small_cfg)
-        terms = simulate_coupled_terminals([gbm_model, p1_model], small_cfg)
-        for b, t in zip(dense, terms):
-            assert np.array_equal(b.terminal, t)
+        for scheme in SCHEMES:
+            cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme})
+            dense = simulate_coupled([gbm_model, p1_model], cfg)
+            terms = simulate_coupled_terminals([gbm_model, p1_model], cfg)
+            for b, t in zip(dense, terms):
+                assert np.array_equal(b.terminal, t), scheme
 
     def test_antithetic_variance_reduction(self, gbm_model):
         cfg = SimConfig(t_horizon=1.0, dt=0.01, n_base_paths=4000, seed=31)
