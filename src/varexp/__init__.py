@@ -20,6 +20,6 @@ from .exponent import (CheckReport, ExponentSpec, GrowthConstants,
 from .models import ModelSpec, cev, diffusion, diffusion_deriv, drift, gbm
 from .pricing import (ImpliedVolError, SmilePoint, SmileRequest, bs_call,
                       bs_vega, coupled_smile, implied_vol, mc_call_price,
-                      smile, smile_from_terminal)
+                      smile_from_terminal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,7 +38,7 @@ class ErrorReport:
         return asdict(self)
 
 
-def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float, int]:
+def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Mean and 95% half-width, averaging antithetic pairs first."""
     if antithetic:
         n = per_path.size // 2
@@ -47,9 +47,9 @@ def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float,
         sample = per_path
     mean = float(sample.mean())
     if sample.size < 2:
-        return mean, 0.0, sample.size
+        return mean, 0.0
     hw = 1.96 * float(sample.std(ddof=1)) / np.sqrt(sample.size)
-    return mean, float(hw), sample.size
+    return mean, float(hw)
 
 
 def strong_error(a: PathBatch, b: PathBatch) -> ErrorReport:
@@ -59,7 +59,7 @@ def strong_error(a: PathBatch, b: PathBatch) -> ErrorReport:
     if a.config.seed != b.config.seed or a.config.antithetic != b.config.antithetic:
         raise ValueError("batches were not produced by a coupled run")
     sup_diff = np.max(np.abs(a.values - b.values), axis=1)
-    mean, hw, _ = _pair_mean_ci(sup_diff, a.config.antithetic)
+    mean, hw = _pair_mean_ci(sup_diff, a.config.antithetic)
     return ErrorReport(
         strong_error=mean, ci_half_width=hw,
         lambda_obs=float(min(a.values.min(), b.values.min())),
@@ -74,7 +74,7 @@ def strong_error_from_stats(stats: CoupledStats, model_index: int) -> ErrorRepor
     if not (0 < model_index < len(stats.models)):
         raise ValueError("model_index must point past the reference model")
     sup_diff = stats.sup_abs_diff[model_index]
-    mean, hw, _ = _pair_mean_ci(sup_diff, stats.config.antithetic)
+    mean, hw = _pair_mean_ci(sup_diff, stats.config.antithetic)
     ref, other = stats.models[0], stats.models[model_index]
     return ErrorReport(
         strong_error=mean, ci_half_width=hw,
@@ -176,7 +176,7 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
         stride_f = round(dtc / ref_dt) * stride_c
         diff = np.abs(coarse.values[:, ::stride_c] - ref.values[:, ::stride_f])
         per_path = np.max(diff, axis=1)
-        mean, _, _ = _pair_mean_ci(per_path, antithetic)
+        mean, _ = _pair_mean_ci(per_path, antithetic)
         out.append((dtc, mean))
     return out
 

@@ -159,13 +159,13 @@ def cmd_strong_error(cfg: RunConfig, out: Path) -> int:
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     batches = simulate_coupled(cfg.models, cfg.sim, cfg.labels)
     grid = batches[0].time_grid
+    hists = [terminal_stats(b) for b in batches]
     if "csv" in cfg.formats:
         header = "t," + ",".join(cfg.labels)
         data = np.column_stack([grid] + [b.values[0] for b in batches])
         np.savetxt(out / "sample_paths.csv", data, delimiter=",",
                    header=header, comments="", fmt="%.12g")
-        for b in batches:
-            ts = terminal_stats(b)
+        for b, ts in zip(batches, hists):
             lines = ["bin_lo,bin_hi,count"]
             for lo, hi, c in zip(ts.bin_edges[:-1], ts.bin_edges[1:], ts.counts):
                 lines.append(f"{lo:.10g},{hi:.10g},{c}")
@@ -179,8 +179,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                    [(b.model_label, grid, b.values[0]) for b in batches],
                    "Sample paths (identical increments)", "t", "X(t)")
         histogram_chart(out / "terminal_histograms.svg",
-                        [(b.model_label, terminal_stats(b).bin_edges,
-                          terminal_stats(b).counts) for b in batches],
+                        [(b.model_label, ts.bin_edges, ts.counts)
+                         for b, ts in zip(batches, hists)],
                         "Terminal distributions", "X(T)")
     print(f"simulated {len(batches)} models x {cfg.sim.n_paths} paths "
           f"x {cfg.sim.n_steps} steps")

@@ -2,8 +2,9 @@
 
 A run config names the models (first one is the reference for coupled
 comparisons), the simulation parameters, the (lambda, R) cases for the
-bound table, and the smile request. `load_config` raises ConfigError for
-anything malformed; the CLI maps that to exit code 2.
+bound table, and the smile request, whose maturity and spot must match the
+simulation's t_horizon and x0. `load_config` raises ConfigError for
+anything malformed or inconsistent; the CLI maps that to exit code 2.
 """
 
 from __future__ import annotations
@@ -96,6 +97,12 @@ def _parse(raw: dict) -> RunConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad smile section: {exc}") from exc
+        # the smile prices the simulated terminals, so it must ask about them
+        if abs(smile.maturity - sim.t_horizon) > 1e-12 * smile.maturity:
+            raise ConfigError(f"smile maturity {smile.maturity} differs from "
+                              f"sim t_horizon {sim.t_horizon}")
+        if smile.spot != sim.x0:
+            raise ConfigError(f"smile spot {smile.spot} differs from sim x0 {sim.x0}")
 
     out = raw.get("output", {})
     out_dir = str(out.get("dir", "out"))

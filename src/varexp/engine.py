@@ -236,14 +236,6 @@ class PathBatch:
             "scheme": self.config.scheme,
         }
 
-    def to_csv(self, path, max_paths: int = 1000) -> None:
-        """Write `t,path_0,path_1,...`, subsampled to at most max_paths rows."""
-        n = min(self.values.shape[0], max_paths)
-        header = "t," + ",".join(f"path_{i}" for i in range(n))
-        data = np.column_stack([self.time_grid, self.values[:n].T])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.12g")
-
 
 def _require_dense_fits(cfg: SimConfig, n_models: int = 1) -> None:
     need = cfg.n_paths * (cfg.n_steps + 1) * 8 * n_models
@@ -386,11 +378,9 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     Produces exactly the statistics the analysis layer needs (terminal
     values, per-path sups, state extrema, diffusion-factor range and
     sup-differences vs the first model) with O(n_paths) memory beyond the
-    increment matrix.
+    increment matrix, for every scheme.
     """
     labels = _labels_for(models, labels)
-    if cfg.scheme not in (LOG_EULER, LOG_MILSTEIN):
-        raise ValueError("streaming reduction supports the log-space schemes only")
     dw = increment_matrix(cfg)
     x0 = cfg.x0
     path_sup = [np.full(cfg.n_paths, x0) for _ in models]

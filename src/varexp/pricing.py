@@ -1,16 +1,17 @@
 """European call pricing and implied-volatility smile extraction.
 
 Prices come from terminal Monte-Carlo samples (antithetic pairs averaged
-before the standard error is formed) and are inverted through the
-Black-Scholes formula by bracketed bisection with a Newton polish.
+before the standard error is formed, see `analysis._pair_mean_ci`) and are
+inverted through the Black-Scholes formula by Brent's method.
 
-Paths are simulated under the real-world measure; discounting them at the
-drift rate makes the GBM baseline coincide with the Black-Scholes model,
-so its smile is flat at sigma and any structure in another model's smile
-is attributable to its state-dependent diffusion. `coupled_smile` prices a
-model relative to a GBM reference driven by identical increments, which
-shrinks the standard-error bands by orders of magnitude and is the only
-way to resolve sub-basis-point smile structure at desk-scale path counts.
+Paths are simulated under the real-world measure and discounted at the
+request's `rate`. When that rate equals the models' drift `mu`, the GBM
+baseline coincides with the Black-Scholes model, so its smile is flat at
+sigma and any structure in another model's smile is attributable to its
+state-dependent diffusion. `coupled_smile` prices a model relative to a
+GBM reference driven by identical increments, which shrinks the
+standard-error bands by orders of magnitude and is the only way to
+resolve sub-basis-point smile structure at desk-scale path counts.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import norm
 
-from .engine import PathBatch
+from .analysis import _pair_mean_ci
 
 VOL_FLOOR = 1e-6
 VOL_CAP = 5.0
@@ -49,13 +51,18 @@ class ImpliedVolError(ValueError):
 
 def bs_call(spot: float, strike: float, rate: float, vol: float,
             maturity: float) -> float:
-    """Black-Scholes call price."""
+    """Black-Scholes call price; in the money, intrinsic value plus the put
+    (put-call parity), because the direct formula cancels there to a few
+    ulps of noise that is not monotone in vol and spoils implied_vol."""
     if min(spot, strike, vol, maturity) <= 0:
         raise ValueError("spot, strike, vol and maturity must be positive")
     sqt = math.sqrt(maturity)
     d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * maturity) / (vol * sqt)
     d2 = d1 - vol * sqt
-    return spot * norm.cdf(d1) - strike * math.exp(-rate * maturity) * norm.cdf(d2)
+    pv_strike = strike * math.exp(-rate * maturity)
+    if pv_strike < spot:
+        return spot - pv_strike + (pv_strike * norm.cdf(-d2) - spot * norm.cdf(-d1))
+    return spot * norm.cdf(d1) - pv_strike * norm.cdf(d2)
 
 
 def bs_vega(spot: float, strike: float, rate: float, vol: float,
@@ -66,14 +73,15 @@ def bs_vega(spot: float, strike: float, rate: float, vol: float,
 
 
 def implied_vol(price: float, spot: float, strike: float, rate: float,
-                maturity: float, tol: float = 1e-10) -> float:
+                maturity: float) -> float:
     """Invert bs_call for the volatility.
 
-    Bisection on [1e-6, 5] down to bracket width 1e-14, with Newton steps
-    once the bracket is tight; stops early when |bs - price| <= tol. A
-    price at (or below the floor-vol price of) intrinsic value returns the
-    1e-6 floor. Deep out-of-the-money vegas underflow, so the bracket
-    width, not the price residual, is the guaranteed stopping rule.
+    Brent's method on [VOL_FLOOR, VOL_CAP], run until the bracket is
+    narrower than 1e-14 + 4 eps * vol; deep out-of-the-money vegas
+    underflow, so the bracket width, not the price residual, is the
+    stopping rule. A price at (or below the floor-vol price of) intrinsic
+    value returns VOL_FLOOR; a price above the VOL_CAP price raises
+    ImpliedVolError.
     """
     if min(spot, strike, maturity) <= 0:
         raise ValueError("spot, strike and maturity must be positive")
@@ -82,37 +90,15 @@ def implied_vol(price: float, spot: float, strike: float, rate: float,
     if price < lower or price >= upper:
         raise ImpliedVolError(price, lower, upper)
 
-    lo, hi = VOL_FLOOR, VOL_CAP
-    f_lo = bs_call(spot, strike, rate, lo, maturity) - price
-    if f_lo >= 0.0:
-        return VOL_FLOOR
-    if bs_call(spot, strike, rate, hi, maturity) - price < 0.0:
-        raise ImpliedVolError(price, lower, bs_call(spot, strike, rate, hi, maturity))
+    def f(vol: float) -> float:
+        return bs_call(spot, strike, rate, vol, maturity) - price
 
-    # The bracket is driven all the way to its width floor: an absolute
-    # price-residual stop would quit far too early at low-vega strikes,
-    # where the entire price curve sits below the tolerance. The final
-    # residual is ~vega * 1e-14, comfortably inside tol everywhere.
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        f_mid = bs_call(spot, strike, rate, mid, maturity) - price
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        # Newton steps once the bracket is tight enough to trust the slope;
-        # accepted candidates shrink the bracket superlinearly.
-        if hi - lo < 1e-3:
-            vega = bs_vega(spot, strike, rate, mid, maturity)
-            if vega > 1e-12:
-                cand = mid - f_mid / vega
-                if lo < cand < hi:
-                    f_c = bs_call(spot, strike, rate, cand, maturity) - price
-                    if f_c < 0.0:
-                        lo = cand
-                    else:
-                        hi = cand
-    return 0.5 * (lo + hi)
+    if f(VOL_FLOOR) >= 0.0:
+        return VOL_FLOOR
+    cap_price = bs_call(spot, strike, rate, VOL_CAP, maturity)
+    if cap_price < price:
+        raise ImpliedVolError(price, lower, cap_price)
+    return brentq(f, VOL_FLOOR, VOL_CAP, xtol=1e-14, rtol=4 * np.finfo(float).eps)
 
 
 def mc_call_price(terminal: np.ndarray, strike: float, rate: float,
@@ -125,16 +111,9 @@ def mc_call_price(terminal: np.ndarray, strike: float, rate: float,
     term = np.asarray(terminal, dtype=float)
     if term.size == 0:
         raise ValueError("terminal sample is empty")
-    payoff = np.maximum(term - strike, 0.0)
-    if antithetic:
-        n = payoff.size // 2
-        payoff = 0.5 * (payoff[:n] + payoff[n:])
+    mean, hw = _pair_mean_ci(np.maximum(term - strike, 0.0), antithetic)
     disc = math.exp(-rate * maturity)
-    price = disc * float(payoff.mean())
-    se = 0.0
-    if payoff.size > 1:
-        se = 1.96 * disc * float(payoff.std(ddof=1)) / math.sqrt(payoff.size)
-    return price, se
+    return disc * mean, disc * hw
 
 
 @dataclass(frozen=True)
@@ -154,11 +133,10 @@ class SmileRequest:
             raise ValueError("maturity and spot must be positive")
 
     @classmethod
-    def default_grid(cls, spot: float = 1.0, rate: float = 0.05,
-                     maturity: float = 1.0, n: int = 21,
-                     lo: float = 0.8, hi: float = 1.2) -> "SmileRequest":
-        ks = tuple(float(k) for k in np.linspace(lo * spot, hi * spot, n))
-        return cls(strikes=ks, rate=rate, maturity=maturity, spot=spot)
+    def default_grid(cls) -> "SmileRequest":
+        """21 strikes on [0.8, 1.2] at spot 1, rate 0.05, maturity 1."""
+        ks = tuple(float(k) for k in np.linspace(0.8, 1.2, 21))
+        return cls(strikes=ks, rate=0.05, maturity=1.0, spot=1.0)
 
     def to_dict(self) -> dict:
         return {"strikes": list(self.strikes), "rate": self.rate,
@@ -199,11 +177,6 @@ def _point_from_price(price: float, se: float, req: SmileRequest,
     return SmilePoint(strike, iv, se_low, se_high, flag)
 
 
-def _check_maturity(batch: PathBatch, req: SmileRequest) -> None:
-    if abs(batch.config.t_horizon - req.maturity) > 1e-12 * req.maturity:
-        raise ValueError("batch horizon does not match the smile maturity")
-
-
 def smile_from_terminal(terminal: np.ndarray, req: SmileRequest,
                         antithetic: bool) -> list[SmilePoint]:
     """Per-strike implied vols from a terminal sample."""
@@ -212,12 +185,6 @@ def smile_from_terminal(terminal: np.ndarray, req: SmileRequest,
         price, se = mc_call_price(terminal, k, req.rate, req.maturity, antithetic)
         points.append(_point_from_price(price, se, req, k))
     return points
-
-
-def smile(batch: PathBatch, req: SmileRequest) -> list[SmilePoint]:
-    """Per-strike implied vols from one batch's terminal sample."""
-    _check_maturity(batch, req)
-    return smile_from_terminal(batch.terminal, req, batch.config.antithetic)
 
 
 def coupled_smile(terminal: np.ndarray, reference_terminal: np.ndarray,
@@ -239,15 +206,9 @@ def coupled_smile(terminal: np.ndarray, reference_terminal: np.ndarray,
     points = []
     for k in req.strikes:
         diff = np.maximum(term - k, 0.0) - np.maximum(ref - k, 0.0)
-        if antithetic:
-            n = diff.size // 2
-            diff = 0.5 * (diff[:n] + diff[n:])
+        mean, hw = _pair_mean_ci(diff, antithetic)
         anchor = bs_call(req.spot, k, req.rate, reference_vol, req.maturity)
-        price = anchor + disc * float(diff.mean())
-        se = 0.0
-        if diff.size > 1:
-            se = 1.96 * disc * float(diff.std(ddof=1)) / math.sqrt(diff.size)
-        points.append(_point_from_price(price, se, req, k))
+        points.append(_point_from_price(anchor + disc * mean, disc * hw, req, k))
     return points
 
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from varexp.cli import main
 
 
@@ -106,6 +108,14 @@ class TestStrongError:
              "exponent": {"kind": "constant", "gamma": 1.0}}])
         assert main(["strong-error", "--config", str(cfg)]) == 1
 
+    def test_euler_scheme_streams(self, tmp_path):
+        cfg = _write_config(tmp_path, sim={
+            "t_horizon": 1.0, "dt": 0.01, "n_base_paths": 200, "antithetic": True,
+            "seed": 99, "scheme": "euler", "x0": 1.0})
+        assert main(["strong-error", "--config", str(cfg)]) == 0
+        data = json.loads((tmp_path / "out" / "strong_error.json").read_text())
+        assert 0 < data["results"][0]["strong_error"] < 1e-2
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _write_config(tmp_path)
         main(["strong-error", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -175,6 +185,14 @@ class TestSmileCommand:
         del raw["smile"]
         cfg_path.write_text(json.dumps(raw))
         assert main(["smile", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("field,value", [("maturity", 2.0), ("spot", 1.3)],
+                             ids=["maturity_vs_horizon", "spot_vs_x0"])
+    def test_smile_must_match_sim_exits_two(self, tmp_path, field, value):
+        smile = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0}
+        cfg = _write_config(tmp_path, smile={**smile, field: value})
+        assert main(["smile", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out" / "smile_summary.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path)

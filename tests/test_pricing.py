@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call,
                     coupled_smile, implied_vol, mc_call_price, simulate_batch,
-                    simulate_coupled_terminals, smile, smile_from_terminal)
+                    simulate_coupled_terminals, smile_from_terminal)
 from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR, smile_to_csv
 
 
@@ -154,15 +154,10 @@ class TestSmile:
 
     def test_gbm_flat(self, gbm_batch):
         req = SmileRequest.default_grid()
-        pts = smile(gbm_batch, req)
+        pts = smile_from_terminal(gbm_batch.terminal, req, True)
         ivs = [p.iv for p in pts if p.iv is not None]
         assert len(ivs) == 21
         assert max(abs(v - 0.2) for v in ivs) < 0.01
-
-    def test_maturity_mismatch(self, gbm_batch):
-        req = SmileRequest(strikes=(1.0,), rate=0.05, maturity=0.5, spot=1.0)
-        with pytest.raises(ValueError):
-            smile(gbm_batch, req)
 
     def test_near_bound_flagged(self):
         # a degenerate point-mass sample prices every strike at a bound
@@ -175,7 +170,7 @@ class TestSmile:
         # strikes far outside the sample get flags, the rest solve; a zero
         # price at zero intrinsic is the vol-floor boundary case
         req = SmileRequest(strikes=(0.01, 1.0, 50.0), rate=0.05, maturity=1.0, spot=1.0)
-        pts = smile(gbm_batch, req)
+        pts = smile_from_terminal(gbm_batch.terminal, req, True)
         assert pts[1].iv is not None and not pts[1].flag
         assert pts[0].iv is None or pts[0].flag
         assert pts[2].flag
@@ -184,7 +179,7 @@ class TestSmile:
     def test_csv_format(self, gbm_batch, tmp_path):
         req = SmileRequest(strikes=(0.9, 1.0, 1.1), rate=0.05, maturity=1.0, spot=1.0)
         out = tmp_path / "smile.csv"
-        smile_to_csv(smile(gbm_batch, req), out)
+        smile_to_csv(smile_from_terminal(gbm_batch.terminal, req, True), out)
         lines = out.read_text().splitlines()
         assert lines[0] == "strike,iv,se_low,se_high,flag"
         assert len(lines) == 4
