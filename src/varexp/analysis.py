@@ -12,7 +12,7 @@ approximated by the sup over the discrete grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,6 @@ class ErrorReport:
     r_obs: float        # max state visited by either batch
     n_paths: int
     analytic_bound: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -101,14 +98,6 @@ class TerminalStats:
     max: float
     bin_edges: np.ndarray   # 65 edges for 64 bins spanning [min, max]
     counts: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean, "variance": self.variance,
-            "min": self.min, "max": self.max,
-            "bin_edges": self.bin_edges.tolist(),
-            "counts": self.counts.tolist(),
-        }
 
 
 def terminal_stats(batch: PathBatch, bins: int = 64) -> TerminalStats:

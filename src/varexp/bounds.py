@@ -13,13 +13,12 @@ Two bounds are evaluated deterministically:
         Lambda = |log lambda| (lambda + lambda^p+) + |log R| (R + R^p+).
 
 `bound_table` sweeps a list of (lambda, R) cases across several exponents
-and renders the result as CSV/JSON (values rounded to 6 decimals only at
-the export layer).
+and keeps the values unrounded; the CLI rounds them to 6 decimals when it
+writes the CSV/JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -88,28 +87,6 @@ class BoundTable:
 
     labels: list[str]
     rows: list[dict]  # case, lam, r, bounds: list aligned with labels
-
-    def to_csv(self, path) -> None:
-        header = "case,lambda,R," + ",".join(f"bound_{lab}" for lab in self.labels)
-        lines = [header]
-        for row in self.rows:
-            vals = ",".join(f"{v:.6f}" for v in row["bounds"])
-            lines.append(f"{row['case']},{row['lam']:g},{row['r']:g},{vals}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_json(self, path) -> None:
-        payload = {
-            "columns": self.labels,
-            "rows": [
-                {"case": r["case"], "lambda": r["lam"], "R": r["r"],
-                 "bounds": {lab: round(v, 6) for lab, v in zip(self.labels, r["bounds"])}}
-                for r in self.rows
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def bound_table(exponents: Sequence[ExponentSpec],

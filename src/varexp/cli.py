@@ -9,9 +9,11 @@ Subcommands:
 
 Shared flags: --config PATH (required), --out DIR, --seed N,
 --format csv,json[,svg]. Exit codes: 0 success, 1 failed check or
-precondition, 2 usage/config error. All data files are byte-identical
-across reruns with the same config and seed; timestamps appear only in
-run_manifest.json.
+precondition, 2 usage/config error. Commands return their files as text;
+`main` is the only writer: it writes those whose extension is listed in
+--format, then run_manifest.json with the sha256 of each. All data files
+are byte-identical across reruns with the same config and seed;
+timestamps appear only in run_manifest.json.
 """
 
 from __future__ import annotations
@@ -23,16 +25,14 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
-from .config import ConfigError, RunConfig, load_config
+from .config import _FORMATS, ConfigError, RunConfig, load_config
 from .engine import (BlowUpError, SimConfig, simulate_coupled,
                      simulate_coupled_stats, simulate_coupled_terminals)
-from .exponent import check_admissibility, sup_deviation
-from .pricing import coupled_smile, smile_from_terminal, smile_to_csv
+from .exponent import CONSTANT, check_admissibility, sup_deviation
+from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
 
 
@@ -51,19 +51,18 @@ def _config_sha256(cfg: RunConfig) -> str:
     return hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
 
 
-def _manifest(out: Path, command: str, cfg: RunConfig) -> None:
-    payload = {
-        "command": command,
-        "config_sha256": _config_sha256(cfg),
-        "seed": cfg.sim.seed,
-        "tool_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    (out / "run_manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _csv(header, rows, fmt: str = ".10g") -> str:
+    """CSV text: the header, then one line per row. Float cells are written
+    with `fmt`, None as an empty cell, anything else with str()."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return format(v, fmt) if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, r)) + "\n" for r in [header, *rows])
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _shared_mu_sigma(cfg: RunConfig) -> tuple[float, float]:
@@ -74,31 +73,50 @@ def _shared_mu_sigma(cfg: RunConfig) -> tuple[float, float]:
     return cfg.models[0].mu, cfg.models[0].sigma
 
 
-# -- commands ----------------------------------------------------------------
+def _require_gbm_reference(cfg: RunConfig) -> None:
+    """Coupled errors and smiles are measured against models[0] as GBM."""
+    ref = cfg.models[0].exponent
+    if ref.kind != CONSTANT or ref.gamma != 1.0:
+        raise ConfigError(f"the first model ({cfg.labels[0]!r}) is the coupling "
+                          "reference and must be GBM (constant exponent, gamma 1)")
 
-def cmd_check_exponent(cfg: RunConfig, out: Path) -> int:
+
+# -- commands: each returns (exit code, {file name: text}); main writes -------
+
+def cmd_check_exponent(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     all_ok = True
+    files = {}
     for label, model in zip(cfg.labels, cfg.models):
         report = check_admissibility(model.exponent)
-        _dump_json(out / f"admissibility_{label}.json", report.to_dict())
+        files[f"admissibility_{label}.json"] = _json(report.to_dict())
         status = "pass" if report.passed else "FAIL"
         print(f"{label}: {status}")
         all_ok = all_ok and report.passed
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), files
 
 
-def cmd_bound_table(cfg: RunConfig, out: Path) -> int:
+def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     mu, sigma = _shared_mu_sigma(cfg)
     exps = [m.exponent for m in cfg.models[1:]] or [cfg.models[0].exponent]
     labels = cfg.labels[1:] or cfg.labels[:1]
     table = bound_table(exps, cfg.bound_cases, mu=mu, sigma=sigma,
                         t_horizon=cfg.sim.t_horizon, labels=labels)
-    if "csv" in cfg.formats:
-        table.to_csv(out / "bound_table.csv")
-    if "json" in cfg.formats:
-        table.to_json(out / "bound_table.json")
     print(f"bound table: {len(table.rows)} cases x {len(table.labels)} exponents")
-    return 0
+    # bounds are rounded to 6 decimals here, at the export, and nowhere else
+    return 0, {
+        "bound_table.csv": _csv(
+            ["case", "lambda", "R", *(f"bound_{lab}" for lab in table.labels)],
+            ([r["case"], f"{r['lam']:g}", f"{r['r']:g}", *(f"{v:.6f}" for v in r["bounds"])]
+             for r in table.rows)),
+        "bound_table.json": _json({
+            "columns": table.labels,
+            "rows": [
+                {"case": r["case"], "lambda": r["lam"], "R": r["r"],
+                 "bounds": {lab: round(v, 6) for lab, v in zip(table.labels, r["bounds"])}}
+                for r in table.rows
+            ],
+        }),
+    }
 
 
 def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> ErrorReport:
@@ -115,9 +133,10 @@ def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> Erro
     return report
 
 
-def cmd_strong_error(cfg: RunConfig, out: Path) -> int:
+def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     if len(cfg.models) < 2:
         raise ValueError("strong-error needs at least two models (first is the reference)")
+    _require_gbm_reference(cfg)
     stats = simulate_coupled_stats(cfg.models, cfg.sim, cfg.labels)
     rows = []
     for i in range(1, len(cfg.models)):
@@ -137,67 +156,51 @@ def cmd_strong_error(cfg: RunConfig, out: Path) -> int:
         print(f"{cfg.labels[i]} vs {cfg.labels[0]}: strong error "
               f"{rep.strong_error:.6e} +- {rep.ci_half_width:.1e} "
               f"(bound {rep.analytic_bound:.6e})")
-    if "csv" in cfg.formats:
-        cols = ["model", "strong_error", "ci_half_width", "lambda_obs", "r_obs",
-                "analytic_bound", "vol_range_lo", "vol_range_hi", "n_paths"]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(
-                row["model"] if c == "model" else f"{row[c]:.10g}" for c in cols
-            ))
-        (out / "strong_error.csv").write_text("\n".join(lines) + "\n")
-    if "json" in cfg.formats:
-        _dump_json(out / "strong_error.json", {
+    return 0, {
+        "strong_error.csv": _csv(list(rows[0]), (row.values() for row in rows)),
+        "strong_error.json": _json({
             "reference": cfg.labels[0],
             "volatility_range_definition":
                 "interpretation A: range of x^p(x) over visited states",
             "results": rows,
-        })
-    return 0
+        }),
+    }
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     batches = simulate_coupled(cfg.models, cfg.sim, cfg.labels)
     grid = batches[0].time_grid
     hists = [terminal_stats(b) for b in batches]
-    if "csv" in cfg.formats:
-        header = "t," + ",".join(cfg.labels)
-        data = np.column_stack([grid] + [b.values[0] for b in batches])
-        np.savetxt(out / "sample_paths.csv", data, delimiter=",",
-                   header=header, comments="", fmt="%.12g")
-        for b, ts in zip(batches, hists):
-            lines = ["bin_lo,bin_hi,count"]
-            for lo, hi, c in zip(ts.bin_edges[:-1], ts.bin_edges[1:], ts.counts):
-                lines.append(f"{lo:.10g},{hi:.10g},{c}")
-            (out / f"terminal_histogram_{b.model_label}.csv").write_text(
-                "\n".join(lines) + "\n")
-    if "json" in cfg.formats:
-        _dump_json(out / "batch_summary.json",
-                   {"models": [b.summary_dict() for b in batches]})
-    if "svg" in cfg.formats:
-        line_chart(out / "sample_paths.svg",
-                   [(b.model_label, grid, b.values[0]) for b in batches],
-                   "Sample paths (identical increments)", "t", "X(t)")
-        histogram_chart(out / "terminal_histograms.svg",
-                        [(b.model_label, ts.bin_edges, ts.counts)
-                         for b, ts in zip(batches, hists)],
-                        "Terminal distributions", "X(T)")
+    files = {"sample_paths.csv": _csv(["t", *cfg.labels],
+                                      zip(grid, *(b.values[0] for b in batches)), fmt=".12g")}
+    for b, ts in zip(batches, hists):
+        files[f"terminal_histogram_{b.model_label}.csv"] = _csv(
+            ["bin_lo", "bin_hi", "count"], zip(ts.bin_edges[:-1], ts.bin_edges[1:], ts.counts))
+    files["batch_summary.json"] = _json({"models": [b.summary_dict() for b in batches]})
+    files["sample_paths.svg"] = line_chart(
+        [(b.model_label, grid, b.values[0]) for b in batches],
+        "Sample paths (identical increments)", "t", "X(t)")
+    files["terminal_histograms.svg"] = histogram_chart(
+        [(b.model_label, ts.bin_edges, ts.counts) for b, ts in zip(batches, hists)],
+        "Terminal distributions", "X(T)")
     print(f"simulated {len(batches)} models x {cfg.sim.n_paths} paths "
           f"x {cfg.sim.n_steps} steps")
-    return 0
+    return 0, files
 
 
-def cmd_smile(cfg: RunConfig, out: Path) -> int:
+def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     if cfg.smile is None:
         raise ConfigError("config has no 'smile' section")
+    coupled = len(cfg.models) >= 2
+    if coupled:
+        _require_gbm_reference(cfg)
     req = cfg.smile
     sim = cfg.smile_sim()
     terminals = simulate_coupled_terminals(cfg.models, sim)
 
-    coupled = len(cfg.models) >= 2
+    files = {}
     all_series = []
     series_json = {}
-    any_ok = False
     for i, label in enumerate(cfg.labels):
         if coupled:
             pts = coupled_smile(terminals[i], terminals[0], req,
@@ -205,26 +208,25 @@ def cmd_smile(cfg: RunConfig, out: Path) -> int:
                                 antithetic=sim.antithetic)
         else:
             pts = smile_from_terminal(terminals[i], req, sim.antithetic)
-        if "csv" in cfg.formats:
-            smile_to_csv(pts, out / f"smile_{label}.csv")
+        files[f"smile_{label}.csv"] = _csv(
+            ["strike", "iv", "se_low", "se_high", "flag"],
+            ([p.strike, p.iv, p.se_low, p.se_high, p.flag] for p in pts))
         series_json[label] = [p.to_dict() for p in pts]
         ok = [(p.strike, p.iv) for p in pts if p.iv is not None]
-        any_ok = any_ok or bool(ok)
         if ok:
             all_series.append((label, [s for s, _ in ok], [v for _, v in ok]))
         n_flag = sum(1 for p in pts if p.flag)
         print(f"{label}: {len(pts) - n_flag}/{len(pts)} strikes solved")
-    if "json" in cfg.formats:
-        _dump_json(out / "smile_summary.json", {
-            "method": (f"coupled control variate vs {cfg.labels[0]}" if coupled
-                       else "plain Monte Carlo"),
-            "n_base_paths": sim.n_base_paths,
-            "series": series_json,
-        })
-    if "svg" in cfg.formats and all_series:
-        line_chart(out / "smile.svg", all_series,
-                   "Implied volatility by strike", "strike", "implied vol")
-    return 0 if any_ok else 1
+    files["smile_summary.json"] = _json({
+        "method": (f"coupled control variate vs {cfg.labels[0]}" if coupled
+                   else "plain Monte Carlo"),
+        "n_base_paths": sim.n_base_paths,
+        "series": series_json,
+    })
+    if all_series:
+        files["smile.svg"] = line_chart(all_series, "Implied volatility by strike",
+                                        "strike", "implied vol")
+    return (0 if all_series else 1), files
 
 
 # -- wiring ------------------------------------------------------------------
@@ -266,14 +268,29 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         if args.format is not None:
-            cfg.formats = tuple(args.format.split(","))
-            for f in cfg.formats:
-                if f not in ("csv", "json", "svg"):
+            formats = tuple(args.format.split(","))
+            for f in formats:
+                if f not in _FORMATS:
                     raise ConfigError(f"unknown output format {f!r}")
+            cfg.formats = formats
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code = COMMANDS[args.command](cfg, out)
-        _manifest(out, args.command, cfg)
+        code, files = COMMANDS[args.command](cfg)
+        written = {}
+        for name, text in files.items():
+            if Path(name).suffix[1:] in cfg.formats:
+                data = text.encode()
+                (out / name).write_bytes(data)
+                written[name] = hashlib.sha256(data).hexdigest()
+        manifest = {
+            "command": args.command,
+            "config_sha256": _config_sha256(cfg),
+            "seed": cfg.sim.seed,
+            "tool_version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "files": written,
+        }
+        (out / "run_manifest.json").write_text(_json(manifest))
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

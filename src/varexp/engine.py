@@ -182,7 +182,7 @@ def step_log_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
     if np.any(xs <= 0):
         raise ValueError("state must be positive")
     y2 = _log_step(m, np.log(xs), xs, dt, np.asarray(dw, dtype=float), milstein=True)
-    bad = np.abs(y2) > LOG_OVERFLOW_LIMIT
+    bad = ~(np.abs(y2) <= LOG_OVERFLOW_LIMIT)  # true for NaN as well
     if np.any(bad):
         raise BlowUpError(np.nonzero(np.atleast_1d(bad))[0], step_index=0)
     out = np.exp(y2)
@@ -270,7 +270,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
         for j, m in enumerate(models):
             if log_space:
                 y = _log_step(m, ys[j], xs[j], dt, dwk, milstein)
-                bad = np.abs(y) > LOG_OVERFLOW_LIMIT
+                bad = ~(np.abs(y) <= LOG_OVERFLOW_LIMIT)  # true for NaN as well
                 if bad.any():
                     raise BlowUpError(np.nonzero(bad)[0], k, labels[j])
                 ys[j] = y

@@ -407,9 +407,6 @@ class GrowthConstants:
     grid_hi: float
     grid_points: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def estimate_constants(spec: ExponentSpec,
                        grid_lo: float = DEFAULT_GRID_LO,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -210,15 +210,3 @@ def coupled_smile(terminal: np.ndarray, reference_terminal: np.ndarray,
         anchor = bs_call(req.spot, k, req.rate, reference_vol, req.maturity)
         points.append(_point_from_price(anchor + disc * mean, disc * hw, req, k))
     return points
-
-
-def smile_to_csv(points: Sequence[SmilePoint], path) -> None:
-    """Write `strike,iv,se_low,se_high,flag` rows."""
-    lines = ["strike,iv,se_low,se_high,flag"]
-    for p in points:
-        iv = f"{p.iv:.10g}" if p.iv is not None else ""
-        lo = f"{p.se_low:.10g}" if p.se_low is not None else ""
-        hi = f"{p.se_high:.10g}" if p.se_high is not None else ""
-        lines.append(f"{p.strike:.10g},{iv},{lo},{hi},{p.flag}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

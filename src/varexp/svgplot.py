@@ -1,8 +1,8 @@
 """Minimal deterministic SVG line charts.
 
-Charts are derived purely from already-exported data and contain no
-timestamps or generated ids, so repeated runs with the same inputs write
-byte-identical files.
+Charts are returned as SVG text, derived purely from already-exported
+data; they contain no timestamps or generated ids, so the same inputs
+give byte-identical text.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [float(v) for v in raw]
 
 
-def line_chart(path, series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
                title: str, x_label: str, y_label: str,
-               y_pad_frac: float = 0.05) -> None:
-    """Write a polyline chart; one (label, xs, ys) tuple per series."""
+               y_pad_frac: float = 0.05) -> str:
+    """SVG text of a polyline chart; one (label, xs, ys) tuple per series."""
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
@@ -91,12 +91,11 @@ def line_chart(path, series: Sequence[tuple[str, Sequence[float], Sequence[float
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def histogram_chart(path, series: Sequence[tuple[str, Sequence[float], Sequence[int]]],
-                    title: str, x_label: str) -> None:
+def histogram_chart(series: Sequence[tuple[str, Sequence[float], Sequence[int]]],
+                    title: str, x_label: str) -> str:
     """Step-outline histograms; series entries are (label, bin_edges, counts)."""
     line_series = []
     for label, edges, counts in series:
@@ -105,4 +104,4 @@ def histogram_chart(path, series: Sequence[tuple[str, Sequence[float], Sequence[
         xs = np.repeat(e, 2)[1:-1]
         ys = np.repeat(c, 2)
         line_series.append((label, xs, ys))
-    line_chart(path, line_series, title, x_label, "count", y_pad_frac=0.02)
+    return line_chart(line_series, title, x_label, "count", y_pad_frac=0.02)

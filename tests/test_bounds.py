@@ -148,19 +148,3 @@ class TestBoundTable:
         table = bound_table([ExponentSpec.constant(1.0)], CASES[:3],
                             mu=MU, sigma=SIGMA, t_horizon=T, labels=["gbm"])
         assert all(row["bounds"][0] == 0.0 for row in table.rows)
-
-    def test_csv_layout(self, p1_spec, p2_spec, tmp_path):
-        table = bound_table([p1_spec, p2_spec], CASES, mu=MU, sigma=SIGMA,
-                            t_horizon=T, labels=["p1", "p2"])
-        out = tmp_path / "table.csv"
-        table.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "case,lambda,R,bound_p1,bound_p2"
-        assert len(lines) == 11
-        assert lines[1] == "1,0.1,1.1,0.002922,0.000538"
-
-    def test_empty_cases(self, p1_spec, tmp_path):
-        table = bound_table([p1_spec], [], mu=MU, sigma=SIGMA, t_horizon=T)
-        out = tmp_path / "empty.csv"
-        table.to_csv(out)
-        assert out.read_text().splitlines() == ["case,lambda,R,bound_p1"]

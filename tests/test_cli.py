@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,6 +31,12 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+def _non_gbm_reference_config(tmp_path):
+    """The default test config with p1 listed before gbm."""
+    raw = json.loads(_write_config(tmp_path).read_text())
+    return _write_config(tmp_path, models=raw["models"][::-1])
+
+
 class TestCheckExponent:
     def test_passing_config(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -48,6 +55,13 @@ class TestCheckExponent:
         report = json.loads((tmp_path / "out" / "admissibility_cev2.json").read_text())
         assert report["passed"] is False
         assert report["limit_condition"]["passed"] is False
+
+    def test_follows_format(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert main(["check-exponent", "--config", str(cfg), "--format", "csv"]) == 0
+        out = tmp_path / "out"
+        assert not list(out.glob("admissibility_*.json"))
+        assert json.loads((out / "run_manifest.json").read_text())["files"] == {}
 
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["check-exponent", "--config", str(tmp_path / "nope.json")]) == 2
@@ -107,6 +121,11 @@ class TestStrongError:
             {"label": "gbm", "mu": 0.05, "sigma": 0.2,
              "exponent": {"kind": "constant", "gamma": 1.0}}])
         assert main(["strong-error", "--config", str(cfg)]) == 1
+
+    def test_non_gbm_reference_exits_two(self, tmp_path):
+        cfg = _non_gbm_reference_config(tmp_path)
+        assert main(["strong-error", "--config", str(cfg)]) == 2
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_euler_scheme_streams(self, tmp_path):
         cfg = _write_config(tmp_path, sim={
@@ -186,6 +205,11 @@ class TestSmileCommand:
         cfg_path.write_text(json.dumps(raw))
         assert main(["smile", "--config", str(cfg_path)]) == 2
 
+    def test_non_gbm_reference_exits_two(self, tmp_path):
+        cfg = _non_gbm_reference_config(tmp_path)
+        assert main(["smile", "--config", str(cfg)]) == 2
+        assert not list((tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("field,value", [("maturity", 2.0), ("spot", 1.3)],
                              ids=["maturity_vs_horizon", "spot_vs_x0"])
     def test_smile_must_match_sim_exits_two(self, tmp_path, field, value):
@@ -210,6 +234,7 @@ class TestBundledConfig:
         csv = (tmp_path / "out" / "bound_table.csv").read_text().splitlines()
         assert csv[0] == "case,lambda,R,bound_p1,bound_p2"
         assert len(csv) == 11
+        assert csv[1] == "1,0.1,1.1,0.002922,0.000538"
 
     def test_repo_copy_matches_bundled(self):
         from varexp.config import bundled_paper_text
@@ -226,6 +251,16 @@ class TestManifest:
         assert manifest["seed"] == 99
         assert manifest["tool_version"]
         assert "config_sha256" in manifest and "created_utc" in manifest
+
+    def test_files_hold_sha256_of_each_data_file(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--format", "csv,json,svg"]) == 0
+        out = tmp_path / "out"
+        files = json.loads((out / "run_manifest.json").read_text())["files"]
+        data = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir() if p.name != "run_manifest.json"}
+        assert files == data
+        assert {"sample_paths.csv", "batch_summary.json", "sample_paths.svg"} <= set(files)
 
     @staticmethod
     def _hash(cfg_path, out, *extra):

@@ -118,6 +118,12 @@ class TestSteps:
             step_log_milstein(m, 1e6, 1.0, np.array([0.0, 5.0]))
         assert len(exc.value.path_indices) >= 1
 
+    def test_nan_step_is_blow_up(self):
+        # sigma x^(p-1) overflows to inf at x = e^400; the step is inf - inf
+        with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            step_log_milstein(cev(0.0, 1.0, 3.0), math.exp(400), 0.5, np.array([1.0, 0.5]))
+        assert exc.value.path_indices == [0, 1]
+
 
 def _bprime(m, x):
     from varexp import eval_dp, eval_p
@@ -187,6 +193,17 @@ class TestSimulateBatch:
             simulate_batch(m, cfg, "explosive")
         assert exc.value.model_label == "explosive"
         assert len(exc.value.path_indices) >= 1
+
+    @pytest.mark.parametrize("scheme,n_base_paths,antithetic", [
+        (LOG_EULER, 2, False), (LOG_MILSTEIN, 4, True),
+    ], ids=["log_euler", "log_milstein_antithetic"])
+    def test_nan_states_blow_up(self, scheme, n_base_paths, antithetic):
+        # every path's first step is NaN (inf - inf); each must be reported
+        cfg = SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=n_base_paths, seed=1,
+                        antithetic=antithetic, scheme=scheme, x0=math.exp(400))
+        with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            simulate_coupled_terminals([cev(0.0, 1.0, 3.0)], cfg)
+        assert exc.value.path_indices == list(range(cfg.n_paths))
 
     def test_memory_cap(self, gbm_model):
         with pytest.raises(MemoryError):

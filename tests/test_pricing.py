@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call,
                     coupled_smile, implied_vol, mc_call_price, simulate_batch,
                     simulate_coupled_terminals, smile_from_terminal)
-from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR, smile_to_csv
+from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR
 
 
 class TestBsCall:
@@ -175,14 +175,6 @@ class TestSmile:
         assert pts[0].iv is None or pts[0].flag
         assert pts[2].flag
         assert pts[2].iv is None or pts[2].iv == pytest.approx(1e-6)
-
-    def test_csv_format(self, gbm_batch, tmp_path):
-        req = SmileRequest(strikes=(0.9, 1.0, 1.1), rate=0.05, maturity=1.0, spot=1.0)
-        out = tmp_path / "smile.csv"
-        smile_to_csv(smile_from_terminal(gbm_batch.terminal, req, True), out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "strike,iv,se_low,se_high,flag"
-        assert len(lines) == 4
 
 
 class TestCoupledSmile:
