@@ -148,3 +148,21 @@ class TestBoundTable:
         table = bound_table([ExponentSpec.constant(1.0)], CASES[:3],
                             mu=MU, sigma=SIGMA, t_horizon=T, labels=["gbm"])
         assert all(row["bounds"][0] == 0.0 for row in table.rows)
+
+    def test_csv_layout(self, tmp_path):
+        # the CSV is written by the CLI; the paper's models with this module's cases
+        import json
+
+        from varexp.cli import main
+        from varexp.config import bundled_paper_text
+        cfg = json.loads(bundled_paper_text())
+        cfg["bound_cases"] = [list(c) for c in CASES]
+        cfg["sim"]["t_horizon"] = T
+        cfg["output"] = {"dir": str(tmp_path / "out"), "formats": ["csv"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound-table", "--config", str(path)]) == 0
+        lines = (tmp_path / "out" / "bound_table.csv").read_text().splitlines()
+        assert lines[0] == "case,lambda,R,bound_p1,bound_p2"
+        assert len(lines) == 11
+        assert lines[1] == "1,0.1,1.1,0.002922,0.000538"
