@@ -74,9 +74,10 @@ def _shared_mu_sigma(cfg: RunConfig) -> tuple[float, float]:
 
 
 def _require_gbm_reference(cfg: RunConfig) -> None:
-    """Coupled errors and smiles are measured against models[0] as GBM."""
+    """With two or more models, coupled errors, smiles and bound tables
+    take models[0] as the GBM reference."""
     ref = cfg.models[0].exponent
-    if ref.kind != CONSTANT or ref.gamma != 1.0:
+    if len(cfg.models) > 1 and (ref.kind != CONSTANT or ref.gamma != 1.0):
         raise ConfigError(f"the first model ({cfg.labels[0]!r}) is the coupling "
                           "reference and must be GBM (constant exponent, gamma 1)")
 
@@ -96,6 +97,7 @@ def cmd_check_exponent(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 
 def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    _require_gbm_reference(cfg)  # models[0] is dropped as the reference
     mu, sigma = _shared_mu_sigma(cfg)
     exps = [m.exponent for m in cfg.models[1:]] or [cfg.models[0].exponent]
     labels = cfg.labels[1:] or cfg.labels[:1]
@@ -192,8 +194,7 @@ def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     if cfg.smile is None:
         raise ConfigError("config has no 'smile' section")
     coupled = len(cfg.models) >= 2
-    if coupled:
-        _require_gbm_reference(cfg)
+    _require_gbm_reference(cfg)
     req = cfg.smile
     sim = cfg.smile_sim()
     terminals = simulate_coupled_terminals(cfg.models, sim)

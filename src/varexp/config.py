@@ -10,7 +10,7 @@ anything malformed or inconsistent; the CLI maps that to exit code 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -42,9 +42,7 @@ class RunConfig:
         """Simulation config for the smile command (path count may differ)."""
         if self.smile_n_base_paths is None:
             return self.sim
-        d = self.sim.to_dict()
-        d["n_base_paths"] = self.smile_n_base_paths
-        return SimConfig.from_dict(d)
+        return replace(self.sim, n_base_paths=self.smile_n_base_paths)
 
 
 _FORMATS = ("csv", "json", "svg")

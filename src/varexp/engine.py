@@ -18,17 +18,23 @@ Log-space coefficients, with x = e^y:
     b'(y) = b(y) * [(p(x)-1) + x p'(x) ln x]
 
 and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
+
+Each step gives that formula's floats with the least arithmetic: p and
+p' from one unvalidated exponent evaluation (one exp for exp_decay), none
+for a constant exponent, and the exact step y + ((mu - sigma^2/2) dt +
+sigma dW) for GBM; dW^2 - dt once per step for all models, and the step's
+column of the increment matrix copied once into a contiguous row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponent import eval_dp, eval_p, eval_phi
+from .exponent import CONSTANT, _p_dp, _positive, eval_phi
 from .models import ModelSpec, diffusion, diffusion_deriv, drift
 
 EULER = "euler"
@@ -107,11 +113,7 @@ class SimConfig:
         return np.linspace(0.0, self.t_horizon, self.n_steps + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "t_horizon": self.t_horizon, "dt": self.dt,
-            "n_base_paths": self.n_base_paths, "seed": self.seed,
-            "antithetic": self.antithetic, "scheme": self.scheme, "x0": self.x0,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -125,6 +127,13 @@ class SimConfig:
 
 
 # -- increments ------------------------------------------------------------
+
+def _require_fits(need: int, what: str, hint: str = "") -> None:
+    """Raise MemoryError, before allocating, if need bytes exceed the cap."""
+    if need > MEMORY_CAP_BYTES:
+        raise MemoryError(f"{what} needs {need / 2**30:.1f} GiB > cap "
+                          f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB{hint}")
+
 
 def gen_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.ndarray:
     """n_steps i.i.d. N(0, dt) increments for one path.
@@ -147,16 +156,18 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
     antithetic sampling row n_base_paths + i is the negation of row i.
     Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
     """
-    need = cfg.n_paths * cfg.n_steps * 8
-    if need > MEMORY_CAP_BYTES:
-        raise MemoryError(
-            f"increment matrix needs {need / 2**30:.1f} GiB > cap "
-            f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB"
-        )
+    _require_fits(cfg.n_paths * cfg.n_steps * 8, "increment matrix")
     n = cfg.n_base_paths
     dw = np.empty((cfg.n_paths, cfg.n_steps))
+    # One generator, re-keyed per path: a fresh state (counter 0, empty
+    # buffer) with key (seed, i) draws exactly what gen_increments does.
+    bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for i in range(n):
-        dw[i] = gen_increments(cfg.seed, i, cfg.n_steps, cfg.dt)
+        fresh["state"]["key"][1] = i
+        bitgen.state = fresh
+        dw[i] = rng.normal(0.0, math.sqrt(cfg.dt), cfg.n_steps)
     if cfg.antithetic:
         np.negative(dw[:n], out=dw[n:])
     return dw
@@ -164,27 +175,47 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
 
 # -- single steps (the schemes) ---------------------------------------------
 
-def _log_step(m: ModelSpec, y: np.ndarray, x: np.ndarray, dt: float,
-              dw: np.ndarray, milstein: bool) -> np.ndarray:
-    """Advance Y = ln X by one step; x must equal exp(y)."""
-    p = eval_p(m.exponent, x)
-    b = m.sigma * np.exp((p - 1.0) * y)  # sigma * x^(p-1)
-    incr = (m.mu - 0.5 * b * b) * dt + b * dw
-    if milstein:
-        b_prime = b * ((p - 1.0) + x * eval_dp(m.exponent, x) * y)
-        incr = incr + 0.5 * b * b_prime * (dw * dw - dt)
-    return y + incr
+def _log_stepper(m: ModelSpec, dt: float, milstein: bool):
+    """Model m's log-space step f(y, x, dw, dw2) -> y', for x = exp(y) and
+    dw2 = dw*dw - dt. x is not re-validated: |y| <= LOG_OVERFLOW_LIMIT keeps
+    it positive and finite. Every variant gives the generic formula's floats.
+    """
+    spec, mu, sigma = m.exponent, m.mu, m.sigma
+    constant = spec.kind == CONSTANT
+    if constant and spec.gamma == 1.0:
+        drift_dt = (mu - 0.5 * sigma * sigma) * dt
+        return lambda y, x, dw, dw2: y + (drift_dt + sigma * dw)
+
+    def step(y, x, dw, dw2):
+        if constant:
+            pm1 = spec.gamma - 1.0  # nonzero, and p' = 0 adds nothing to it
+        else:
+            pm1, dp = _p_dp(spec, x, milstein)
+            pm1 -= 1.0
+        b = sigma * np.exp(pm1 * y)  # sigma * x^(p-1)
+        half_b = 0.5 * b
+        incr = (mu - half_b * b) * dt + b * dw
+        if milstein:  # b' = b ((p-1) + x p' y)
+            incr += half_b * (b * pm1 if constant else b * (pm1 + x * dp * y)) * dw2
+        incr += y
+        return incr
+
+    return step
+
+
+def _check_log_range(y, step_index: int, label: str = "") -> None:
+    """Raise BlowUpError unless every |y| <= LOG_OVERFLOW_LIMIT (NaN fails)."""
+    if not np.abs(y).max(initial=0.0) <= LOG_OVERFLOW_LIMIT:
+        bad = ~(np.abs(np.atleast_1d(y)) <= LOG_OVERFLOW_LIMIT)
+        raise BlowUpError(np.nonzero(bad)[0], step_index, label)
 
 
 def step_log_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
     """One log-space Milstein step; always returns a positive state."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("state must be positive")
-    y2 = _log_step(m, np.log(xs), xs, dt, np.asarray(dw, dtype=float), milstein=True)
-    bad = ~(np.abs(y2) <= LOG_OVERFLOW_LIMIT)  # true for NaN as well
-    if np.any(bad):
-        raise BlowUpError(np.nonzero(np.atleast_1d(bad))[0], step_index=0)
+    xs = _positive(x, "state")
+    dwa = np.asarray(dw, dtype=float)
+    y2 = _log_stepper(m, dt, True)(np.log(xs), xs, dwa, dwa * dwa - dt)
+    _check_log_range(y2, 0)
     out = np.exp(y2)
     return float(out) if np.ndim(x) == 0 and np.ndim(dw) == 0 else out
 
@@ -237,15 +268,6 @@ class PathBatch:
         }
 
 
-def _require_dense_fits(cfg: SimConfig, n_models: int = 1) -> None:
-    need = cfg.n_paths * (cfg.n_steps + 1) * 8 * n_models
-    if need > MEMORY_CAP_BYTES:
-        raise MemoryError(
-            f"dense path storage needs {need / 2**30:.1f} GiB > cap "
-            f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB; use simulate_coupled_stats"
-        )
-
-
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
              labels: Sequence[str], observe=None):
     """Step every model over the shared increments dw (n_paths, n_steps).
@@ -259,6 +281,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
     log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
     step = step_milstein if milstein else step_euler
+    log_steps = [_log_stepper(m, dt, milstein) for m in models]
     # Per-model states are 1-D arrays rebound each step (in-place row writes
     # were measured slower). Log schemes start from exp(log(x0)), which
     # differs from x0 in the last ulp unless x0 == 1; outputs depend on it.
@@ -266,24 +289,25 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
     xs = [np.exp(y) for y in ys] if log_space else [np.full(n_paths, cfg.x0) for _ in models]
     breaches = [np.zeros(n_paths, dtype=int) for _ in models]
     for k in range(n_steps):
-        dwk = dw[:, k]
-        for j, m in enumerate(models):
-            if log_space:
-                y = _log_step(m, ys[j], xs[j], dt, dwk, milstein)
-                bad = ~(np.abs(y) <= LOG_OVERFLOW_LIMIT)  # true for NaN as well
-                if bad.any():
-                    raise BlowUpError(np.nonzero(bad)[0], k, labels[j])
+        # One gather of the strided column per step; every model reads the row.
+        dwk = np.ascontiguousarray(dw[:, k])
+        if log_space:
+            dw2 = dwk * dwk - dt if milstein else None
+            for j, log_step in enumerate(log_steps):
+                y = log_step(ys[j], xs[j], dwk, dw2)
+                _check_log_range(y, k, labels[j])
                 ys[j] = y
                 xs[j] = np.exp(y)
-                continue
-            x = step(m, xs[j], dt, dwk)
-            low = x < POSITIVITY_FLOOR
-            if low.any():
-                breaches[j] += low
-                x = np.where(low, POSITIVITY_FLOOR, x)
-            if not np.all(np.isfinite(x)):
-                raise BlowUpError(np.nonzero(~np.isfinite(x))[0], k, labels[j])
-            xs[j] = x
+        else:
+            for j, m in enumerate(models):
+                x = step(m, xs[j], dt, dwk)
+                low = x < POSITIVITY_FLOOR
+                if low.any():
+                    breaches[j] += low
+                    x = np.where(low, POSITIVITY_FLOOR, x)
+                if not np.all(np.isfinite(x)):
+                    raise BlowUpError(np.nonzero(~np.isfinite(x))[0], k, labels[j])
+                xs[j] = x
         if observe is not None:
             observe(k, xs)
     return xs, breaches
@@ -328,7 +352,8 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
     pathwise differences isolate model structure rather than noise.
     """
     labels = _labels_for(models, labels)
-    _require_dense_fits(cfg, n_models=len(models))
+    _require_fits(cfg.n_paths * (cfg.n_steps + 1) * 8 * len(models),
+                  "dense path storage", "; use simulate_coupled_stats")
     dw = increment_matrix(cfg)
     return [run_with_increments(m, cfg, dw, lab) for m, lab in zip(models, labels)]
 
@@ -381,7 +406,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     increment matrix, for every scheme.
     """
     labels = _labels_for(models, labels)
-    dw = increment_matrix(cfg)
+    dw = increment_matrix(cfg)  # its cap is checked before anything is allocated
     x0 = cfg.x0
     path_sup = [np.full(cfg.n_paths, x0) for _ in models]
     min_val = [x0] * len(models)

@@ -18,7 +18,7 @@ Lipschitz and linear-growth constants of phi(x) = x^p(x).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,11 @@ INVERSE_SQUARE = "inverse_square"
 RATIONAL_DECAY = "rational_decay"
 
 KINDS = (CONSTANT, EXP_DECAY, INVERSE_SQUARE, RATIONAL_DECAY)
+# Each kind's shape parameters, in its constructor's order, and the
+# admissibility constants a config may override.
+_KIND_PARAMS = {CONSTANT: ("gamma",), EXP_DECAY: ("a", "b"),
+                INVERSE_SQUARE: ("a",), RATIONAL_DECAY: ("c",)}
+_CONSTANTS = ("p_minus", "p_plus", "delta", "m0", "c0", "alpha")
 
 # Multiplier applied to grid maxima when estimating Lipschitz/growth
 # constants; guards against grid undersampling of the true suprema.
@@ -145,72 +150,44 @@ class ExponentSpec:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("gamma", "a", "b", "c"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
-        d.update(
-            p_minus=self.p_minus, p_plus=self.p_plus, delta=self.delta,
-            m0=self.m0, c0=self.c0, alpha=self.alpha,
-        )
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExponentSpec":
         kind = d.get("kind")
         if kind not in KINDS:
             raise ValueError(f"unknown exponent kind {kind!r}")
-        params = {k: d[k] for k in ("gamma", "a", "b", "c") if k in d}
-        # Start from the per-kind defaults, then apply explicit overrides.
-        if kind == CONSTANT:
-            base = cls.constant(params["gamma"])
-        elif kind == EXP_DECAY:
-            base = cls.exp_decay(params["a"], params["b"])
-        elif kind == INVERSE_SQUARE:
-            base = cls.inverse_square(params["a"])
-        else:
-            base = cls.rational_decay(params["c"])
-        overrides = {
-            k: float(d[k])
-            for k in ("p_minus", "p_plus", "delta", "m0", "c0", "alpha")
-            if k in d
-        }
-        if not overrides:
-            return base
-        merged = asdict(base)
-        merged.update(overrides)
-        return cls(**merged)
+        # The per-kind constructor's default constants, then explicit overrides.
+        base = getattr(cls, kind)(*(d[k] for k in _KIND_PARAMS[kind]))
+        return replace(base, **{k: float(d[k]) for k in _CONSTANTS if k in d})
 
 
 # -- pointwise evaluation ------------------------------------------------
 
+def _p_dp(spec: ExponentSpec, xs: np.ndarray, deriv: bool = True):
+    """(p(x), p'(x)) for a float array xs known to lie in (0, inf), with no
+    check; p'(x) is None unless deriv. The one place each formula is
+    written: exp_decay shares exp(-b x), the rational kinds share 1 + x.
+    """
+    if spec.kind == CONSTANT:
+        return np.full_like(xs, spec.gamma), np.zeros_like(xs) if deriv else None
+    if spec.kind == EXP_DECAY:
+        e = np.exp(-spec.b * xs)
+        return 1.0 + spec.a * e, -spec.a * spec.b * e if deriv else None
+    u = 1.0 + xs
+    if spec.kind == INVERSE_SQUARE:
+        return 1.0 + spec.a / u ** 2, -2.0 * spec.a / u ** 3 if deriv else None
+    return 1.0 + spec.c / u, -spec.c / u ** 2 if deriv else None
+
+
 def eval_p(spec: ExponentSpec, x) -> float | np.ndarray:
     """p(x) for x > 0."""
-    xs = _positive(x)
-    if spec.kind == CONSTANT:
-        out = np.full_like(xs, spec.gamma)
-    elif spec.kind == EXP_DECAY:
-        out = 1.0 + spec.a * np.exp(-spec.b * xs)
-    elif spec.kind == INVERSE_SQUARE:
-        out = 1.0 + spec.a / (1.0 + xs) ** 2
-    else:
-        out = 1.0 + spec.c / (1.0 + xs)
-    return _like(x, out)
+    return _like(x, _p_dp(spec, _positive(x), deriv=False)[0])
 
 
 def eval_dp(spec: ExponentSpec, x) -> float | np.ndarray:
     """p'(x) in closed form."""
-    xs = _positive(x)
-    if spec.kind == CONSTANT:
-        out = np.zeros_like(xs)
-    elif spec.kind == EXP_DECAY:
-        out = -spec.a * spec.b * np.exp(-spec.b * xs)
-    elif spec.kind == INVERSE_SQUARE:
-        out = -2.0 * spec.a / (1.0 + xs) ** 3
-    else:
-        out = -spec.c / (1.0 + xs) ** 2
-    return _like(x, out)
+    return _like(x, _p_dp(spec, _positive(x))[1])
 
 
 def eval_phi(spec: ExponentSpec, x) -> float | np.ndarray:
@@ -222,20 +199,20 @@ def eval_phi(spec: ExponentSpec, x) -> float | np.ndarray:
     if spec.kind == CONSTANT:
         out = np.power(xs, spec.gamma)
     else:
-        out = np.exp(eval_p(spec, xs) * np.log(xs))
+        out = np.exp(_p_dp(spec, xs, deriv=False)[0] * np.log(xs))
     return _like(x, out)
 
 
 def eval_dphi(spec: ExponentSpec, x) -> float | np.ndarray:
     """phi'(x) = p(x) x^(p(x)-1) + p'(x) x^p(x) log(x), exact."""
     xs = _positive(x)
-    p = eval_p(spec, xs)
     if spec.kind == CONSTANT:
         out = spec.gamma * np.power(xs, spec.gamma - 1.0)
     else:
+        p, dp = _p_dp(spec, xs)
         lnx = np.log(xs)
         x_pow = np.exp(p * lnx)  # x^p
-        out = p * np.exp((p - 1.0) * lnx) + eval_dp(spec, xs) * x_pow * lnx
+        out = p * np.exp((p - 1.0) * lnx) + dp * x_pow * lnx
     return _like(x, out)
 
 
@@ -326,8 +303,7 @@ def check_admissibility(spec: ExponentSpec, cutoff: float = 1e4,
         raise ValueError("grid_points must be >= 100")
 
     xs = log_grid(_CHECK_GRID_LO, cutoff, grid_points)
-    p = np.asarray(eval_p(spec, xs))
-    dp = np.asarray(eval_dp(spec, xs))
+    p, dp = _p_dp(spec, xs)
 
     # Condition 1: 1 <= p_minus <= p(x) <= p_plus < inf.
     slack = _REL_SLACK * max(1.0, abs(spec.p_plus))

@@ -91,6 +91,11 @@ class TestBoundTable:
         csv = (tmp_path / "out" / "bound_table.csv").read_text().splitlines()
         assert csv == ["case,lambda,R,bound_p1"]
 
+    def test_non_gbm_reference_exits_two(self, tmp_path):
+        cfg = _non_gbm_reference_config(tmp_path)
+        assert main(["bound-table", "--config", str(cfg)]) == 2
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_bad_lambda_exits_one(self, tmp_path):
         cfg = _write_config(tmp_path, bound_cases=[[1.5, 2.0]])
         assert main(["bound-table", "--config", str(cfg)]) == 1

@@ -9,6 +9,7 @@ from varexp import (BlowUpError, SimConfig, cev, diffusion_range,
                     simulate_batch, simulate_coupled, simulate_coupled_stats,
                     simulate_coupled_terminals, step_euler, step_log_milstein,
                     step_milstein)
+from varexp import ExponentSpec, ModelSpec, eval_dp, eval_p
 from varexp.engine import LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, SCHEMES
 
 # 4M paths x 100k steps: far beyond every memory cap.
@@ -238,6 +239,69 @@ class TestSimulateBatch:
             assert stacked.tobytes() == full.values.tobytes()
             assert np.array_equal(np.concatenate([b.breach_counts for b in parts]),
                                   full.breach_counts)
+
+
+def _oracle_log_step(m, y, x, dt, dw, milstein):
+    """The log step with p and p' from the validating eval_p and eval_dp,
+    nothing shared or special-cased: the reference for the fused kernel."""
+    p = eval_p(m.exponent, x)
+    b = m.sigma * np.exp((p - 1.0) * y)
+    incr = (m.mu - 0.5 * b * b) * dt + b * dw
+    if milstein:
+        b_prime = b * ((p - 1.0) + x * eval_dp(m.exponent, x) * y)
+        incr = incr + 0.5 * b * b_prime * (dw * dw - dt)
+    return y + incr
+
+
+def _oracle_paths(m, cfg, dw):
+    """Dense (n_paths, n_steps + 1) log-scheme paths from _oracle_log_step."""
+    milstein = cfg.scheme == LOG_MILSTEIN
+    y = np.full(dw.shape[0], math.log(cfg.x0))
+    x = np.exp(y)
+    values = np.empty((dw.shape[0], dw.shape[1] + 1))
+    values[:, 0] = cfg.x0
+    for k in range(dw.shape[1]):
+        y = _oracle_log_step(m, y, x, cfg.dt, dw[:, k], milstein)
+        x = np.exp(y)
+        values[:, k + 1] = x
+    return values
+
+
+# A large sigma and a coarse dt make the Milstein term big enough that a
+# reordered operation in it shows in the last bits of the paths.
+ORACLE_MODELS = {
+    "gbm": gbm(0.05, 0.5),
+    "cev2": cev(0.05, 0.5, 2.0),
+    "exp_decay": ModelSpec(0.05, 0.5, ExponentSpec.exp_decay(0.5, 1.0)),
+    "inverse_square": ModelSpec(0.05, 0.5, ExponentSpec.inverse_square(1.0)),
+    "rational_decay": ModelSpec(0.05, 0.5, ExponentSpec.rational_decay(0.5)),
+}
+
+
+class TestFusedLogStep:
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("x0", [1.0, 1.7])
+    @pytest.mark.parametrize("scheme", [LOG_EULER, LOG_MILSTEIN])
+    def test_bytes_equal_oracle(self, scheme, x0, antithetic):
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=64, seed=8,
+                        antithetic=antithetic, scheme=scheme, x0=x0)
+        dw = increment_matrix(cfg)
+        terminals = simulate_coupled_terminals(list(ORACLE_MODELS.values()), cfg)
+        for (name, m), terminal in zip(ORACLE_MODELS.items(), terminals):
+            oracle = _oracle_paths(m, cfg, dw)
+            assert terminal.tobytes() == oracle[:, -1].tobytes(), name
+            for layout in (dw, np.asfortranarray(dw)):
+                values = run_with_increments(m, cfg, layout, name).values
+                assert values.tobytes() == oracle.tobytes(), name
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_scalar_wrapper_equals_oracle(self, name):
+        m = ORACLE_MODELS[name]
+        x = np.geomspace(0.05, 20.0, 64)
+        dw = np.linspace(-0.2, 0.2, 64)
+        want = np.exp(_oracle_log_step(m, np.log(x), x, 1e-3, dw, milstein=True))
+        assert step_log_milstein(m, x, 1e-3, dw).tobytes() == want.tobytes()
+        assert step_log_milstein(m, float(x[3]), 1e-3, float(dw[3])) == want[3]
 
 
 class TestCoupled:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
                     eval_dp, eval_dphi, eval_p, eval_phi, sup_deviation)
-from varexp.exponent import log_grid
+from varexp.exponent import _p_dp, log_grid
 
 from conftest import all_kinds
 
@@ -49,6 +49,42 @@ class TestEvalDp:
 
     def test_inverse_square_at_one(self, inv_square_spec):
         assert eval_dp(inv_square_spec, 1.0) == pytest.approx(-0.25, rel=1e-12)
+
+
+def _closed_form_p_dp(spec, xs):
+    """p and p' written out per kind, one expression each, as a reference
+    for the operation order of the shared evaluator."""
+    if spec.kind == "constant":
+        return np.full_like(xs, spec.gamma), np.zeros_like(xs)
+    if spec.kind == "exp_decay":
+        return 1.0 + spec.a * np.exp(-spec.b * xs), -spec.a * spec.b * np.exp(-spec.b * xs)
+    if spec.kind == "inverse_square":
+        return 1.0 + spec.a / (1.0 + xs) ** 2, -2.0 * spec.a / (1.0 + xs) ** 3
+    return 1.0 + spec.c / (1.0 + xs), -spec.c / (1.0 + xs) ** 2
+
+
+class TestFusedCoefficients:
+    @pytest.mark.parametrize("spec", all_kinds())
+    def test_bitwise_equal_to_eval_p_and_eval_dp(self, spec):
+        xs = log_grid(1e-8, 1e6, 4096)
+        p, dp = _p_dp(spec, xs)
+        assert p.tobytes() == np.asarray(eval_p(spec, xs)).tobytes()
+        assert dp.tobytes() == np.asarray(eval_dp(spec, xs)).tobytes()
+        ref_p, ref_dp = _closed_form_p_dp(spec, xs)
+        assert p.tobytes() == ref_p.tobytes()
+        assert dp.tobytes() == ref_dp.tobytes()
+        p_only, no_dp = _p_dp(spec, xs, deriv=False)
+        assert p_only.tobytes() == p.tobytes() and no_dp is None
+
+    @pytest.mark.parametrize("spec", all_kinds())
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan,
+                                     np.array([1.0, -2.0]), np.array([0.5, math.inf])],
+                             ids=["zero", "negative", "inf", "nan", "array_negative", "array_inf"])
+    def test_wrappers_still_validate(self, spec, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            eval_p(spec, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            eval_dp(spec, bad)
 
 
 class TestEvalPhi:
