@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine as engine_mod
-from .engine import CoupledStats, PathBatch
+from .engine import CoupledStats, ModelPathStats, PathBatch
 from .exponent import eval_phi
 from .models import ModelSpec
 
@@ -100,7 +100,7 @@ class TerminalStats:
     counts: np.ndarray
 
 
-def terminal_stats(batch: PathBatch, bins: int = 64) -> TerminalStats:
+def terminal_stats(batch: PathBatch | ModelPathStats, bins: int = 64) -> TerminalStats:
     """Mean/variance/extremes plus a histogram of the terminal values."""
     term = batch.terminal
     if term.size == 0:

@@ -9,11 +9,12 @@ Subcommands:
 
 Shared flags: --config PATH (required), --out DIR, --seed N,
 --format csv,json[,svg]. Exit codes: 0 success, 1 failed check or
-precondition, 2 usage/config error. Commands return their files as text;
-`main` is the only writer: it writes those whose extension is listed in
---format, then run_manifest.json with the sha256 of each. All data files
-are byte-identical across reruns with the same config and seed;
-timestamps appear only in run_manifest.json.
+precondition, 2 usage/config error. Commands return their files as text
+and the simulation they ran, if any; `main` is the only writer: it writes
+the files whose extension is listed in --format, then run_manifest.json
+with the sha256 of each, the run's path, step and worker counts and the
+library versions. All data files are byte-identical across reruns with
+the same config and seed; timestamps appear only in run_manifest.json.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
 from .config import _FORMATS, ConfigError, RunConfig, load_config
-from .engine import (BlowUpError, SimConfig, simulate_coupled,
-                     simulate_coupled_stats, simulate_coupled_terminals)
+from .engine import (BlowUpError, SimConfig, _plan, simulate_coupled_stats,
+                     simulate_coupled_terminals)
 from .exponent import CONSTANT, check_admissibility, sup_deviation
 from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
@@ -82,9 +87,10 @@ def _require_gbm_reference(cfg: RunConfig) -> None:
                           "reference and must be GBM (constant exponent, gamma 1)")
 
 
-# -- commands: each returns (exit code, {file name: text}); main writes -------
+# -- commands: each returns (exit code, {file name: text}, the SimConfig it
+# simulated or None); main writes ----------------------------------------------
 
-def cmd_check_exponent(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+def cmd_check_exponent(cfg: RunConfig) -> tuple[int, dict[str, str], None]:
     all_ok = True
     files = {}
     for label, model in zip(cfg.labels, cfg.models):
@@ -93,10 +99,10 @@ def cmd_check_exponent(cfg: RunConfig) -> tuple[int, dict[str, str]]:
         status = "pass" if report.passed else "FAIL"
         print(f"{label}: {status}")
         all_ok = all_ok and report.passed
-    return (0 if all_ok else 1), files
+    return (0 if all_ok else 1), files, None
 
 
-def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str], None]:
     _require_gbm_reference(cfg)  # models[0] is dropped as the reference
     mu, sigma = _shared_mu_sigma(cfg)
     exps = [m.exponent for m in cfg.models[1:]] or [cfg.models[0].exponent]
@@ -118,7 +124,7 @@ def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str]]:
                 for r in table.rows
             ],
         }),
-    }
+    }, None
 
 
 def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> ErrorReport:
@@ -135,7 +141,7 @@ def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> Erro
     return report
 
 
-def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     if len(cfg.models) < 2:
         raise ValueError("strong-error needs at least two models (first is the reference)")
     _require_gbm_reference(cfg)
@@ -166,31 +172,36 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str]]:
                 "interpretation A: range of x^p(x) over visited states",
             "results": rows,
         }),
-    }
+    }, cfg.sim
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str]]:
-    batches = simulate_coupled(cfg.models, cfg.sim, cfg.labels)
-    grid = batches[0].time_grid
-    hists = [terminal_stats(b) for b in batches]
+def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
+    sim = cfg.sim
+    stats = simulate_coupled_stats(cfg.models, sim, cfg.labels).models
+    grid = sim.time_grid
+    hists = [terminal_stats(ms) for ms in stats]
     files = {"sample_paths.csv": _csv(["t", *cfg.labels],
-                                      zip(grid, *(b.values[0] for b in batches)), fmt=".12g")}
-    for b, ts in zip(batches, hists):
-        files[f"terminal_histogram_{b.model_label}.csv"] = _csv(
+                                      zip(grid, *(ms.sample_path for ms in stats)), fmt=".12g")}
+    for ms, ts in zip(stats, hists):
+        files[f"terminal_histogram_{ms.label}.csv"] = _csv(
             ["bin_lo", "bin_hi", "count"], zip(ts.bin_edges[:-1], ts.bin_edges[1:], ts.counts))
-    files["batch_summary.json"] = _json({"models": [b.summary_dict() for b in batches]})
+    files["batch_summary.json"] = _json({"models": [
+        {"model": ms.label, "n_paths": sim.n_paths, "terminal_mean": ts.mean,
+         "terminal_variance": ts.variance, "min_value": ms.min_value,
+         "max_value": ms.max_value, "positivity_breaches": ms.positivity_breaches,
+         "seed": sim.seed, "scheme": sim.scheme}
+        for ms, ts in zip(stats, hists)]})
     files["sample_paths.svg"] = line_chart(
-        [(b.model_label, grid, b.values[0]) for b in batches],
+        [(ms.label, grid, ms.sample_path) for ms in stats],
         "Sample paths (identical increments)", "t", "X(t)")
     files["terminal_histograms.svg"] = histogram_chart(
-        [(b.model_label, ts.bin_edges, ts.counts) for b, ts in zip(batches, hists)],
+        [(ms.label, ts.bin_edges, ts.counts) for ms, ts in zip(stats, hists)],
         "Terminal distributions", "X(T)")
-    print(f"simulated {len(batches)} models x {cfg.sim.n_paths} paths "
-          f"x {cfg.sim.n_steps} steps")
-    return 0, files
+    print(f"simulated {len(stats)} models x {sim.n_paths} paths x {sim.n_steps} steps")
+    return 0, files, sim
 
 
-def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     if cfg.smile is None:
         raise ConfigError("config has no 'smile' section")
     coupled = len(cfg.models) >= 2
@@ -227,7 +238,7 @@ def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     if all_series:
         files["smile.svg"] = line_chart(all_series, "Implied volatility by strike",
                                         "strike", "implied vol")
-    return (0 if all_series else 1), files
+    return (0 if all_series else 1), files, sim
 
 
 # -- wiring ------------------------------------------------------------------
@@ -276,7 +287,7 @@ def main(argv=None) -> int:
             cfg.formats = formats
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code, files = COMMANDS[args.command](cfg)
+        code, files, sim = COMMANDS[args.command](cfg)
         written = {}
         for name, text in files.items():
             if Path(name).suffix[1:] in cfg.formats:
@@ -288,6 +299,11 @@ def main(argv=None) -> int:
             "config_sha256": _config_sha256(cfg),
             "seed": cfg.sim.seed,
             "tool_version": __version__,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "n_paths": sim.n_paths if sim else None,
+            "n_steps": sim.n_steps if sim else None,
+            "workers": _plan(sim)[1] if sim else None,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "files": written,
         }

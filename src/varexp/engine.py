@@ -3,9 +3,13 @@
 Brownian increments come from counter-based Philox streams keyed by
 (seed, path_index), so every path's noise is reproducible regardless of
 how paths are partitioned across workers. One private kernel, `_advance`,
-steps every model over the increment matrix; the entry points differ only
-in what they observe after each step: dense paths, terminal values only,
-or streaming reductions. Four schemes are provided; the log-transformed
+steps every model over the increments; the entry points differ only in
+what they observe after each step: dense paths, terminal values only, or
+streaming reductions. The streaming entry points step contiguous ranges
+of base paths (with their antithetic partners) as chunks of bounded
+memory, on a pool of forked workers when there are several chunks and
+CPUs, and merge the chunks' results exactly, in global path order. Four
+schemes are provided; the log-transformed
 Milstein scheme is the default: it discretizes Y = ln X, which keeps every
 path strictly positive by construction and is exact for geometric Brownian
 motion (the Milstein correction vanishes when the log-space diffusion is
@@ -22,19 +26,21 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 Each step gives that formula's floats with the least arithmetic: p and
 p' from one unvalidated exponent evaluation (one exp for exp_decay), none
 for a constant exponent, and the exact step y + ((mu - sigma^2/2) dt +
-sigma dW) for GBM; dW^2 - dt once per step for all models, and the step's
-column of the increment matrix copied once into a contiguous row.
+sigma dW) for GBM; dW^2 - dt once per step for all models, and each
+step's increments read as one contiguous row (a view of a step-major
+chunk, or one copy of a dense matrix's column).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponent import CONSTANT, _p_dp, _positive, eval_phi
+from .exponent import CONSTANT, _p_dp, _phi, _positive, eval_phi
 from .models import ModelSpec, diffusion, diffusion_deriv, drift
 
 EULER = "euler"
@@ -55,6 +61,11 @@ LOG_OVERFLOW_LIMIT = 700.0
 # dense paths of a coupled run (larger runs use simulate_coupled_stats).
 MEMORY_CAP_BYTES = 2 << 30
 
+# Increment bytes per chunk of a streaming run, chosen with perfbench's
+# paper-cli workload on a 2-core host: smaller chunks pay the per-step
+# overhead more often, larger ones hold more memory per worker.
+_CHUNK_BYTES = 96 << 20
+
 
 class BlowUpError(RuntimeError):
     """A path left the representable range during simulation."""
@@ -67,6 +78,9 @@ class BlowUpError(RuntimeError):
             f"path(s) {self.path_indices} blew up at step {self.step_index}"
             + (f" for model {model_label!r}" if model_label else "")
         )
+
+    def __reduce__(self):  # pickled with its fields, so it crosses a pool
+        return type(self), (self.path_indices, self.step_index, self.model_label)
 
 
 @dataclass(frozen=True)
@@ -149,6 +163,21 @@ def gen_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.nd
     return rng.normal(0.0, math.sqrt(dt), n_steps)
 
 
+def _draw_rows(cfg: SimConfig, lo: int, hi: int):
+    """Yield the increments of base paths lo..hi-1, one path at a time.
+
+    One generator, re-keyed per path: a fresh state (counter 0, empty
+    buffer) with key (seed, i) draws exactly what gen_increments does.
+    """
+    bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    for i in range(lo, hi):
+        fresh["state"]["key"][1] = i
+        bitgen.state = fresh
+        yield rng.normal(0.0, math.sqrt(cfg.dt), cfg.n_steps)
+
+
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
     """(n_paths, n_steps) increment matrix for a whole run.
 
@@ -159,17 +188,25 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
     _require_fits(cfg.n_paths * cfg.n_steps * 8, "increment matrix")
     n = cfg.n_base_paths
     dw = np.empty((cfg.n_paths, cfg.n_steps))
-    # One generator, re-keyed per path: a fresh state (counter 0, empty
-    # buffer) with key (seed, i) draws exactly what gen_increments does.
-    bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    for i in range(n):
-        fresh["state"]["key"][1] = i
-        bitgen.state = fresh
-        dw[i] = rng.normal(0.0, math.sqrt(cfg.dt), cfg.n_steps)
+    for i, row in enumerate(_draw_rows(cfg, 0, n)):
+        dw[i] = row
     if cfg.antithetic:
         np.negative(dw[:n], out=dw[n:])
+    return dw
+
+
+def _increment_chunk(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
+    """Step-major (n_steps, m) increments of base paths lo..hi-1: column c
+    is path lo + c and, with antithetic sampling, column hi - lo + c its
+    negation. Row k, step k's increments, is contiguous."""
+    nb = hi - lo
+    m = nb * (cfg.n_paths // cfg.n_base_paths)
+    _require_fits(m * cfg.n_steps * 8, "increment chunk")
+    dw = np.empty((cfg.n_steps, m))
+    for c, row in enumerate(_draw_rows(cfg, lo, hi)):
+        dw[:, c] = row
+    if cfg.antithetic:
+        np.negative(dw[:, :nb], out=dw[:, nb:])
     return dw
 
 
@@ -253,24 +290,11 @@ class PathBatch:
     def terminal(self) -> np.ndarray:
         return self.values[:, -1]
 
-    def summary_dict(self) -> dict:
-        term = self.terminal
-        return {
-            "model": self.model_label,
-            "n_paths": int(self.values.shape[0]),
-            "terminal_mean": float(term.mean()),
-            "terminal_variance": float(term.var(ddof=1)) if term.size > 1 else 0.0,
-            "min_value": float(self.values.min()),
-            "max_value": float(self.values.max()),
-            "positivity_breaches": int(self.breach_counts.sum()),
-            "seed": self.config.seed,
-            "scheme": self.config.scheme,
-        }
-
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
              labels: Sequence[str], observe=None):
-    """Step every model over the shared increments dw (n_paths, n_steps).
+    """Step every model over the shared increments dw (n_paths, n_steps), in
+    either memory order.
 
     Step-outer, model-inner; after step k, observe(k, xs) sees the list of
     current states, one per model. Returns the terminal states and the
@@ -289,7 +313,8 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
     xs = [np.exp(y) for y in ys] if log_space else [np.full(n_paths, cfg.x0) for _ in models]
     breaches = [np.zeros(n_paths, dtype=int) for _ in models]
     for k in range(n_steps):
-        # One gather of the strided column per step; every model reads the row.
+        # One contiguous row per step (a view when dw is a step-major chunk's
+        # transpose); every model reads it.
         dwk = np.ascontiguousarray(dw[:, k])
         if log_space:
             dw2 = dwk * dwk - dt if milstein else None
@@ -358,7 +383,7 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
     return [run_with_increments(m, cfg, dw, lab) for m, lab in zip(models, labels)]
 
 
-# -- streaming accumulators (runs too large for dense storage) ---------------
+# -- streaming runs: path chunks, merged exactly ----------------------------
 
 @dataclass
 class ModelPathStats:
@@ -371,6 +396,8 @@ class ModelPathStats:
     max_value: float
     phi_min: float         # range of x^p(x) over visited states
     phi_max: float
+    positivity_breaches: int  # floor clamps over all paths and steps
+    sample_path: np.ndarray   # X of path 0 on the time grid
 
 
 @dataclass
@@ -386,14 +413,135 @@ class CoupledStats:
     sup_abs_diff: np.ndarray  # (n_models, n_paths); row 0 is zeros
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_size(cfg: SimConfig, workers: int) -> int:
+    """Base paths per chunk: as few chunks as _CHUNK_BYTES of increments
+    allows, their count rounded up to whole rounds of the workers."""
+    path_bytes = (cfg.n_paths // cfg.n_base_paths) * cfg.n_steps * 8
+    n_chunks = -(-cfg.n_base_paths * path_bytes // _CHUNK_BYTES)
+    if n_chunks > 1:
+        n_chunks = -(-n_chunks // workers) * workers
+    return -(-cfg.n_base_paths // n_chunks)
+
+
+def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
+    """The base-path ranges [lo, hi) of a streaming run and its worker count:
+    min(CPUs, chunks), or 1 where the platform cannot fork."""
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    n, size = cfg.n_base_paths, _chunk_size(cfg, cpus)
+    bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    return bounds, min(cpus, len(bounds))
+
+
+def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
+               lo: int, hi: int, stats: bool) -> dict:
+    """Step base paths [lo, hi) and their antithetic partners for every model.
+
+    Per-path arrays come back in the chunk's column order (base paths, then
+    partners). With stats, the chunk also keeps per-path sups and sup-diffs,
+    the extrema of X and x^p(x) over its visited states, and, for the chunk
+    holding path 0, that path's states. A blow-up names global path indices.
+    """
+    dw = _increment_chunk(cfg, lo, hi)
+    n_models, m = len(models), dw.shape[1]
+    out = {}
+    observe = None
+    if stats:
+        path_sup = np.full((n_models, m), cfg.x0)
+        sup_diff = np.zeros((n_models, m))
+        x_min, phi_min, phi_max = ([math.inf] * n_models, [math.inf] * n_models,
+                                   [-math.inf] * n_models)
+        path0 = np.empty((n_models, cfg.n_steps)) if lo == 0 else None
+        out.update(path_sup=path_sup, sup_diff=sup_diff, x_min=x_min,
+                   phi_min=phi_min, phi_max=phi_max, path0=path0)
+
+        def observe(k, xs):
+            for j, (model, x) in enumerate(zip(models, xs)):
+                np.maximum(path_sup[j], x, out=path_sup[j])
+                x_min[j] = min(x_min[j], float(x.min()))
+                phi = _phi(model.exponent, x)  # x > 0: clamped or exp(y)
+                phi_min[j] = min(phi_min[j], float(phi.min()))
+                phi_max[j] = max(phi_max[j], float(phi.max()))
+                if j > 0:
+                    np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
+                if path0 is not None:
+                    path0[j, k] = x[0]
+
+    try:
+        terminals, breaches = _advance(models, cfg, dw.T, labels, observe)
+    except BlowUpError as exc:
+        local, nb = np.asarray(exc.path_indices), hi - lo
+        paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)
+        raise BlowUpError(paths, exc.step_index, exc.model_label) from None
+    out.update(terminal=np.array(terminals), breaches=[int(b.sum()) for b in breaches])
+    return out
+
+
+def _outcome(call, *args):
+    """call(*args), or the BlowUpError it raised."""
+    try:
+        return call(*args)
+    except BlowUpError as exc:
+        return exc
+
+
+def _run_chunked(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
+                 stats: bool) -> tuple[list[dict], list[tuple[int, int]]]:
+    """_run_chunk over every chunk of _plan(cfg), on a fork pool when it has
+    more than one worker (spawn and forkserver cost 1-1.5 s more per call).
+
+    Every chunk runs; a blow-up raises what one unchunked run raises: the
+    earliest (step, model) any chunk reached, with every path failing there.
+    """
+    bounds, workers = _plan(cfg)
+    args = (models, cfg, labels)
+    if workers > 1:
+        # imported on first use: 20 ms of import time that runs without a
+        # pool need not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_chunk, *args, lo, hi, stats) for lo, hi in bounds]
+            try:
+                outcomes = [_outcome(f.result) for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    else:
+        outcomes = [_outcome(_run_chunk, *args, lo, hi, stats) for lo, hi in bounds]
+    errors = [e for e in outcomes if isinstance(e, BlowUpError)]
+    if errors:
+        def when(e):
+            return e.step_index, labels.index(e.model_label)
+        first = min(map(when, errors))
+        paths = sorted(i for e in errors if when(e) == first for i in e.path_indices)
+        raise BlowUpError(paths, first[0], labels[first[1]])
+    return outcomes, bounds
+
+
+def _in_path_order(parts: list[np.ndarray], bounds: list[tuple[int, int]]) -> np.ndarray:
+    """Chunk-local per-path arrays (last axis: a chunk's base paths, then
+    their partners) concatenated in global path order."""
+    cuts = [hi - lo for lo, hi in bounds]
+    return np.concatenate([p[..., :c] for p, c in zip(parts, cuts)]
+                          + [p[..., c:] for p, c in zip(parts, cuts)], axis=-1)
+
+
 def simulate_coupled_terminals(models: Sequence[ModelSpec], cfg: SimConfig) -> list[np.ndarray]:
     """Coupled simulation keeping only the terminal values.
 
     Lean variant for pricing workloads: identical increments and stepping
-    as simulate_coupled, no per-path accumulators, any scheme.
+    as simulate_coupled, no per-path accumulators, any scheme, in path
+    chunks like simulate_coupled_stats.
     """
-    terminals, _ = _advance(models, cfg, increment_matrix(cfg), _labels_for(models, None))
-    return terminals
+    parts, bounds = _run_chunked(models, cfg, _labels_for(models, None), stats=False)
+    return list(_in_path_order([p["terminal"] for p in parts], bounds))
 
 
 def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
@@ -401,34 +549,26 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     """Coupled simulation keeping only reductions, never the dense paths.
 
     Produces exactly the statistics the analysis layer needs (terminal
-    values, per-path sups, state extrema, diffusion-factor range and
-    sup-differences vs the first model) with O(n_paths) memory beyond the
-    increment matrix, for every scheme.
+    values, per-path sups, state extrema, diffusion-factor range,
+    sup-differences vs the first model, breach totals and path 0's states)
+    for every scheme. Base paths run in chunks of bounded increment memory,
+    on a pool of min(CPUs, chunks) forked workers; the merged results are
+    the same bytes however the paths are split.
     """
     labels = _labels_for(models, labels)
-    dw = increment_matrix(cfg)  # its cap is checked before anything is allocated
+    parts, bounds = _run_chunked(models, cfg, labels, stats=True)
+    terminal, path_sup, sup_diff = (_in_path_order([p[key] for p in parts], bounds)
+                                    for key in ("terminal", "path_sup", "sup_diff"))
     x0 = cfg.x0
-    path_sup = [np.full(cfg.n_paths, x0) for _ in models]
-    min_val = [x0] * len(models)
-    phi_min = [float(eval_phi(m.exponent, x0)) for m in models]
-    phi_max = list(phi_min)
-    sup_diff = np.zeros((len(models), cfg.n_paths))
-
-    def accumulate(k, xs):
-        for j, (m, x) in enumerate(zip(models, xs)):
-            np.maximum(path_sup[j], x, out=path_sup[j])
-            min_val[j] = min(min_val[j], float(x.min()))
-            phi = np.asarray(eval_phi(m.exponent, x))
-            phi_min[j] = min(phi_min[j], float(phi.min()))
-            phi_max[j] = max(phi_max[j], float(phi.max()))
-            if j > 0:
-                np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
-
-    terminals, _ = _advance(models, cfg, dw, labels, accumulate)
-    stats = [
-        ModelPathStats(label=labels[j], terminal=terminals[j], path_sup=path_sup[j],
-                       min_value=min_val[j], max_value=float(path_sup[j].max()),
-                       phi_min=phi_min[j], phi_max=phi_max[j])
-        for j in range(len(models))
-    ]
+    stats = []
+    for j, m in enumerate(models):
+        phi0 = float(eval_phi(m.exponent, x0))
+        stats.append(ModelPathStats(
+            label=labels[j], terminal=terminal[j], path_sup=path_sup[j],
+            min_value=float(min([x0] + [p["x_min"][j] for p in parts])),
+            max_value=float(path_sup[j].max()),
+            phi_min=min([phi0] + [p["phi_min"][j] for p in parts]),
+            phi_max=max([phi0] + [p["phi_max"][j] for p in parts]),
+            positivity_breaches=sum(p["breaches"][j] for p in parts),
+            sample_path=np.concatenate(([x0], parts[0]["path0"][j]))))
     return CoupledStats(config=cfg, models=stats, sup_abs_diff=sup_diff)

@@ -190,17 +190,20 @@ def eval_dp(spec: ExponentSpec, x) -> float | np.ndarray:
     return _like(x, _p_dp(spec, _positive(x))[1])
 
 
-def eval_phi(spec: ExponentSpec, x) -> float | np.ndarray:
-    """phi(x) = x^p(x), computed as exp(p(x) * log x).
+def _phi(spec: ExponentSpec, xs: np.ndarray) -> np.ndarray:
+    """x^p(x) for a float array xs known to lie in (0, inf), with no check.
 
-    Constant kinds use np.power directly so that p == 1 returns x exactly.
+    Constant kinds use np.power directly so that p == 1 returns x exactly;
+    the others compute exp(p(x) * log x).
     """
-    xs = _positive(x)
     if spec.kind == CONSTANT:
-        out = np.power(xs, spec.gamma)
-    else:
-        out = np.exp(_p_dp(spec, xs, deriv=False)[0] * np.log(xs))
-    return _like(x, out)
+        return np.power(xs, spec.gamma)
+    return np.exp(_p_dp(spec, xs, deriv=False)[0] * np.log(xs))
+
+
+def eval_phi(spec: ExponentSpec, x) -> float | np.ndarray:
+    """phi(x) = x^p(x), computed as exp(p(x) * log x)."""
+    return _like(x, _phi(spec, _positive(x)))
 
 
 def eval_dphi(spec: ExponentSpec, x) -> float | np.ndarray:

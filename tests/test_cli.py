@@ -1,9 +1,13 @@
 import hashlib
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
+from varexp import SimConfig, gbm, simulate_coupled
 from varexp.cli import main
 
 
@@ -181,6 +185,31 @@ class TestSimulate:
         for name in ("sample_paths.csv", "terminal_histogram_gbm.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_summary_matches_dense_run(self, tmp_path):
+        # sigma 3 and a coarse euler step clamp paths at the positivity floor
+        models = [{"label": "gbm", "mu": 0.05, "sigma": 0.2,
+                   "exponent": {"kind": "constant", "gamma": 1.0}},
+                  {"label": "wild", "mu": 0.0, "sigma": 3.0,
+                   "exponent": {"kind": "constant", "gamma": 1.0}}]
+        sim = {"t_horizon": 1.0, "dt": 0.25, "n_base_paths": 200, "antithetic": True,
+               "seed": 17, "scheme": "euler", "x0": 1.0}
+        cfg = _write_config(tmp_path, models=models, sim=sim)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        summary = json.loads((out / "batch_summary.json").read_text())["models"]
+        dense = simulate_coupled([gbm(0.05, 0.2), gbm(0.0, 3.0)], SimConfig(**sim), ["gbm", "wild"])
+        for row, b in zip(summary, dense):
+            assert row == {"model": b.model_label, "n_paths": 400,
+                           "terminal_mean": float(b.terminal.mean()),
+                           "terminal_variance": float(b.terminal.var(ddof=1)),
+                           "min_value": float(b.values.min()), "max_value": float(b.values.max()),
+                           "positivity_breaches": int(b.breach_counts.sum()),
+                           "seed": 17, "scheme": "euler"}
+        assert summary[1]["positivity_breaches"] > 0
+        assert (out / "sample_paths.csv").read_text() == "t,gbm,wild\n" + "".join(
+            f"{t:.12g},{x:.12g},{y:.12g}\n"
+            for t, x, y in zip(dense[0].time_grid, dense[0].values[0], dense[1].values[0]))
+
     def test_csv_only_format(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--format", "csv"]) == 0
@@ -256,6 +285,20 @@ class TestManifest:
         assert manifest["seed"] == 99
         assert manifest["tool_version"]
         assert "config_sha256" in manifest and "created_utc" in manifest
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__, "scipy": scipy.__version__}
+        assert (manifest["n_paths"], manifest["n_steps"], manifest["workers"]) == (None, None, None)
+
+    @pytest.mark.parametrize("command,n_paths", [("strong-error", 400), ("simulate", 400),
+                                                 ("smile", 300)])
+    def test_run_sizes(self, tmp_path, command, n_paths):
+        smile = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0,
+                 "n_base_paths": 150}
+        cfg = _write_config(tmp_path, smile=smile)
+        assert main([command, "--config", str(cfg)]) == 0
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        # a run this small is one chunk, stepped in-process
+        assert (manifest["n_paths"], manifest["n_steps"], manifest["workers"]) == (n_paths, 100, 1)
 
     def test_files_hold_sha256_of_each_data_file(self, tmp_path):
         cfg = _write_config(tmp_path)

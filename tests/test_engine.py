@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,31 @@ from varexp import (BlowUpError, SimConfig, cev, diffusion_range,
                     simulate_batch, simulate_coupled, simulate_coupled_stats,
                     simulate_coupled_terminals, step_euler, step_log_milstein,
                     step_milstein)
-from varexp import ExponentSpec, ModelSpec, eval_dp, eval_p
+from varexp import ExponentSpec, ModelSpec, engine, eval_dp, eval_p
 from varexp.engine import LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, SCHEMES
 
 # 4M paths x 100k steps: far beyond every memory cap.
 OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
+
+
+def _result_bytes(result) -> list:
+    """Every float and count of a simulate_coupled_stats or
+    simulate_coupled_terminals result, as bytes."""
+    if isinstance(result, list):
+        return [t.tobytes() for t in result]
+    out = [result.sup_abs_diff.tobytes()]
+    for ms in result.models:
+        out += [ms.label, ms.terminal.tobytes(), ms.path_sup.tobytes(), ms.sample_path.tobytes(),
+                np.array([ms.min_value, ms.max_value, ms.phi_min, ms.phi_max]).tobytes(),
+                ms.positivity_breaches]
+    return out
+
+
+def _force_plan(monkeypatch, chunk: int, workers: int) -> None:
+    """Run streaming calls in chunks of `chunk` base paths on as if
+    `workers` CPUs were available."""
+    monkeypatch.setattr(engine, "_chunk_size", lambda cfg, cpus: chunk)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
 
 
 class TestSimConfig:
@@ -178,7 +199,6 @@ class TestSimulateBatch:
         b = simulate_batch(m, cfg)
         assert b.values.min() >= 1e-12
         assert b.breach_counts.sum() > 0
-        assert b.summary_dict()["positivity_breaches"] == b.breach_counts.sum()
 
     def test_terminal_mean_gbm(self, gbm_model):
         cfg = SimConfig(t_horizon=1.0, dt=1e-2, n_base_paths=4000, seed=23)
@@ -210,19 +230,36 @@ class TestSimulateBatch:
         with pytest.raises(MemoryError):
             simulate_batch(gbm_model, OVERSIZE_CFG)
 
-    @pytest.mark.parametrize("run", [
-        lambda models: simulate_coupled_stats(models, OVERSIZE_CFG),
-        lambda models: simulate_coupled_terminals(models, OVERSIZE_CFG),
-    ], ids=["stats", "terminals"])
-    def test_increment_cap_before_allocating(self, gbm_model, p1_model, run):
+    @pytest.mark.parametrize("run,match", [
+        (lambda models: increment_matrix(OVERSIZE_CFG), "increment matrix needs"),
+        (lambda models: simulate_coupled(models, OVERSIZE_CFG), "dense path storage needs"),
+        # 1e9 steps: one path's increments alone are over the cap
+        (lambda models: simulate_coupled_stats(
+            models, SimConfig(t_horizon=1.0, dt=1e-9, n_base_paths=1, seed=0)),
+         "increment chunk needs"),
+    ], ids=["increment_matrix", "dense", "one_path_chunk"])
+    def test_increment_cap_before_allocating(self, gbm_model, p1_model, run, match):
         tracemalloc.start()
         try:
-            with pytest.raises(MemoryError, match="increment matrix needs .* GiB > cap 2 GiB"):
+            with pytest.raises(MemoryError, match=match + " .* GiB > cap 2 GiB"):
                 run([gbm_model, p1_model])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("run", [simulate_coupled_stats, simulate_coupled_terminals],
+                             ids=["stats", "terminals"])
+    def test_streaming_runs_ignore_increment_cap(self, monkeypatch, gbm_model, p1_model, run):
+        # streaming runs hold one chunk of increments at a time, never the matrix
+        cfg = SimConfig(t_horizon=1.0, dt=0.01, n_base_paths=64, seed=5)
+        path_bytes = 2 * cfg.n_steps * 8
+        uncapped = _result_bytes(run([gbm_model, p1_model], cfg))
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 16 * path_bytes)
+        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", 32 * path_bytes)
+        with pytest.raises(MemoryError):
+            increment_matrix(cfg)
+        assert _result_bytes(run([gbm_model, p1_model], cfg)) == uncapped
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, EULER])
@@ -332,6 +369,8 @@ class TestCoupled:
                     assert ms.min_value == b.values.min()
                     assert ms.max_value == b.values.max()
                     assert (ms.phi_min, ms.phi_max) == diffusion_range(b, models[j])
+                    assert ms.sample_path.tobytes() == b.values[0].tobytes()
+                    assert ms.positivity_breaches == b.breach_counts.sum()
                     if j > 0:
                         sup_diff = np.max(np.abs(b.values - dense[0].values), axis=1)
                         assert np.array_equal(stats.sup_abs_diff[j], sup_diff)
@@ -355,6 +394,99 @@ class TestCoupled:
         var_antithetic = pair_mean.var(ddof=1) / n
         var_plain = term.var(ddof=1) / term.size
         assert var_antithetic <= var_plain
+
+
+def _scripted_chunk(models, cfg, labels, lo, hi, stats):
+    """Stand-in for engine._run_chunk whose chunks blow up as scripted."""
+    script = {0: (6, "b"), 2: (6, "a"), 4: (9, "a"), 6: (6, "a")}
+    if lo in script:
+        raise BlowUpError([lo, cfg.n_base_paths + lo], *script[lo])
+    return {}
+
+
+class TestChunkedRuns:
+    """The determinism contract: the same bytes however the paths are split."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 7, 20], ids=["chunk1", "chunk7", "chunk_n"])
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, EULER])
+    def test_same_bytes_however_split(self, monkeypatch, gbm_model, p1_model,
+                                      scheme, antithetic, chunk, workers):
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=20, seed=17,
+                        antithetic=antithetic, scheme=scheme)
+        models = [gbm_model, p1_model, gbm(0.0, 3.0)]  # the last breaches the floor under euler
+        assert engine._plan(cfg) == ([(0, 20)], 1)
+        stats = simulate_coupled_stats(models, cfg, ["gbm", "p1", "wild"])
+        terminals = simulate_coupled_terminals(models, cfg)
+        if scheme == EULER:
+            assert stats.models[2].positivity_breaches > 0
+        _force_plan(monkeypatch, chunk, workers)
+        bounds, n_workers = engine._plan(cfg)
+        assert len(bounds) == -(-20 // chunk) and n_workers == min(workers, len(bounds))
+        split = simulate_coupled_stats(models, cfg, ["gbm", "p1", "wild"])
+        assert _result_bytes(split) == _result_bytes(stats)
+        assert _result_bytes(simulate_coupled_terminals(models, cfg)) == _result_bytes(terminals)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_blow_up_same_as_serial(self, monkeypatch, chunk, workers):
+        # CEV exponent 0 runs away to 0 in log space, path by path
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=2)
+        models = [gbm(0.05, 0.2), cev(0.0, 1.0, 0.0), cev(0.0, 1.3, 0.0)]
+        labels = ["model_0", "model_1", "model_2"]
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as serial:
+                simulate_coupled_terminals(models, cfg)
+            # two single-path chunks fail at this step; the union is reported
+            assert (serial.value.path_indices, serial.value.step_index) == ([3, 4], 6)
+            steps, paths = set(), set()
+            for lo in range(0, 16, chunk):
+                hi = min(lo + chunk, 16)
+                outcome = engine._outcome(engine._run_chunk, models, cfg, labels, lo, hi, False)
+                if isinstance(outcome, BlowUpError):
+                    # global indices: the chunk's base paths and their partners
+                    assert set(outcome.path_indices) <= {*range(lo, hi), *range(16 + lo, 16 + hi)}
+                    steps.add(outcome.step_index)
+                    paths.update(outcome.path_indices)
+            assert len(steps) > 1  # chunks blow up at different steps
+            assert max(paths) >= 16  # and some at an antithetic partner
+            _force_plan(monkeypatch, chunk, workers)
+            for run in (lambda: simulate_coupled_terminals(models, cfg),
+                        lambda: simulate_coupled_stats(models, cfg)):
+                with pytest.raises(BlowUpError) as pooled:
+                    run()
+                assert str(pooled.value) == str(serial.value)
+                assert pooled.value.path_indices == serial.value.path_indices
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earliest_step_then_first_model(self, monkeypatch, gbm_model, workers):
+        # chunks at (6, b), (6, a), (9, a), (6, a): one run stops at (6, a)
+        monkeypatch.setattr(engine, "_run_chunk", _scripted_chunk)
+        _force_plan(monkeypatch, 2, workers)
+        cfg = SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=8, seed=0)
+        with pytest.raises(BlowUpError) as exc:
+            simulate_coupled_stats([gbm_model] * 3, cfg, ["ref", "a", "b"])
+        assert (exc.value.path_indices, exc.value.step_index, exc.value.model_label) == \
+            ([2, 6, 10, 14], 6, "a")
+
+    def test_blow_up_error_pickles(self):
+        err = BlowUpError([3, 4], 7, "p1")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is BlowUpError
+        assert (back.path_indices, back.step_index, back.model_label, str(back)) == \
+            ([3, 4], 7, "p1", str(err))
+
+    def test_chunk_rule(self, monkeypatch):
+        cfg = SimConfig(t_horizon=1.0, dt=0.01, n_base_paths=35, seed=0)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 10 * 2 * cfg.n_steps * 8)  # 10 base paths
+        # one worker: only as many chunks as the budget needs; more: whole rounds
+        assert [engine._chunk_size(cfg, w) for w in (1, 2, 3)] == [9, 9, 6]
+        small = SimConfig(t_horizon=1.0, dt=0.01, n_base_paths=10, seed=0)
+        assert [engine._chunk_size(small, w) for w in (1, 2, 3)] == [10, 10, 10]
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
+        assert engine._plan(cfg) == ([(0, 6), (6, 12), (12, 18), (18, 24), (24, 30), (30, 35)], 3)
+        assert engine._plan(small) == ([(0, 10)], 1)
 
 
 class TestStrongOrder:

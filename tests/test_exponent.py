@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
                     eval_dp, eval_dphi, eval_p, eval_phi, sup_deviation)
-from varexp.exponent import _p_dp, log_grid
+from varexp.exponent import _p_dp, _phi, log_grid
 
 from conftest import all_kinds
 
@@ -88,6 +88,20 @@ class TestFusedCoefficients:
 
 
 class TestEvalPhi:
+    @pytest.mark.parametrize("spec", all_kinds())
+    def test_unvalidated_phi_equals_eval_phi(self, spec):
+        # the oracle is the formula eval_phi had before _phi existed
+        xs = log_grid(1e-8, 1e6, 4096)
+        if spec.kind == "constant":
+            want = np.power(xs, spec.gamma)
+        else:
+            want = np.exp(np.asarray(eval_p(spec, xs)) * np.log(xs))
+        assert _phi(spec, xs).tobytes() == want.tobytes()
+        assert np.asarray(eval_phi(spec, xs)).tobytes() == want.tobytes()
+        assert eval_phi(spec, float(xs[2048])) == want[2048]
+        with pytest.raises(ValueError, match="positive and finite"):
+            eval_phi(spec, np.array([1.0, -2.0]))
+
     def test_identity_exponent_exact(self):
         spec = ExponentSpec.constant(1.0)
         for x in (1e-6, 0.37, 2.5, 1e4):
