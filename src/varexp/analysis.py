@@ -12,7 +12,7 @@ approximated by the sup over the discrete grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -137,10 +137,11 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
     each level on its own grid would bias the coarse errors downward
     (fewer points, smaller sup) and flatten the fitted order.
     """
+    coarsest = max(coarse_dts)
     for dtc in coarse_dts:
         if abs(round(dtc / ref_dt) * ref_dt - dtc) > 1e-9 * dtc:
             raise ValueError("each coarse dt must be an integer multiple of ref_dt")
-        if abs(round(max(coarse_dts) / dtc) * dtc - max(coarse_dts)) > 1e-9:
+        if abs(round(coarsest / dtc) * dtc - coarsest) > 1e-9:
             raise ValueError("the coarsest dt must be a multiple of every level")
 
     fine_cfg = engine_mod.SimConfig(
@@ -148,23 +149,17 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
         antithetic=antithetic, scheme=engine_mod.LOG_MILSTEIN, x0=x0,
     )
     dw_fine = engine_mod.increment_matrix(fine_cfg)
-    ref = engine_mod.run_with_increments(m, fine_cfg, dw_fine, "reference")
-
-    shared_n = round(t_horizon / max(coarse_dts))
+    # only the shared_n + 1 points of the coarsest grid are kept, not paths
+    shared_n = round(t_horizon / coarsest)
+    ref, _ = engine_mod._record(m, fine_cfg, dw_fine, "reference", round(coarsest / ref_dt))
     out = []
     for dtc in coarse_dts:
         mult = round(dtc / ref_dt)
         nc = round(t_horizon / dtc)
         dwc = dw_fine[:, :nc * mult].reshape(dw_fine.shape[0], nc, mult).sum(axis=2)
-        cfg_c = engine_mod.SimConfig(
-            t_horizon=t_horizon, dt=dtc, n_base_paths=n_base_paths, seed=seed,
-            antithetic=antithetic, scheme=scheme, x0=x0,
-        )
-        coarse = engine_mod.run_with_increments(m, cfg_c, dwc, "coarse")
-        stride_c = nc // shared_n
-        stride_f = round(dtc / ref_dt) * stride_c
-        diff = np.abs(coarse.values[:, ::stride_c] - ref.values[:, ::stride_f])
-        per_path = np.max(diff, axis=1)
+        cfg_c = replace(fine_cfg, dt=dtc, scheme=scheme)
+        coarse, _ = engine_mod._record(m, cfg_c, dwc, "coarse", nc // shared_n)
+        per_path = np.max(np.abs(coarse - ref), axis=1)
         mean, _ = _pair_mean_ci(per_path, antithetic)
         out.append((dtc, mean))
     return out

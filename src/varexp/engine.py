@@ -3,19 +3,19 @@
 Brownian increments come from counter-based Philox streams keyed by
 (seed, path_index), so every path's noise is reproducible regardless of
 how paths are partitioned across workers. One private kernel, `_advance`,
-steps every model over the increments; the entry points differ only in
-what they observe after each step: dense paths, terminal values only, or
-streaming reductions. The streaming entry points step contiguous ranges
-of base paths (with their antithetic partners) as chunks of bounded
-memory, on a pool of forked workers when there are several chunks and
-CPUs, and merge the chunks' results exactly, in global path order. Four
-schemes are provided; the log-transformed
-Milstein scheme is the default: it discretizes Y = ln X, which keeps every
-path strictly positive by construction and is exact for geometric Brownian
-motion (the Milstein correction vanishes when the log-space diffusion is
-constant).
+steps every model over the increments with a stepper built once per run;
+the entry points differ only in what they observe after each step: dense
+paths, terminal values only, or streaming reductions. The streaming entry
+points step contiguous ranges of base paths (with their antithetic
+partners) as chunks of bounded memory, on a pool of forked workers when
+there are several chunks and CPUs, and merge the chunks' results exactly,
+in global path order.
 
-Log-space coefficients, with x = e^y:
+Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
+0.5 g g' (dW^2 - dt) for Milstein, with g = sigma x^p(x); states below
+POSITIVITY_FLOOR are clamped and counted as breaches. Log-Euler and the
+default log-Milstein discretize Y = ln X, which keeps every path positive
+and is exact for GBM. With x = e^y:
 
     b(y)  = sigma * x^(p(x)-1)            diffusion of Y
     a(y)  = mu - b(y)^2 / 2               drift of Y (Ito correction)
@@ -23,12 +23,12 @@ Log-space coefficients, with x = e^y:
 
 and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 
-Each step gives that formula's floats with the least arithmetic: p and
-p' from one unvalidated exponent evaluation (one exp for exp_decay), none
-for a constant exponent, and the exact step y + ((mu - sigma^2/2) dt +
-sigma dW) for GBM; dW^2 - dt once per step for all models, and each
-step's increments read as one contiguous row (a view of a step-major
-chunk, or one copy of a dense matrix's column).
+Each step gives that formula's floats with the least arithmetic: p, p',
+phi and phi' from one unvalidated evaluation sharing p, log x and x^p
+(one exp for exp_decay's p), nothing for GBM; dW^2 - dt once per step for
+all models, and one contiguous increment row per step (a view of a
+step-major chunk, or one copy of a dense matrix's column). Inputs are
+checked once, by SimConfig and ModelSpec; no step re-validates its state.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponent import CONSTANT, _p_dp, _phi, _positive, eval_phi
-from .models import ModelSpec, diffusion, diffusion_deriv, drift
+from .exponent import CONSTANT, _p_dp, _phi_dphi, _positive, eval_phi
+from .models import ModelSpec
 
 EULER = "euler"
 MILSTEIN = "milstein"
@@ -100,6 +100,8 @@ class SimConfig:
     x0: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_horizon, self.dt, self.x0))):
+            raise ValueError("t_horizon, dt and x0 must be finite")
         if self.t_horizon <= 0 or self.dt <= 0:
             raise ValueError("t_horizon and dt must be positive")
         if self.n_base_paths < 1:
@@ -247,31 +249,49 @@ def _check_log_range(y, step_index: int, label: str = "") -> None:
         raise BlowUpError(np.nonzero(bad)[0], step_index, label)
 
 
-def step_log_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """One log-space Milstein step; always returns a positive state."""
-    xs = _positive(x, "state")
-    dwa = np.asarray(dw, dtype=float)
-    y2 = _log_stepper(m, dt, True)(np.log(xs), xs, dwa, dwa * dwa - dt)
-    _check_log_range(y2, 0)
-    out = np.exp(y2)
+def _direct_stepper(m: ModelSpec, dt: float, milstein: bool):
+    """Model m's direct-space step f(x, dw, dw2) -> x', for dw2 = dw*dw - dt.
+    x is not re-validated: _advance keeps it finite and >= POSITIVITY_FLOOR.
+    Every variant gives the generic formula's floats."""
+    spec, mu, sigma = m.exponent, m.mu, m.sigma
+    gbm = spec.kind == CONSTANT and spec.gamma == 1.0  # phi = x, phi' = 1 exactly
+
+    def step(x, dw, dw2):
+        phi, dphi = (x, 1.0) if gbm else _phi_dphi(spec, x, milstein)
+        g = sigma * phi
+        out = x + mu * x * dt + g * dw
+        if milstein:
+            out += 0.5 * g * (sigma * dphi) * dw2
+        return out
+
+    return step
+
+
+def _one_step(stepper, x, dt: float, dw):
+    """stepper(x, dw, dw*dw - dt) for a state x checked to be positive and
+    finite; a float when x and dw are both scalars."""
+    xs, dwa = _positive(x, "state"), np.asarray(dw, dtype=float)
+    out = stepper(xs, dwa, dwa * dwa - dt)
     return float(out) if np.ndim(x) == 0 and np.ndim(dw) == 0 else out
 
 
-def step_euler(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """Direct-space Euler-Maruyama step; may return a non-positive value.
+def step_log_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
+    """One log-space Milstein step; always returns a positive state."""
+    def step(xs, dwa, dw2):
+        y2 = _log_stepper(m, dt, True)(np.log(xs), xs, dwa, dw2)
+        _check_log_range(y2, 0)
+        return np.exp(y2)
+    return _one_step(step, x, dt, dw)
 
-    Callers are responsible for the positivity policy (_advance
-    clamps to POSITIVITY_FLOOR and counts the breach).
-    """
-    return x + drift(m, x) * dt + diffusion(m, x) * np.asarray(dw, dtype=float)
+
+def step_euler(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
+    """Direct-space Euler-Maruyama step; may return a non-positive value."""
+    return _one_step(_direct_stepper(m, dt, False), x, dt, dw)
 
 
 def step_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """Direct-space Milstein step; positivity policy as step_euler."""
-    dwa = np.asarray(dw, dtype=float)
-    g = diffusion(m, x)
-    return (x + drift(m, x) * dt + g * dwa
-            + 0.5 * g * diffusion_deriv(m, x) * (dwa * dwa - dt))
+    """Direct-space Milstein step; may return a non-positive value."""
+    return _one_step(_direct_stepper(m, dt, True), x, dt, dw)
 
 
 # -- batches ----------------------------------------------------------------
@@ -304,8 +324,8 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
     dt = cfg.dt
     log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
-    step = step_milstein if milstein else step_euler
-    log_steps = [_log_stepper(m, dt, milstein) for m in models]
+    stepper = _log_stepper if log_space else _direct_stepper
+    steps = [stepper(m, dt, milstein) for m in models]
     # Per-model states are 1-D arrays rebound each step (in-place row writes
     # were measured slower). Log schemes start from exp(log(x0)), which
     # differs from x0 in the last ulp unless x0 == 1; outputs depend on it.
@@ -316,16 +336,15 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
         # One contiguous row per step (a view when dw is a step-major chunk's
         # transpose); every model reads it.
         dwk = np.ascontiguousarray(dw[:, k])
-        if log_space:
-            dw2 = dwk * dwk - dt if milstein else None
-            for j, log_step in enumerate(log_steps):
-                y = log_step(ys[j], xs[j], dwk, dw2)
+        dw2 = dwk * dwk - dt if milstein else None
+        for j, step in enumerate(steps):
+            if log_space:
+                y = step(ys[j], xs[j], dwk, dw2)
                 _check_log_range(y, k, labels[j])
                 ys[j] = y
                 xs[j] = np.exp(y)
-        else:
-            for j, m in enumerate(models):
-                x = step(m, xs[j], dt, dwk)
+            else:
+                x = step(xs[j], dwk, dw2)
                 low = x < POSITIVITY_FLOOR
                 if low.any():
                     breaches[j] += low
@@ -338,20 +357,28 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
     return xs, breaches
 
 
+def _record(m: ModelSpec, cfg: SimConfig, dw: np.ndarray, label: str, stride: int):
+    """run_with_increments keeping the states at every stride-th grid point
+    (x0 first): (values, per-path breach counts)."""
+    dw = np.asarray(dw, dtype=float)
+    if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
+        raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
+    values = np.empty((dw.shape[0], dw.shape[1] // stride + 1))
+    values[:, 0] = cfg.x0
+
+    def record(k, xs):
+        if (k + 1) % stride == 0:
+            values[:, (k + 1) // stride] = xs[0]
+
+    _, (breaches,) = _advance([m], cfg, dw, [label], record)
+    return values, breaches
+
+
 def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
                         label: str = "model") -> PathBatch:
     """Advance all paths of one model over a caller-supplied increment
     matrix of shape (n_paths, n_steps) with cfg's step size."""
-    dw = np.asarray(dw, dtype=float)
-    if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
-        raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
-    values = np.empty((dw.shape[0], dw.shape[1] + 1))
-    values[:, 0] = cfg.x0
-
-    def record(k, xs):
-        values[:, k + 1] = xs[0]
-
-    _, (breaches,) = _advance([m], cfg, dw, [label], record)
+    values, breaches = _record(m, cfg, dw, label, 1)
     return PathBatch(time_grid=cfg.time_grid, values=values,
                      model_label=label, config=cfg, breach_counts=breaches)
 
@@ -465,7 +492,7 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
             for j, (model, x) in enumerate(zip(models, xs)):
                 np.maximum(path_sup[j], x, out=path_sup[j])
                 x_min[j] = min(x_min[j], float(x.min()))
-                phi = _phi(model.exponent, x)  # x > 0: clamped or exp(y)
+                phi = _phi_dphi(model.exponent, x, False)[0]  # x > 0: clamped or exp(y)
                 phi_min[j] = min(phi_min[j], float(phi.min()))
                 phi_max[j] = max(phi_max[j], float(phi.max()))
                 if j > 0:

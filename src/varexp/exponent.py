@@ -190,33 +190,28 @@ def eval_dp(spec: ExponentSpec, x) -> float | np.ndarray:
     return _like(x, _p_dp(spec, _positive(x))[1])
 
 
-def _phi(spec: ExponentSpec, xs: np.ndarray) -> np.ndarray:
-    """x^p(x) for a float array xs known to lie in (0, inf), with no check.
-
-    Constant kinds use np.power directly so that p == 1 returns x exactly;
-    the others compute exp(p(x) * log x).
-    """
+def _phi_dphi(spec: ExponentSpec, xs: np.ndarray, deriv: bool):
+    """(phi(x), phi'(x)) for phi = x^p(x) and a float array xs known to lie
+    in (0, inf), with no check; phi'(x) is None unless deriv. The one place
+    both are written: constant kinds use np.power (p == 1 returns x exactly),
+    the others share p, log x and x^p = exp(p log x)."""
     if spec.kind == CONSTANT:
-        return np.power(xs, spec.gamma)
-    return np.exp(_p_dp(spec, xs, deriv=False)[0] * np.log(xs))
+        g = spec.gamma
+        return np.power(xs, g), g * np.power(xs, g - 1.0) if deriv else None
+    p, dp = _p_dp(spec, xs, deriv)
+    lnx = np.log(xs)
+    x_pow = np.exp(p * lnx)
+    return x_pow, p * np.exp((p - 1.0) * lnx) + dp * x_pow * lnx if deriv else None
 
 
 def eval_phi(spec: ExponentSpec, x) -> float | np.ndarray:
     """phi(x) = x^p(x), computed as exp(p(x) * log x)."""
-    return _like(x, _phi(spec, _positive(x)))
+    return _like(x, _phi_dphi(spec, _positive(x), False)[0])
 
 
 def eval_dphi(spec: ExponentSpec, x) -> float | np.ndarray:
     """phi'(x) = p(x) x^(p(x)-1) + p'(x) x^p(x) log(x), exact."""
-    xs = _positive(x)
-    if spec.kind == CONSTANT:
-        out = spec.gamma * np.power(xs, spec.gamma - 1.0)
-    else:
-        p, dp = _p_dp(spec, xs)
-        lnx = np.log(xs)
-        x_pow = np.exp(p * lnx)  # x^p
-        out = p * np.exp((p - 1.0) * lnx) + dp * x_pow * lnx
-    return _like(x, out)
+    return _like(x, _phi_dphi(spec, _positive(x), True)[1])
 
 
 def sup_deviation(spec: ExponentSpec, lam: float, r: float) -> float:

@@ -7,11 +7,10 @@ kinds give the state-adaptive diffusion this package is built around.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .exponent import ExponentSpec, eval_dphi, eval_phi, _positive
+from .exponent import ExponentSpec
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,8 @@ class ModelSpec:
     exponent: ExponentSpec
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError("mu and sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
@@ -52,20 +53,3 @@ def cev(mu: float, sigma: float, gamma: float) -> ModelSpec:
     Lipschitz/growth guarantees backing the error bounds assume gamma >= 1.
     """
     return ModelSpec(mu=mu, sigma=sigma, exponent=ExponentSpec.constant(gamma))
-
-
-def drift(m: ModelSpec, x) -> float | np.ndarray:
-    """mu * x."""
-    xs = _positive(x)
-    out = m.mu * xs
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def diffusion(m: ModelSpec, x) -> float | np.ndarray:
-    """sigma * x^p(x)."""
-    return m.sigma * eval_phi(m.exponent, x)
-
-
-def diffusion_deriv(m: ModelSpec, x) -> float | np.ndarray:
-    """d/dx of the diffusion coefficient; feeds the Milstein correction."""
-    return m.sigma * eval_dphi(m.exponent, x)

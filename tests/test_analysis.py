@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from varexp import (ExponentSpec, ModelSpec, SimConfig, diffusion_range,
-                    simulate_batch, simulate_coupled, simulate_coupled_stats,
-                    strong_error, strong_error_from_stats, sup_second_moment,
-                    terminal_stats)
+from varexp import (ExponentSpec, ModelSpec, SimConfig, simulate_batch,
+                    simulate_coupled, simulate_coupled_stats, strong_error,
+                    strong_error_from_stats, sup_second_moment, terminal_stats)
+from varexp import increment_matrix, refinement_errors, run_with_increments
+from varexp.analysis import diffusion_range
+from varexp.engine import EULER, LOG_MILSTEIN, MILSTEIN
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +129,53 @@ class TestDiffusionRange:
     def test_finite_and_ordered(self, coupled_pair, p1_model):
         lo, hi = diffusion_range(coupled_pair[1], p1_model)
         assert 0 < lo < hi < math.inf
+
+
+def _dense_refinement(m, coarse_dts, ref_dt, n_base_paths, seed, x0, scheme, antithetic):
+    """refinement_errors as it was with dense paths: a full fine reference
+    and full coarse runs, compared at every coarse-grid point they share."""
+    sim = dict(t_horizon=1.0, n_base_paths=n_base_paths, seed=seed,
+               antithetic=antithetic, x0=x0)
+    fine_cfg = SimConfig(dt=ref_dt, scheme=LOG_MILSTEIN, **sim)
+    dw_fine = increment_matrix(fine_cfg)
+    ref = run_with_increments(m, fine_cfg, dw_fine, "reference")
+    shared_n = round(1.0 / max(coarse_dts))
+    out = []
+    for dtc in coarse_dts:
+        mult, nc = round(dtc / ref_dt), round(1.0 / dtc)
+        dwc = dw_fine[:, :nc * mult].reshape(dw_fine.shape[0], nc, mult).sum(axis=2)
+        coarse = run_with_increments(m, SimConfig(dt=dtc, scheme=scheme, **sim), dwc, "coarse")
+        stride_c = nc // shared_n
+        diff = np.abs(coarse.values[:, ::stride_c] - ref.values[:, ::mult * stride_c])
+        per_path = diff.max(axis=1)
+        n = per_path.size // 2
+        sample = 0.5 * (per_path[:n] + per_path[n:]) if antithetic else per_path
+        out.append((dtc, float(sample.mean())))
+    return out
+
+
+class TestRefinementErrors:
+    DTS = [4e-3, 2e-3, 1e-3]
+
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, EULER, MILSTEIN])
+    def test_equals_dense_oracle(self, p1_model, scheme, antithetic):
+        m = ModelSpec(0.05, 0.5, ExponentSpec.exp_decay(0.5, 1.0))
+        for model, x0 in ((p1_model, 1.0), (m, 1.7)):
+            args = (model, self.DTS, 2.5e-4, 16, 3)
+            got = refinement_errors(*args, x0=x0, scheme=scheme, antithetic=antithetic)
+            want = _dense_refinement(*args, x0, scheme, antithetic)
+            assert [(d.hex(), e.hex()) for d, e in got] == \
+                [(d.hex(), e.hex()) for d, e in want]
+
+    def test_keeps_only_the_shared_grid(self, p1_model):
+        # the fine increments are the one O(paths x fine steps) array held;
+        # a dense fine reference alone would double the peak
+        fine_bytes = 2 * 16 * 10_000 * 8
+        tracemalloc.start()
+        try:
+            refinement_errors(p1_model, self.DTS, ref_dt=1e-4, n_base_paths=16, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * fine_bytes

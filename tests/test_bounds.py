@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from varexp import (BoundInputs, ExponentSpec, bound_table, coefficient,
-                    error_bound, lambda_factor, moment_bound, sup_deviation)
+from varexp import (BoundInputs, ExponentSpec, ModelSpec, SimConfig,
+                    bound_table, coefficient, error_bound, gbm, lambda_factor,
+                    loglog_slope, moment_bound, simulate_coupled_stats,
+                    strong_error_from_stats, sup_deviation)
 
 # The ten published (lambda, R) localization cases and the bound values
 # they produce for the two reference exponents; frozen from independent
@@ -166,3 +168,30 @@ class TestBoundTable:
         assert lines[0] == "case,lambda,R,bound_p1,bound_p2"
         assert len(lines) == 11
         assert lines[1] == "1,0.1,1.1,0.002922,0.000538"
+
+
+class TestBoundStructure:
+    """The bound is sup|p - 1| times a constant: the coupled model-to-GBM
+    strong error must scale linearly with the deviation, and stay below the
+    bound, as the deviation shrinks over two decades."""
+
+    KINDS = {"exp_decay": lambda a: ExponentSpec.exp_decay(a, 0.1),
+             "rational_decay": ExponentSpec.rational_decay,
+             "inverse_square": ExponentSpec.inverse_square}
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_error_first_order_in_deviation(self, kind):
+        exps = [self.KINDS[kind](float(a)) for a in np.geomspace(1e-3, 1e-1, 5)]
+        models = [gbm(MU, SIGMA)] + [ModelSpec(MU, SIGMA, e) for e in exps]
+        cfg = SimConfig(t_horizon=T, dt=1e-3, n_base_paths=500, seed=42)
+        stats = simulate_coupled_stats(models, cfg)
+        points = []
+        for i, spec in enumerate(exps, start=1):
+            rep = strong_error_from_stats(stats, i)
+            lam, r = min(rep.lambda_obs, 1.0 - 1e-9), max(rep.r_obs, 1.0 + 1e-9)
+            dev = sup_deviation(spec, lam, r)
+            bound = error_bound(BoundInputs(mu=MU, sigma=SIGMA, t_horizon=T, lam=lam, r=r,
+                                            p_plus=spec.p_plus, sup_dev=dev))
+            assert 0.0 < rep.strong_error < bound
+            points.append((dev, rep.strong_error))
+        assert 0.95 <= loglog_slope(points) <= 1.05

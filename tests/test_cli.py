@@ -136,6 +136,18 @@ class TestStrongError:
         assert main(["strong-error", "--config", str(cfg)]) == 2
         assert not list((tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+    @pytest.mark.parametrize("field", ["t_horizon", "dt", "x0", "mu", "sigma"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, field, value):
+        # JSON's Infinity and NaN are rejected with the config, never simulated
+        raw = json.loads(_write_config(tmp_path).read_text())
+        section = raw["sim"] if field in raw["sim"] else raw["models"][1]
+        section[field] = value
+        cfg = _write_config(tmp_path, **{k: raw[k] for k in ("sim", "models")})
+        assert main(["strong-error", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_euler_scheme_streams(self, tmp_path):
         cfg = _write_config(tmp_path, sim={
             "t_horizon": 1.0, "dt": 0.01, "n_base_paths": 200, "antithetic": True,

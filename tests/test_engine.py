@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varexp import (BlowUpError, SimConfig, cev, diffusion_range,
-                    gen_increments, increment_matrix, gbm, run_with_increments,
-                    simulate_batch, simulate_coupled, simulate_coupled_stats,
-                    simulate_coupled_terminals, step_euler, step_log_milstein,
-                    step_milstein)
-from varexp import ExponentSpec, ModelSpec, engine, eval_dp, eval_p
-from varexp.engine import LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, SCHEMES
+from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
+                    run_with_increments, simulate_batch, simulate_coupled,
+                    simulate_coupled_stats, simulate_coupled_terminals)
+from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
+from varexp.analysis import diffusion_range
+from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, SCHEMES,
+                           gen_increments, step_euler, step_log_milstein,
+                           step_milstein)
+from varexp.exponent import eval_dp, eval_p
 
 # 4M paths x 100k steps: far beyond every memory cap.
 OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
@@ -61,6 +63,14 @@ class TestSimConfig:
                         antithetic=False, scheme=EULER, x0=2.0)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t_horizon", "dt", "x0"])
+    def test_non_finite_rejected(self, field, value):
+        # rejected here, so that no step has to check its inputs
+        params = {"t_horizon": 1.0, "dt": 0.01, "n_base_paths": 2, "seed": 0, field: value}
+        with pytest.raises(ValueError, match="t_horizon, dt and x0 must be finite"):
+            SimConfig(**params)
+
 
 class TestIncrements:
     def test_deterministic(self):
@@ -109,7 +119,6 @@ class TestSteps:
         dn = math.log(step_log_milstein(p1_model, x, dt, -dw))
         even = 0.5 * (up + dn)
         odd = 0.5 * (up - dn)
-        from varexp import eval_p
         b = 0.2 * x ** (eval_p(p1_model.exponent, x) - 1.0)
         assert odd == pytest.approx(b * dw, rel=1e-10)
         assert even == pytest.approx(math.log(x) + (p1_model.mu - 0.5 * b * b) * dt
@@ -148,7 +157,6 @@ class TestSteps:
 
 
 def _bprime(m, x):
-    from varexp import eval_dp, eval_p
     p = eval_p(m.exponent, x)
     b = m.sigma * x ** (p - 1.0)
     return b * ((p - 1.0) + x * eval_dp(m.exponent, x) * math.log(x))
@@ -339,6 +347,87 @@ class TestFusedLogStep:
         want = np.exp(_oracle_log_step(m, np.log(x), x, 1e-3, dw, milstein=True))
         assert step_log_milstein(m, x, 1e-3, dw).tobytes() == want.tobytes()
         assert step_log_milstein(m, float(x[3]), 1e-3, float(dw[3])) == want[3]
+
+
+def _oracle_direct_step(m, x, dt, dw, milstein):
+    """The direct step with g = sigma phi and g' = sigma phi' from the
+    validating eval_phi and eval_dphi, nothing shared or special-cased: the
+    reference for the fused kernel."""
+    g = m.sigma * eval_phi(m.exponent, x)
+    out = x + m.mu * x * dt + g * dw
+    if milstein:
+        out = out + 0.5 * g * (m.sigma * eval_dphi(m.exponent, x)) * (dw * dw - dt)
+    return out
+
+
+def _oracle_direct_paths(m, cfg, dw):
+    """Dense direct-scheme paths from _oracle_direct_step, clamped to the
+    positivity floor, and the per-path breach counts."""
+    x = np.full(dw.shape[0], cfg.x0)
+    values = np.empty((dw.shape[0], dw.shape[1] + 1))
+    values[:, 0] = x
+    breaches = np.zeros(dw.shape[0], dtype=int)
+    for k in range(dw.shape[1]):
+        x = _oracle_direct_step(m, x, cfg.dt, dw[:, k], cfg.scheme == MILSTEIN)
+        low = x < engine.POSITIVITY_FLOOR
+        breaches += low
+        x = np.where(low, engine.POSITIVITY_FLOOR, x)
+        values[:, k + 1] = x
+    return values, breaches
+
+
+class TestFusedDirectStep:
+    # sigma 0.3 is not a power of two, so reordering a product with sigma
+    # changes its last bits; gbm(0, 3) breaches the floor under euler, and
+    # under milstein at dt 0.25
+    MODELS = {**ORACLE_MODELS, "cev1.5": cev(0.05, 0.3, 1.5),
+              "exp_decay_0.3": ModelSpec(0.05, 0.3, ExponentSpec.exp_decay(0.5, 1.0)),
+              "wild": gbm(0.0, 3.0)}
+
+    @pytest.mark.parametrize("dt", [0.05, 0.25])
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("x0", [1.0, 1.7])
+    @pytest.mark.parametrize("scheme", [EULER, MILSTEIN])
+    def test_bytes_equal_oracle(self, scheme, x0, antithetic, dt):
+        cfg = SimConfig(t_horizon=1.0, dt=dt, n_base_paths=64, seed=8,
+                        antithetic=antithetic, scheme=scheme, x0=x0)
+        dw = increment_matrix(cfg)
+        models, names = list(self.MODELS.values()), list(self.MODELS)
+        terminals = simulate_coupled_terminals(models, cfg)
+        stats = simulate_coupled_stats(models, cfg, names)
+        oracles = [_oracle_direct_paths(m, cfg, dw) for m in models]
+        for j, (name, m) in enumerate(self.MODELS.items()):
+            oracle, breaches = oracles[j]
+            for layout in (dw, np.asfortranarray(dw)):
+                b = run_with_increments(m, cfg, layout, name)
+                assert b.values.tobytes() == oracle.tobytes(), name
+                assert b.breach_counts.tobytes() == breaches.tobytes(), name
+            assert terminals[j].tobytes() == oracle[:, -1].tobytes(), name
+            ms = stats.models[j]
+            assert ms.terminal.tobytes() == oracle[:, -1].tobytes(), name
+            assert ms.path_sup.tobytes() == oracle.max(axis=1).tobytes(), name
+            assert ms.sample_path.tobytes() == oracle[0].tobytes(), name
+            assert (ms.min_value, ms.max_value) == (oracle.min(), oracle.max()), name
+            phi = eval_phi(m.exponent, oracle)
+            assert (ms.phi_min, ms.phi_max) == (phi.min(), phi.max()), name
+            assert ms.positivity_breaches == breaches.sum(), name
+            sup_diff = np.abs(oracle - oracles[0][0]).max(axis=1)
+            assert stats.sup_abs_diff[j].tobytes() == sup_diff.tobytes(), name
+        if scheme == EULER or dt == 0.25:
+            assert oracles[-1][1].sum() > 0
+
+    @pytest.mark.parametrize("scheme", [EULER, MILSTEIN])
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_scalar_wrapper_equals_oracle(self, name, scheme):
+        m = ORACLE_MODELS[name]
+        x = np.geomspace(0.05, 20.0, 64)
+        dw = np.linspace(-0.2, 0.2, 64)
+        step = step_milstein if scheme == MILSTEIN else step_euler
+        want = _oracle_direct_step(m, x, 1e-3, dw, scheme == MILSTEIN)
+        assert step(m, x, 1e-3, dw).tobytes() == want.tobytes()
+        assert step(m, float(x[3]), 1e-3, float(dw[3])) == want[3]
+        with pytest.raises(ValueError, match="state must be positive and finite"):
+            step(m, np.array([1.0, np.inf]), 1e-3, 0.0)
 
 
 class TestCoupled:

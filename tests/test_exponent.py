@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
-                    eval_dp, eval_dphi, eval_p, eval_phi, sup_deviation)
-from varexp.exponent import _p_dp, _phi, log_grid
+                    eval_dphi, eval_phi, sup_deviation)
+from varexp.exponent import _p_dp, _phi_dphi, eval_dp, eval_p, log_grid
 
 from conftest import all_kinds
 
@@ -90,17 +90,36 @@ class TestFusedCoefficients:
 class TestEvalPhi:
     @pytest.mark.parametrize("spec", all_kinds())
     def test_unvalidated_phi_equals_eval_phi(self, spec):
-        # the oracle is the formula eval_phi had before _phi existed
+        # the oracle is the formula eval_phi had before _phi_dphi existed
         xs = log_grid(1e-8, 1e6, 4096)
         if spec.kind == "constant":
             want = np.power(xs, spec.gamma)
         else:
             want = np.exp(np.asarray(eval_p(spec, xs)) * np.log(xs))
-        assert _phi(spec, xs).tobytes() == want.tobytes()
+        assert _phi_dphi(spec, xs, False)[0].tobytes() == want.tobytes()
+        assert _phi_dphi(spec, xs, False)[1] is None
         assert np.asarray(eval_phi(spec, xs)).tobytes() == want.tobytes()
         assert eval_phi(spec, float(xs[2048])) == want[2048]
         with pytest.raises(ValueError, match="positive and finite"):
             eval_phi(spec, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("spec", all_kinds())
+    def test_unvalidated_dphi_equals_eval_dphi(self, spec):
+        # the oracle is the formula eval_dphi had before _phi_dphi existed
+        xs = log_grid(1e-8, 1e6, 4096)
+        if spec.kind == "constant":
+            want = spec.gamma * np.power(xs, spec.gamma - 1.0)
+        else:
+            p, dp = np.asarray(eval_p(spec, xs)), np.asarray(eval_dp(spec, xs))
+            lnx = np.log(xs)
+            want = p * np.exp((p - 1.0) * lnx) + dp * np.exp(p * lnx) * lnx
+        phi, dphi = _phi_dphi(spec, xs, True)
+        assert phi.tobytes() == np.asarray(eval_phi(spec, xs)).tobytes()
+        assert dphi.tobytes() == want.tobytes()
+        assert np.asarray(eval_dphi(spec, xs)).tobytes() == want.tobytes()
+        assert eval_dphi(spec, float(xs[2048])) == want[2048]
+        with pytest.raises(ValueError, match="positive and finite"):
+            eval_dphi(spec, np.array([1.0, np.nan]))
 
     def test_identity_exponent_exact(self):
         spec = ExponentSpec.constant(1.0)
