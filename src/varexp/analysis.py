@@ -49,20 +49,21 @@ def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]
     return mean, float(hw)
 
 
+def _report(sup_diff: np.ndarray, antithetic: bool, lambda_obs: float, r_obs: float) -> ErrorReport:
+    """The ErrorReport of per-path sup-differences on an observed range."""
+    mean, hw = _pair_mean_ci(sup_diff, antithetic)
+    return ErrorReport(strong_error=mean, ci_half_width=hw, lambda_obs=float(lambda_obs),
+                       r_obs=float(r_obs), n_paths=sup_diff.size)
+
+
 def strong_error(a: PathBatch, b: PathBatch) -> ErrorReport:
     """Pathwise sup-difference statistics for two coupled batches."""
     if a.values.shape != b.values.shape or not np.array_equal(a.time_grid, b.time_grid):
         raise ValueError("batches must share time grid and path count")
     if a.config.seed != b.config.seed or a.config.antithetic != b.config.antithetic:
         raise ValueError("batches were not produced by a coupled run")
-    sup_diff = np.max(np.abs(a.values - b.values), axis=1)
-    mean, hw = _pair_mean_ci(sup_diff, a.config.antithetic)
-    return ErrorReport(
-        strong_error=mean, ci_half_width=hw,
-        lambda_obs=float(min(a.values.min(), b.values.min())),
-        r_obs=float(max(a.values.max(), b.values.max())),
-        n_paths=int(a.values.shape[0]),
-    )
+    return _report(np.max(np.abs(a.values - b.values), axis=1), a.config.antithetic,
+                   min(a.values.min(), b.values.min()), max(a.values.max(), b.values.max()))
 
 
 def strong_error_from_stats(stats: CoupledStats, model_index: int) -> ErrorReport:
@@ -70,15 +71,9 @@ def strong_error_from_stats(stats: CoupledStats, model_index: int) -> ErrorRepor
     computed from streaming accumulators instead of dense batches."""
     if not (0 < model_index < len(stats.models)):
         raise ValueError("model_index must point past the reference model")
-    sup_diff = stats.sup_abs_diff[model_index]
-    mean, hw = _pair_mean_ci(sup_diff, stats.config.antithetic)
     ref, other = stats.models[0], stats.models[model_index]
-    return ErrorReport(
-        strong_error=mean, ci_half_width=hw,
-        lambda_obs=float(min(ref.min_value, other.min_value)),
-        r_obs=float(max(ref.max_value, other.max_value)),
-        n_paths=stats.config.n_paths,
-    )
+    return _report(stats.sup_abs_diff[model_index], stats.config.antithetic,
+                   min(ref.min_value, other.min_value), max(ref.max_value, other.max_value))
 
 
 def sup_second_moment(batch: PathBatch) -> float:
@@ -151,14 +146,16 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
     dw_fine = engine_mod.increment_matrix(fine_cfg)
     # only the shared_n + 1 points of the coarsest grid are kept, not paths
     shared_n = round(t_horizon / coarsest)
-    ref, _ = engine_mod._record(m, fine_cfg, dw_fine, "reference", round(coarsest / ref_dt))
+    ref = engine_mod._advance([m], fine_cfg, ["reference"], dw_fine.T, engine_mod.PATHS,
+                              round(coarsest / ref_dt))["values"][0]
     out = []
     for dtc in coarse_dts:
         mult = round(dtc / ref_dt)
         nc = round(t_horizon / dtc)
         dwc = dw_fine[:, :nc * mult].reshape(dw_fine.shape[0], nc, mult).sum(axis=2)
         cfg_c = replace(fine_cfg, dt=dtc, scheme=scheme)
-        coarse, _ = engine_mod._record(m, cfg_c, dwc, "coarse", nc // shared_n)
+        coarse = engine_mod._advance([m], cfg_c, ["coarse"], dwc.T, engine_mod.PATHS,
+                                     nc // shared_n)["values"][0]
         per_path = np.max(np.abs(coarse - ref), axis=1)
         mean, _ = _pair_mean_ci(per_path, antithetic)
         out.append((dtc, mean))

@@ -33,7 +33,7 @@ import scipy
 from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
-from .config import _FORMATS, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _check_formats, load_config
 from .engine import (BlowUpError, SimConfig, _plan, simulate_coupled_stats,
                      simulate_coupled_terminals)
 from .exponent import CONSTANT, check_admissibility, sup_deviation
@@ -208,7 +208,7 @@ def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     _require_gbm_reference(cfg)
     req = cfg.smile
     sim = cfg.smile_sim()
-    terminals = simulate_coupled_terminals(cfg.models, sim)
+    terminals = simulate_coupled_terminals(cfg.models, sim, cfg.labels)
 
     files = {}
     all_series = []
@@ -280,11 +280,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         if args.format is not None:
-            formats = tuple(args.format.split(","))
-            for f in formats:
-                if f not in _FORMATS:
-                    raise ConfigError(f"unknown output format {f!r}")
-            cfg.formats = formats
+            cfg.formats = _check_formats(args.format.split(","))
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         code, files, sim = COMMANDS[args.command](cfg)

@@ -48,6 +48,15 @@ class RunConfig:
 _FORMATS = ("csv", "json", "svg")
 
 
+def _check_formats(formats) -> tuple[str, ...]:
+    """The output formats as a tuple; ConfigError for an unknown one."""
+    formats = tuple(formats)
+    for f in formats:
+        if f not in _FORMATS:
+            raise ConfigError(f"unknown output format {f!r}")
+    return formats
+
+
 def _parse(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -104,10 +113,7 @@ def _parse(raw: dict) -> RunConfig:
 
     out = raw.get("output", {})
     out_dir = str(out.get("dir", "out"))
-    formats = tuple(out.get("formats", ["csv", "json"]))
-    for f in formats:
-        if f not in _FORMATS:
-            raise ConfigError(f"unknown output format {f!r}")
+    formats = _check_formats(out.get("formats", ["csv", "json"]))
 
     return RunConfig(labels=labels, models=models, sim=sim, bound_cases=cases,
                      smile=smile, smile_n_base_paths=smile_paths,

@@ -2,14 +2,16 @@
 
 Brownian increments come from counter-based Philox streams keyed by
 (seed, path_index), so every path's noise is reproducible regardless of
-how paths are partitioned across workers. One private kernel, `_advance`,
-steps every model over the increments with a stepper built once per run;
-the entry points differ only in what they observe after each step: dense
-paths, terminal values only, or streaming reductions. The streaming entry
-points step contiguous ranges of base paths (with their antithetic
-partners) as chunks of bounded memory, on a pool of forked workers when
-there are several chunks and CPUs, and merge the chunks' results exactly,
-in global path order.
+how paths are partitioned across workers. One private runner, `_advance`,
+steps every model over step-major increments with a stepper built once per
+run and keeps what its caller asks for: the states on a grid (PATHS), the
+terminal values only (TERMINAL), or the streaming reductions (STATS),
+computed right after each model's step. Coupled runs step contiguous
+ranges of base paths (with their antithetic partners) as chunks of bounded
+memory: a dense run is one in-process chunk; streaming runs use a pool of
+forked workers when there are several chunks and CPUs, and merge the
+chunks' results exactly, in global path order. run_with_increments steps a
+caller's path-major matrix through the same runner.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
 0.5 g g' (dW^2 - dt) for Milstein, with g = sigma x^p(x); states below
@@ -27,8 +29,9 @@ Each step gives that formula's floats with the least arithmetic: p, p',
 phi and phi' from one unvalidated evaluation sharing p, log x and x^p
 (one exp for exp_decay's p), nothing for GBM; dW^2 - dt once per step for
 all models, and one contiguous increment row per step (a view of a
-step-major chunk, or one copy of a dense matrix's column). Inputs are
-checked once, by SimConfig and ModelSpec; no step re-validates its state.
+step-major chunk, or one copy of a column of a caller's path-major
+matrix). Inputs are checked once, by SimConfig and ModelSpec; no step
+re-validates its state.
 """
 
 from __future__ import annotations
@@ -311,38 +314,54 @@ class PathBatch:
         return self.values[:, -1]
 
 
-def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
-             labels: Sequence[str], observe=None):
-    """Step every model over the shared increments dw (n_paths, n_steps), in
-    either memory order.
+# What _advance keeps besides terminals and breaches: the states on a grid,
+# nothing more, or the streaming reductions of simulate_coupled_stats.
+PATHS, TERMINAL, STATS = "paths", "terminal", "stats"
 
-    Step-outer, model-inner; after step k, observe(k, xs) sees the list of
-    current states, one per model. Returns the terminal states and the
-    per-path positivity-floor breach counts of each model.
+
+def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
+             dw: np.ndarray, keep: str, stride: int = 1) -> dict:
+    """Step every model over the shared increments dw (n_steps, m), in either
+    memory order, and keep what `keep` asks for.
+
+    Always kept: "terminal" (n_models, m) and the per-path positivity-floor
+    breach counts of each model ("breaches"). PATHS adds each model's states
+    at every stride-th grid point, x0 first ("values"); STATS adds per-path
+    sups and sup-diffs against model 0, the extrema of X and x^p(x) over the
+    visited states, and path 0's states. Step-outer, model-inner: model 0
+    steps first, so its state is current when a later model's sup-diff reads
+    it, and a blow-up names the earliest step, then the first model.
     """
-    n_paths, n_steps = dw.shape
-    dt = cfg.dt
+    n_steps, m = dw.shape
+    dt, n = cfg.dt, len(models)
     log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
     stepper = _log_stepper if log_space else _direct_stepper
-    steps = [stepper(m, dt, milstein) for m in models]
+    steps = [stepper(model, dt, milstein) for model in models]
     # Per-model states are 1-D arrays rebound each step (in-place row writes
     # were measured slower). Log schemes start from exp(log(x0)), which
     # differs from x0 in the last ulp unless x0 == 1; outputs depend on it.
-    ys = [np.full(n_paths, math.log(cfg.x0)) for _ in models]
-    xs = [np.exp(y) for y in ys] if log_space else [np.full(n_paths, cfg.x0) for _ in models]
-    breaches = [np.zeros(n_paths, dtype=int) for _ in models]
+    ys = [np.full(m, math.log(cfg.x0)) for _ in models]
+    xs = [np.exp(y) for y in ys] if log_space else [np.full(m, cfg.x0) for _ in models]
+    breaches = [np.zeros(m, dtype=int) for _ in models]
+    if keep == PATHS:
+        values = np.empty((n, m, n_steps // stride + 1))
+        values[:, :, 0] = cfg.x0
+    elif keep == STATS:
+        path_sup, sup_diff = np.full((n, m), cfg.x0), np.zeros((n, m))
+        x_min, phi_min, phi_max = [math.inf] * n, [math.inf] * n, [-math.inf] * n
+        path0 = np.empty((n, n_steps))
     for k in range(n_steps):
-        # One contiguous row per step (a view when dw is a step-major chunk's
-        # transpose); every model reads it.
-        dwk = np.ascontiguousarray(dw[:, k])
+        # One contiguous row per step (a view when dw is C-ordered); every
+        # model reads it.
+        dwk = np.ascontiguousarray(dw[k])
         dw2 = dwk * dwk - dt if milstein else None
         for j, step in enumerate(steps):
             if log_space:
                 y = step(ys[j], xs[j], dwk, dw2)
                 _check_log_range(y, k, labels[j])
                 ys[j] = y
-                xs[j] = np.exp(y)
+                x = np.exp(y)
             else:
                 x = step(xs[j], dwk, dw2)
                 low = x < POSITIVITY_FLOOR
@@ -351,36 +370,37 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, dw: np.ndarray,
                     x = np.where(low, POSITIVITY_FLOOR, x)
                 if not np.all(np.isfinite(x)):
                     raise BlowUpError(np.nonzero(~np.isfinite(x))[0], k, labels[j])
-                xs[j] = x
-        if observe is not None:
-            observe(k, xs)
-    return xs, breaches
-
-
-def _record(m: ModelSpec, cfg: SimConfig, dw: np.ndarray, label: str, stride: int):
-    """run_with_increments keeping the states at every stride-th grid point
-    (x0 first): (values, per-path breach counts)."""
-    dw = np.asarray(dw, dtype=float)
-    if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
-        raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
-    values = np.empty((dw.shape[0], dw.shape[1] // stride + 1))
-    values[:, 0] = cfg.x0
-
-    def record(k, xs):
-        if (k + 1) % stride == 0:
-            values[:, (k + 1) // stride] = xs[0]
-
-    _, (breaches,) = _advance([m], cfg, dw, [label], record)
-    return values, breaches
+            xs[j] = x
+            if keep == PATHS and (k + 1) % stride == 0:
+                values[j, :, (k + 1) // stride] = x
+            elif keep == STATS:
+                np.maximum(path_sup[j], x, out=path_sup[j])
+                x_min[j] = min(x_min[j], float(x.min()))
+                phi = _phi_dphi(models[j].exponent, x, False)[0]  # x > 0: clamped or exp(y)
+                phi_min[j] = min(phi_min[j], float(phi.min()))
+                phi_max[j] = max(phi_max[j], float(phi.max()))
+                if j > 0:
+                    np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
+                path0[j, k] = x[0]
+    out = {"terminal": np.array(xs), "breaches": breaches}
+    if keep == PATHS:
+        out["values"] = values
+    elif keep == STATS:
+        out.update(path_sup=path_sup, sup_diff=sup_diff, x_min=x_min,
+                   phi_min=phi_min, phi_max=phi_max, path0=path0)
+    return out
 
 
 def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
                         label: str = "model") -> PathBatch:
     """Advance all paths of one model over a caller-supplied increment
     matrix of shape (n_paths, n_steps) with cfg's step size."""
-    values, breaches = _record(m, cfg, dw, label, 1)
-    return PathBatch(time_grid=cfg.time_grid, values=values,
-                     model_label=label, config=cfg, breach_counts=breaches)
+    dw = np.asarray(dw, dtype=float)
+    if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
+        raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
+    out = _advance([m], cfg, [label], dw.T, PATHS)
+    return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
+                     model_label=label, config=cfg, breach_counts=out["breaches"][0])
 
 
 def simulate_batch(m: ModelSpec, cfg: SimConfig, label: str = "model") -> PathBatch:
@@ -401,13 +421,15 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
     """Simulate several models over identical Brownian increments.
 
     Path i of every returned batch consumed the same increment array, so
-    pathwise differences isolate model structure rather than noise.
+    pathwise differences isolate model structure rather than noise. The run
+    is one in-process chunk of all base paths.
     """
     labels = _labels_for(models, labels)
     _require_fits(cfg.n_paths * (cfg.n_steps + 1) * 8 * len(models),
                   "dense path storage", "; use simulate_coupled_stats")
-    dw = increment_matrix(cfg)
-    return [run_with_increments(m, cfg, dw, lab) for m, lab in zip(models, labels)]
+    out = _run_chunk(models, cfg, labels, 0, cfg.n_base_paths, PATHS)
+    return [PathBatch(time_grid=cfg.time_grid, values=v, model_label=lab, config=cfg,
+                      breach_counts=b) for v, lab, b in zip(out["values"], labels, out["breaches"])]
 
 
 # -- streaming runs: path chunks, merged exactly ----------------------------
@@ -467,46 +489,21 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 
 
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-               lo: int, hi: int, stats: bool) -> dict:
-    """Step base paths [lo, hi) and their antithetic partners for every model.
+               lo: int, hi: int, keep: str) -> dict:
+    """_advance over base paths [lo, hi) and their antithetic partners.
 
     Per-path arrays come back in the chunk's column order (base paths, then
-    partners). With stats, the chunk also keeps per-path sups and sup-diffs,
-    the extrema of X and x^p(x) over its visited states, and, for the chunk
-    holding path 0, that path's states. A blow-up names global path indices.
+    partners); breaches are per path for PATHS and totals otherwise. A
+    blow-up names global path indices.
     """
-    dw = _increment_chunk(cfg, lo, hi)
-    n_models, m = len(models), dw.shape[1]
-    out = {}
-    observe = None
-    if stats:
-        path_sup = np.full((n_models, m), cfg.x0)
-        sup_diff = np.zeros((n_models, m))
-        x_min, phi_min, phi_max = ([math.inf] * n_models, [math.inf] * n_models,
-                                   [-math.inf] * n_models)
-        path0 = np.empty((n_models, cfg.n_steps)) if lo == 0 else None
-        out.update(path_sup=path_sup, sup_diff=sup_diff, x_min=x_min,
-                   phi_min=phi_min, phi_max=phi_max, path0=path0)
-
-        def observe(k, xs):
-            for j, (model, x) in enumerate(zip(models, xs)):
-                np.maximum(path_sup[j], x, out=path_sup[j])
-                x_min[j] = min(x_min[j], float(x.min()))
-                phi = _phi_dphi(model.exponent, x, False)[0]  # x > 0: clamped or exp(y)
-                phi_min[j] = min(phi_min[j], float(phi.min()))
-                phi_max[j] = max(phi_max[j], float(phi.max()))
-                if j > 0:
-                    np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
-                if path0 is not None:
-                    path0[j, k] = x[0]
-
     try:
-        terminals, breaches = _advance(models, cfg, dw.T, labels, observe)
+        out = _advance(models, cfg, labels, _increment_chunk(cfg, lo, hi), keep)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)
         raise BlowUpError(paths, exc.step_index, exc.model_label) from None
-    out.update(terminal=np.array(terminals), breaches=[int(b.sum()) for b in breaches])
+    if keep != PATHS:
+        out["breaches"] = [int(b.sum()) for b in out["breaches"]]
     return out
 
 
@@ -519,7 +516,7 @@ def _outcome(call, *args):
 
 
 def _run_chunked(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-                 stats: bool) -> tuple[list[dict], list[tuple[int, int]]]:
+                 keep: str) -> tuple[list[dict], list[tuple[int, int]]]:
     """_run_chunk over every chunk of _plan(cfg), on a fork pool when it has
     more than one worker (spawn and forkserver cost 1-1.5 s more per call).
 
@@ -534,14 +531,14 @@ def _run_chunked(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[s
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_chunk, *args, lo, hi, stats) for lo, hi in bounds]
+            futures = [pool.submit(_run_chunk, *args, lo, hi, keep) for lo, hi in bounds]
             try:
                 outcomes = [_outcome(f.result) for f in futures]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        outcomes = [_outcome(_run_chunk, *args, lo, hi, stats) for lo, hi in bounds]
+        outcomes = [_outcome(_run_chunk, *args, lo, hi, keep) for lo, hi in bounds]
     errors = [e for e in outcomes if isinstance(e, BlowUpError)]
     if errors:
         def when(e):
@@ -560,14 +557,15 @@ def _in_path_order(parts: list[np.ndarray], bounds: list[tuple[int, int]]) -> np
                           + [p[..., c:] for p, c in zip(parts, cuts)], axis=-1)
 
 
-def simulate_coupled_terminals(models: Sequence[ModelSpec], cfg: SimConfig) -> list[np.ndarray]:
+def simulate_coupled_terminals(models: Sequence[ModelSpec], cfg: SimConfig,
+                               labels: Optional[Sequence[str]] = None) -> list[np.ndarray]:
     """Coupled simulation keeping only the terminal values.
 
     Lean variant for pricing workloads: identical increments and stepping
     as simulate_coupled, no per-path accumulators, any scheme, in path
     chunks like simulate_coupled_stats.
     """
-    parts, bounds = _run_chunked(models, cfg, _labels_for(models, None), stats=False)
+    parts, bounds = _run_chunked(models, cfg, _labels_for(models, labels), TERMINAL)
     return list(_in_path_order([p["terminal"] for p in parts], bounds))
 
 
@@ -583,7 +581,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     the same bytes however the paths are split.
     """
     labels = _labels_for(models, labels)
-    parts, bounds = _run_chunked(models, cfg, labels, stats=True)
+    parts, bounds = _run_chunked(models, cfg, labels, STATS)
     terminal, path_sup, sup_diff = (_in_path_order([p[key] for p in parts], bounds)
                                     for key in ("terminal", "path_sup", "sup_diff"))
     x0 = cfg.x0

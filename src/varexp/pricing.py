@@ -127,6 +127,8 @@ class SmileRequest:
 
     def __post_init__(self):
         ks = np.asarray(self.strikes, dtype=float)
+        if not np.isfinite([*ks, self.rate, self.maturity, self.spot]).all():
+            raise ValueError("strikes, rate, maturity and spot must be finite")
         if ks.size == 0 or np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
             raise ValueError("strikes must be positive and strictly increasing")
         if self.maturity <= 0 or self.spot <= 0:

@@ -67,6 +67,18 @@ class TestCheckExponent:
         assert not list(out.glob("admissibility_*.json"))
         assert json.loads((out / "run_manifest.json").read_text())["files"] == {}
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_unknown_format_exits_two(self, tmp_path, capsys, where):
+        # the config file and --format are checked by the same code
+        if where == "config":
+            cfg, flag = _write_config(tmp_path, output={"dir": str(tmp_path / "out"),
+                                                        "formats": ["csv", "pdf"]}), []
+        else:
+            cfg, flag = _write_config(tmp_path), ["--format", "csv,pdf"]
+        assert main(["check-exponent", "--config", str(cfg), *flag]) == 2
+        assert capsys.readouterr().err == "config error: unknown output format 'pdf'\n"
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["check-exponent", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -263,6 +275,31 @@ class TestSmileCommand:
         cfg = _write_config(tmp_path, smile={**smile, field: value})
         assert main(["smile", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out" / "smile_summary.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("rate", float("nan")), ("rate", float("inf")), ("maturity", float("nan")),
+        ("spot", float("inf")), ("strikes", [0.9, float("nan"), 1.1]),
+        ("strikes", [0.9, 1.0, float("inf")]),
+    ], ids=["rate_NaN", "rate_Infinity", "maturity_NaN", "spot_Infinity", "strike_NaN",
+            "strike_Infinity"])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, field, value):
+        # JSON's NaN and Infinity are rejected with the config, never simulated
+        smile = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0}
+        cfg = _write_config(tmp_path, smile={**smile, field: value})
+        assert main(["smile", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("command", ["smile", "strong-error"])
+    def test_blow_up_names_the_configured_model(self, tmp_path, capsys, command):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        raw["models"][1] = {"label": "wild", "mu": 0, "sigma": 50,
+                            "exponent": {"kind": "constant", "gamma": 3}}
+        raw["sim"]["dt"] = 0.25
+        cfg = _write_config(tmp_path, **{k: raw[k] for k in ("sim", "models")})
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(cfg)]) == 1
+        assert "blew up at step 0 for model 'wild'" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path)

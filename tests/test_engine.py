@@ -466,6 +466,38 @@ class TestCoupled:
                 if scheme == EULER:
                     assert dense[2].breach_counts.sum() > 0
 
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("x0", [1.0, 1.7])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bytes_equal_per_model_runs(self, scheme, x0, antithetic):
+        # the dense definition: each model on its own over the path-major
+        # increment matrix; gbm(0, 3) breaches the floor under euler
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=8,
+                        antithetic=antithetic, scheme=scheme, x0=x0)
+        models = {**ORACLE_MODELS, "wild": gbm(0.0, 3.0)}
+        dw = increment_matrix(cfg)
+        dense = simulate_coupled(list(models.values()), cfg, list(models))
+        for (name, m), b in zip(models.items(), dense):
+            want = run_with_increments(m, cfg, dw, name)
+            assert b.model_label == name
+            assert b.values.tobytes() == want.values.tobytes(), name
+            assert b.breach_counts.tobytes() == want.breach_counts.tobytes(), name
+        if scheme == EULER:
+            assert dense[-1].breach_counts.sum() > 0
+
+    def test_blow_up_same_as_streaming(self):
+        # CEV exponent 0 runs away to 0 in log space; every run stops at the
+        # earliest step, then the first model failing there
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=2)
+        models, labels = [gbm(0.05, 0.2), cev(0.0, 1.0, 0.0), cev(0.0, 1.3, 0.0)], ["gbm", "a", "b"]
+        raised = []
+        with np.errstate(all="ignore"):
+            for run in (simulate_coupled, simulate_coupled_stats, simulate_coupled_terminals):
+                with pytest.raises(BlowUpError) as exc:
+                    run(models, cfg, labels)
+                raised.append((exc.value.model_label, exc.value.step_index, exc.value.path_indices))
+        assert raised == [("b", 6, [3, 4])] * 3
+
     def test_terminals_match_dense(self, gbm_model, p1_model, small_cfg):
         for scheme in SCHEMES:
             cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme})
@@ -532,7 +564,8 @@ class TestChunkedRuns:
             steps, paths = set(), set()
             for lo in range(0, 16, chunk):
                 hi = min(lo + chunk, 16)
-                outcome = engine._outcome(engine._run_chunk, models, cfg, labels, lo, hi, False)
+                outcome = engine._outcome(engine._run_chunk, models, cfg, labels, lo, hi,
+                                         engine.TERMINAL)
                 if isinstance(outcome, BlowUpError):
                     # global indices: the chunk's base paths and their partners
                     assert set(outcome.path_indices) <= {*range(lo, hi), *range(16 + lo, 16 + hi)}
