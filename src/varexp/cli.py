@@ -276,7 +276,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.sim = SimConfig.from_dict({**cfg.sim.to_dict(), "seed": args.seed})
+            try:
+                cfg.sim = SimConfig.from_dict({**cfg.sim.to_dict(), "seed": args.seed})
+            except ValueError as exc:
+                raise ConfigError(f"bad --seed: {exc}") from exc
         if args.out is not None:
             cfg.out_dir = args.out
         if args.format is not None:

@@ -10,12 +10,14 @@ anything malformed or inconsistent; the CLI maps that to exit code 2.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .engine import SimConfig
+from .engine import SimConfig, _integral
 from .models import ModelSpec
 from .pricing import SmileRequest
 
@@ -70,6 +72,8 @@ def _parse(raw: dict) -> RunConfig:
             models.append(ModelSpec.from_dict(md))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad model entry {i}: {exc}") from exc
+        if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):  # names files and SVG text, unescaped
+            raise ConfigError(f"model label {label!r} must be letters, digits, _, - or .")
         if label in labels:
             raise ConfigError(f"duplicate model label {label!r}")
         labels.append(label)
@@ -87,16 +91,21 @@ def _parse(raw: dict) -> RunConfig:
             lam, r = float(pair[0]), float(pair[1])
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad bound case {j}: {exc}") from exc
+        if not 0.0 < lam < 1.0 < r < math.inf:
+            raise ConfigError(f"bad bound case {j}: need 0 < lambda < 1 < R, not {pair}")
         cases.append((lam, r))
 
     smile = None
     smile_paths = None
     if "smile" in raw:
-        sd = dict(raw["smile"])
-        smile_paths = sd.pop("n_base_paths", None)
-        if smile_paths is not None:
-            smile_paths = int(smile_paths)
+        sd = raw["smile"]
         try:
+            if not isinstance(sd, dict):
+                raise TypeError("it must be a JSON object")
+            if sd.get("n_base_paths") is not None:
+                smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
+                if smile_paths < 1:
+                    raise ValueError("n_base_paths must be >= 1")
             smile = SmileRequest(
                 strikes=tuple(float(k) for k in sd["strikes"]),
                 rate=float(sd["rate"]), maturity=float(sd["maturity"]),

@@ -11,7 +11,8 @@ ranges of base paths (with their antithetic partners) as chunks of bounded
 memory: a dense run is one in-process chunk; streaming runs use a pool of
 forked workers when there are several chunks and CPUs, and merge the
 chunks' results exactly, in global path order. run_with_increments steps a
-caller's path-major matrix through the same runner.
+caller's path-major matrix through the same runner; there is no other way
+to take a step.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
 0.5 g g' (dW^2 - dt) for Milstein, with g = sigma x^p(x); states below
@@ -37,13 +38,14 @@ re-validates its state.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponent import CONSTANT, _p_dp, _phi_dphi, _positive, eval_phi
+from .exponent import CONSTANT, _p_dp, _phi_dphi
 from .models import ModelSpec
 
 EULER = "euler"
@@ -86,6 +88,14 @@ class BlowUpError(RuntimeError):
         return type(self), (self.path_indices, self.step_index, self.model_label)
 
 
+def _integral(v, name: str) -> int:
+    """v as an int: an integral number such as 3 or 3.0, but not True."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run parameters.
@@ -111,6 +121,8 @@ class SimConfig:
             raise ValueError("n_base_paths must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.antithetic, bool):
+            raise ValueError(f"antithetic must be true or false, not {self.antithetic!r}")
         if self.x0 <= 0:
             raise ValueError("x0 must be positive")
         if not (0 <= self.seed < 2**64):
@@ -136,10 +148,11 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """The config a JSON object describes; counts may be 3 or 3.0, not True."""
         return cls(
             t_horizon=float(d["t_horizon"]), dt=float(d["dt"]),
-            n_base_paths=int(d["n_base_paths"]), seed=int(d["seed"]),
-            antithetic=bool(d.get("antithetic", True)),
+            n_base_paths=_integral(d["n_base_paths"], "n_base_paths"),
+            seed=_integral(d["seed"], "seed"), antithetic=d.get("antithetic", True),
             scheme=str(d.get("scheme", LOG_MILSTEIN)),
             x0=float(d.get("x0", 1.0)),
         )
@@ -215,7 +228,7 @@ def _increment_chunk(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     return dw
 
 
-# -- single steps (the schemes) ---------------------------------------------
+# -- steppers (the schemes) -------------------------------------------------
 
 def _log_stepper(m: ModelSpec, dt: float, milstein: bool):
     """Model m's log-space step f(y, x, dw, dw2) -> y', for x = exp(y) and
@@ -248,7 +261,7 @@ def _log_stepper(m: ModelSpec, dt: float, milstein: bool):
 def _check_log_range(y, step_index: int, label: str = "") -> None:
     """Raise BlowUpError unless every |y| <= LOG_OVERFLOW_LIMIT (NaN fails)."""
     if not np.abs(y).max(initial=0.0) <= LOG_OVERFLOW_LIMIT:
-        bad = ~(np.abs(np.atleast_1d(y)) <= LOG_OVERFLOW_LIMIT)
+        bad = ~(np.abs(y) <= LOG_OVERFLOW_LIMIT)
         raise BlowUpError(np.nonzero(bad)[0], step_index, label)
 
 
@@ -268,33 +281,6 @@ def _direct_stepper(m: ModelSpec, dt: float, milstein: bool):
         return out
 
     return step
-
-
-def _one_step(stepper, x, dt: float, dw):
-    """stepper(x, dw, dw*dw - dt) for a state x checked to be positive and
-    finite; a float when x and dw are both scalars."""
-    xs, dwa = _positive(x, "state"), np.asarray(dw, dtype=float)
-    out = stepper(xs, dwa, dwa * dwa - dt)
-    return float(out) if np.ndim(x) == 0 and np.ndim(dw) == 0 else out
-
-
-def step_log_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """One log-space Milstein step; always returns a positive state."""
-    def step(xs, dwa, dw2):
-        y2 = _log_stepper(m, dt, True)(np.log(xs), xs, dwa, dw2)
-        _check_log_range(y2, 0)
-        return np.exp(y2)
-    return _one_step(step, x, dt, dw)
-
-
-def step_euler(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """Direct-space Euler-Maruyama step; may return a non-positive value."""
-    return _one_step(_direct_stepper(m, dt, False), x, dt, dw)
-
-
-def step_milstein(m: ModelSpec, x, dt: float, dw) -> float | np.ndarray:
-    """Direct-space Milstein step; may return a non-positive value."""
-    return _one_step(_direct_stepper(m, dt, True), x, dt, dw)
 
 
 # -- batches ----------------------------------------------------------------
@@ -328,9 +314,10 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     breach counts of each model ("breaches"). PATHS adds each model's states
     at every stride-th grid point, x0 first ("values"); STATS adds per-path
     sups and sup-diffs against model 0, the extrema of X and x^p(x) over the
-    visited states, and path 0's states. Step-outer, model-inner: model 0
-    steps first, so its state is current when a later model's sup-diff reads
-    it, and a blow-up names the earliest step, then the first model.
+    visited states and path 0's states, all from x0 on, so that chunks merge
+    by extrema, sums and concatenation alone. Step-outer, model-inner: model
+    0 steps first, so its state is current when a later model's sup-diff
+    reads it, and a blow-up names the earliest step, then the first model.
     """
     n_steps, m = dw.shape
     dt, n = cfg.dt, len(models)
@@ -348,9 +335,11 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
         values = np.empty((n, m, n_steps // stride + 1))
         values[:, :, 0] = cfg.x0
     elif keep == STATS:
+        # from x0 itself, as the PATHS grid, not from exp(log(x0))
         path_sup, sup_diff = np.full((n, m), cfg.x0), np.zeros((n, m))
-        x_min, phi_min, phi_max = [math.inf] * n, [math.inf] * n, [-math.inf] * n
-        path0 = np.empty((n, n_steps))
+        phi0 = [float(_phi_dphi(model.exponent, np.array(cfg.x0), False)[0]) for model in models]
+        x_min, phi_min, phi_max = [cfg.x0] * n, phi0, list(phi0)
+        path0 = np.full((n, n_steps + 1), cfg.x0)
     for k in range(n_steps):
         # One contiguous row per step (a view when dw is C-ordered); every
         # model reads it.
@@ -381,7 +370,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                 phi_max[j] = max(phi_max[j], float(phi.max()))
                 if j > 0:
                     np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
-                path0[j, k] = x[0]
+                path0[j, k + 1] = x[0]
     out = {"terminal": np.array(xs), "breaches": breaches}
     if keep == PATHS:
         out["values"] = values
@@ -584,16 +573,14 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     parts, bounds = _run_chunked(models, cfg, labels, STATS)
     terminal, path_sup, sup_diff = (_in_path_order([p[key] for p in parts], bounds)
                                     for key in ("terminal", "path_sup", "sup_diff"))
-    x0 = cfg.x0
     stats = []
-    for j, m in enumerate(models):
-        phi0 = float(eval_phi(m.exponent, x0))
+    for j in range(len(models)):
         stats.append(ModelPathStats(
             label=labels[j], terminal=terminal[j], path_sup=path_sup[j],
-            min_value=float(min([x0] + [p["x_min"][j] for p in parts])),
+            min_value=float(min(p["x_min"][j] for p in parts)),
             max_value=float(path_sup[j].max()),
-            phi_min=min([phi0] + [p["phi_min"][j] for p in parts]),
-            phi_max=max([phi0] + [p["phi_max"][j] for p in parts]),
+            phi_min=min(p["phi_min"][j] for p in parts),
+            phi_max=max(p["phi_max"][j] for p in parts),
             positivity_breaches=sum(p["breaches"][j] for p in parts),
-            sample_path=np.concatenate(([x0], parts[0]["path0"][j]))))
+            sample_path=parts[0]["path0"][j]))
     return CoupledStats(config=cfg, models=stats, sup_abs_diff=sup_diff)

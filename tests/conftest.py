@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from varexp import ExponentSpec, ModelSpec, SimConfig, gbm
+from varexp import ExponentSpec, ModelSpec, SimConfig, gbm, run_with_increments
+from varexp.engine import LOG_MILSTEIN
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +53,12 @@ def all_kinds():
         ExponentSpec.inverse_square(1.0),
         ExponentSpec.rational_decay(1e-3),
     ]
+
+
+def one_step(m, x, dt, dw, scheme=LOG_MILSTEIN):
+    """The batch after one step of `scheme` from state x, taken by
+    run_with_increments: path i draws the increment dw[i]."""
+    dw = np.atleast_1d(np.asarray(dw, dtype=float))
+    cfg = SimConfig(t_horizon=dt, dt=dt, n_base_paths=dw.size, seed=0,
+                    antithetic=False, scheme=scheme, x0=x)
+    return run_with_increments(m, cfg, dw[:, None])

@@ -112,9 +112,12 @@ class TestBoundTable:
         assert main(["bound-table", "--config", str(cfg)]) == 2
         assert not list((tmp_path / "out").glob("*"))
 
-    def test_bad_lambda_exits_one(self, tmp_path):
+    def test_bad_lambda_exits_two(self, tmp_path, capsys):
+        # checked with the config, before any command runs
         cfg = _write_config(tmp_path, bound_cases=[[1.5, 2.0]])
-        assert main(["bound-table", "--config", str(cfg)]) == 1
+        assert main(["bound-table", "--config", str(cfg)]) == 2
+        assert "config error: bad bound case 0" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -306,6 +309,60 @@ class TestSmileCommand:
         main(["smile", "--config", str(cfg), "--out", str(tmp_path / "a")])
         main(["smile", "--config", str(cfg), "--out", str(tmp_path / "b")])
         for name in ("smile_gbm.csv", "smile_p1.csv", "smile.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _edited_config(tmp_path, section, key, value):
+    """The default test config with raw[section][key] = value, or with
+    raw[section] = value when key is None."""
+    raw = json.loads(_write_config(tmp_path).read_text())
+    if key is None:
+        raw[section] = value
+    elif section == "models":
+        raw["models"][1][key] = value
+    else:
+        raw[section][key] = value
+    return _write_config(tmp_path, **{section: raw[section]})
+
+
+class TestConfigErrors:
+    """Config values that were coerced, or failed only when a command ran
+    them, are config errors at load: exit 2, no file written."""
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("simulate", "sim", "antithetic", "false"),
+        ("simulate", "sim", "n_base_paths", 2.7),
+        ("simulate", "sim", "n_base_paths", True),
+        ("simulate", "sim", "seed", 1.5),
+        ("check-exponent", "smile", "n_base_paths", "abc"),
+        ("smile", "smile", "n_base_paths", 0),
+        ("check-exponent", "smile", None, [1, 2]),
+        ("bound-table", "bound_cases", None, [[0.1, float("nan")]]),
+        ("bound-table", "bound_cases", None, [[0.5, 1.0]]),
+        ("bound-table", "bound_cases", None, [[0.5, float("inf")]]),
+        ("check-exponent", "models", "label", "a/b"),
+        ("check-exponent", "models", "label", ""),
+    ], ids=["antithetic_string", "fractional_paths", "boolean_paths", "fractional_seed",
+            "smile_paths_string", "smile_paths_zero", "smile_list", "bound_case_NaN",
+            "bound_case_R_1", "bound_case_R_Infinity", "label_slash", "label_empty"])
+    def test_exits_two(self, tmp_path, capsys, command, section, key, value):
+        cfg = _edited_config(tmp_path, section, key, value)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_out_of_range(self, tmp_path, capsys, seed):
+        cfg = _write_config(tmp_path)
+        assert main(["strong-error", "--config", str(cfg), "--seed", seed]) == 2
+        assert "config error: bad --seed" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_integral_float_paths_run(self, tmp_path):
+        cfg = _edited_config(tmp_path, "sim", "n_base_paths", 200.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        main(["simulate", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "b")])
+        for name in ("sample_paths.csv", "batch_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

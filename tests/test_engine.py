@@ -10,10 +10,10 @@ from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
                     simulate_coupled_stats, simulate_coupled_terminals)
 from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
 from varexp.analysis import diffusion_range
-from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, SCHEMES,
-                           gen_increments, step_euler, step_log_milstein,
-                           step_milstein)
+from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
+                           SCHEMES, gen_increments)
 from varexp.exponent import eval_dp, eval_p
+from conftest import one_step
 
 # 4M paths x 100k steps: far beyond every memory cap.
 OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
@@ -103,20 +103,19 @@ class TestSteps:
     def test_log_milstein_gbm_exact_step(self):
         m = gbm(0.05, 0.2)
         # drift-only step: exp((mu - sigma^2/2) dt)
-        out = step_log_milstein(m, 1.0, 1e-3, 0.0)
+        out = one_step(m, 1.0, 1e-3, 0.0).terminal[0]
         assert out == pytest.approx(math.exp(3e-5), rel=1e-12)
 
     def test_log_milstein_gbm_general_step(self):
         m = gbm(0.05, 0.2)
-        out = step_log_milstein(m, 2.0, 1e-3, 0.04)
+        out = one_step(m, 2.0, 1e-3, 0.04).terminal[0]
         expected = 2.0 * math.exp((0.05 - 0.02) * 1e-3 + 0.2 * 0.04)
         assert out == pytest.approx(expected, rel=1e-12)
 
     def test_log_step_odd_even_split(self, p1_model):
         # the b*dw term is the only odd-in-dw part of the log increment
         x, dt, dw = 1.3, 1e-3, 0.02
-        up = math.log(step_log_milstein(p1_model, x, dt, dw))
-        dn = math.log(step_log_milstein(p1_model, x, dt, -dw))
+        up, dn = np.log(one_step(p1_model, x, dt, [dw, -dw]).terminal)
         even = 0.5 * (up + dn)
         odd = 0.5 * (up - dn)
         b = 0.2 * x ** (eval_p(p1_model.exponent, x) - 1.0)
@@ -127,32 +126,35 @@ class TestSteps:
 
     def test_euler_step(self):
         m = gbm(0.05, 0.2)
-        assert step_euler(m, 1.0, 1e-3, 0.0) == pytest.approx(1.00005, rel=1e-12)
+        out = one_step(m, 1.0, 1e-3, 0.0, EULER).terminal[0]
+        assert out == pytest.approx(1.00005, rel=1e-12)
 
     def test_euler_can_breach_zero(self):
         m = gbm(0.05, 0.2)
-        assert step_euler(m, 1.0, 1e-3, -10.0) < 0.0
+        b = one_step(m, 1.0, 1e-3, -10.0, EULER)
+        assert (b.terminal[0], b.breach_counts[0]) == (POSITIVITY_FLOOR, 1)
 
     def test_degenerate_deterministic(self):
         m = gbm(0.0, 0.0)
-        assert step_euler(m, 3.0, 0.01, 0.0) == pytest.approx(3.0)
+        assert one_step(m, 3.0, 0.01, 0.0, EULER).terminal[0] == pytest.approx(3.0)
 
     def test_milstein_correction_sign(self):
         m = cev(0.0, 0.5, 2.0)
         dt, dw = 0.01, 0.0
         # dw = 0 makes the correction -0.5 g g' dt < 0 vs plain Euler
-        assert step_milstein(m, 1.0, dt, dw) < step_euler(m, 1.0, dt, dw)
+        milstein, euler = (one_step(m, 1.0, dt, dw, s).terminal[0] for s in (MILSTEIN, EULER))
+        assert milstein < euler
 
     def test_blow_up_signal(self):
         m = cev(0.0, 50.0, 3.0)
         with pytest.raises(BlowUpError) as exc:
-            step_log_milstein(m, 1e6, 1.0, np.array([0.0, 5.0]))
+            one_step(m, 1e6, 1.0, np.array([0.0, 5.0]))
         assert len(exc.value.path_indices) >= 1
 
     def test_nan_step_is_blow_up(self):
         # sigma x^(p-1) overflows to inf at x = e^400; the step is inf - inf
         with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
-            step_log_milstein(cev(0.0, 1.0, 3.0), math.exp(400), 0.5, np.array([1.0, 0.5]))
+            one_step(cev(0.0, 1.0, 3.0), math.exp(400), 0.5, np.array([1.0, 0.5]))
         assert exc.value.path_indices == [0, 1]
 
 
@@ -341,12 +343,13 @@ class TestFusedLogStep:
 
     @pytest.mark.parametrize("name", list(ORACLE_MODELS))
     def test_scalar_wrapper_equals_oracle(self, name):
+        # one step from each of 64 states, far wider than a path's range
         m = ORACLE_MODELS[name]
-        x = np.geomspace(0.05, 20.0, 64)
         dw = np.linspace(-0.2, 0.2, 64)
-        want = np.exp(_oracle_log_step(m, np.log(x), x, 1e-3, dw, milstein=True))
-        assert step_log_milstein(m, x, 1e-3, dw).tobytes() == want.tobytes()
-        assert step_log_milstein(m, float(x[3]), 1e-3, float(dw[3])) == want[3]
+        for x in np.geomspace(0.05, 20.0, 64):
+            y = np.full(dw.size, math.log(x))
+            want = np.exp(_oracle_log_step(m, y, np.exp(y), 1e-3, dw, milstein=True))
+            assert one_step(m, x, 1e-3, dw).terminal.tobytes() == want.tobytes(), x
 
 
 def _oracle_direct_step(m, x, dt, dw, milstein):
@@ -419,15 +422,14 @@ class TestFusedDirectStep:
     @pytest.mark.parametrize("scheme", [EULER, MILSTEIN])
     @pytest.mark.parametrize("name", list(ORACLE_MODELS))
     def test_scalar_wrapper_equals_oracle(self, name, scheme):
+        # one step from each of 64 states, far wider than a path's range;
+        # cev2 falls below the floor from the largest states
         m = ORACLE_MODELS[name]
-        x = np.geomspace(0.05, 20.0, 64)
         dw = np.linspace(-0.2, 0.2, 64)
-        step = step_milstein if scheme == MILSTEIN else step_euler
-        want = _oracle_direct_step(m, x, 1e-3, dw, scheme == MILSTEIN)
-        assert step(m, x, 1e-3, dw).tobytes() == want.tobytes()
-        assert step(m, float(x[3]), 1e-3, float(dw[3])) == want[3]
-        with pytest.raises(ValueError, match="state must be positive and finite"):
-            step(m, np.array([1.0, np.inf]), 1e-3, 0.0)
+        for x in np.geomspace(0.05, 20.0, 64):
+            want = _oracle_direct_step(m, np.full(dw.size, x), 1e-3, dw, scheme == MILSTEIN)
+            want = np.where(want < POSITIVITY_FLOOR, POSITIVITY_FLOOR, want)
+            assert one_step(m, x, 1e-3, dw, scheme).terminal.tobytes() == want.tobytes(), x
 
 
 class TestCoupled:
@@ -465,6 +467,19 @@ class TestCoupled:
                         assert np.array_equal(stats.sup_abs_diff[j], sup_diff)
                 if scheme == EULER:
                     assert dense[2].breach_counts.sum() > 0
+
+    @pytest.mark.parametrize("mu", [0.05, -0.05], ids=["rising", "falling"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stats_start_at_x0(self, p1_model, scheme, mu):
+        # with sigma 0 every path moves away from x0 monotonically, and so does
+        # x^p(x), so x0 alone gives the minima (rising) or the maxima (falling);
+        # 3.0 != exp(log(3.0)) in numpy, the log schemes' start
+        models = [gbm(mu, 0.0), ModelSpec(mu, 0.0, p1_model.exponent)]
+        cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=2, seed=0, scheme=scheme, x0=3.0)
+        for m, ms in zip(models, simulate_coupled_stats(models, cfg).models):
+            ends = (ms.min_value, ms.phi_min) if mu > 0 else (ms.max_value, ms.phi_max)
+            assert ends == (3.0, eval_phi(m.exponent, 3.0))
+            assert ms.sample_path[0] == 3.0 and ms.min_value < ms.max_value
 
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     @pytest.mark.parametrize("x0", [1.0, 1.7])

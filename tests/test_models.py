@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from varexp import ExponentSpec, ModelSpec, cev, eval_dphi, eval_phi, gbm
-from varexp.engine import step_euler
+from varexp import ExponentSpec, ModelSpec, SimConfig, cev, eval_dphi, eval_phi, gbm
+from varexp.engine import EULER
+from conftest import one_step
+
+
+def _euler(m, x, dt, dw):
+    """One Euler step of m from state x."""
+    return one_step(m, x, dt, dw, EULER).terminal[0]
 
 
 def _diffusion(m, x):
@@ -20,15 +26,16 @@ def _diffusion_deriv(m, x):
 def test_drift_linear():
     # with dw = 0 and dt = 1 an Euler step adds exactly the drift mu * x
     m = gbm(0.05, 0.2)
-    assert step_euler(m, 1.0, 1.0, 0.0) - 1.0 == pytest.approx(0.05)
-    assert step_euler(m, 2.0, 1.0, 0.0) - 2.0 == pytest.approx(0.1)
-    assert step_euler(ModelSpec(0.0, 0.2, ExponentSpec.constant(1.0)), 5.0, 1.0, 0.0) == 5.0
+    assert _euler(m, 1.0, 1.0, 0.0) - 1.0 == pytest.approx(0.05)
+    assert _euler(m, 2.0, 1.0, 0.0) - 2.0 == pytest.approx(0.1)
+    assert _euler(ModelSpec(0.0, 0.2, ExponentSpec.constant(1.0)), 5.0, 1.0, 0.0) == 5.0
 
 
 def test_drift_domain():
-    for x in (-1.0, 0.0, math.nan, math.inf, np.array([1.0, -1.0])):
-        with pytest.raises(ValueError, match="state must be positive and finite"):
-            step_euler(gbm(0.05, 0.2), x, 1e-3, 0.0)
+    # the state is checked once, as SimConfig's x0; no step re-checks it
+    for x in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="x0 must be"):
+            SimConfig(t_horizon=1e-3, dt=1e-3, n_base_paths=1, seed=0, x0=x)
 
 
 def test_diffusion_gbm():
@@ -76,7 +83,7 @@ def test_sigma_validation():
     # sigma = 0 is the deterministic drift-only limit
     m = ModelSpec(mu=0.05, sigma=0.0, exponent=ExponentSpec.constant(1.0))
     assert _diffusion(m, 2.0) == 0.0
-    assert step_euler(m, 2.0, 1.0, 7.0) == pytest.approx(2.1, rel=1e-15)
+    assert _euler(m, 2.0, 1.0, 7.0) == pytest.approx(2.1, rel=1e-15)
 
 
 @pytest.mark.parametrize("field", ["mu", "sigma"])
