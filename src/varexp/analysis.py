@@ -95,15 +95,15 @@ class TerminalStats:
     counts: np.ndarray
 
 
-def terminal_stats(batch: PathBatch | ModelPathStats, bins: int = 64) -> TerminalStats:
-    """Mean/variance/extremes plus a histogram of the terminal values."""
+def terminal_stats(batch: PathBatch | ModelPathStats) -> TerminalStats:
+    """Mean/variance/extremes plus a 64-bin histogram of the terminal values."""
     term = batch.terminal
     if term.size == 0:
         raise ValueError("empty batch")
     lo, hi = float(term.min()), float(term.max())
     if hi == lo:
         hi = lo + 1e-12  # point mass: give the histogram a nonzero span
-    counts, edges = np.histogram(term, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(term, bins=64, range=(lo, hi))
     return TerminalStats(
         mean=float(term.mean()),
         variance=float(term.var(ddof=1)) if term.size > 1 else 0.0,

@@ -10,14 +10,14 @@ anything malformed or inconsistent; the CLI maps that to exit code 2.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .engine import SimConfig, _integral
+from .engine import SimConfig
+from .exponent import _integral, _number
 from .models import ModelSpec
 from .pricing import SmileRequest
 
@@ -48,6 +48,7 @@ class RunConfig:
 
 
 _FORMATS = ("csv", "json", "svg")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
 
 
 def _check_formats(formats) -> tuple[str, ...]:
@@ -59,70 +60,75 @@ def _check_formats(formats) -> tuple[str, ...]:
     return formats
 
 
-def _parse(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    models_raw = raw.get("models")
-    if not models_raw or not isinstance(models_raw, list):
-        raise ConfigError("config needs a non-empty 'models' list")
-    labels, models = [], []
-    for i, md in enumerate(models_raw):
-        try:
-            label = str(md.get("label", f"model_{i}"))
-            models.append(ModelSpec.from_dict(md))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad model entry {i}: {exc}") from exc
-        if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):  # names files and SVG text, unescaped
-            raise ConfigError(f"model label {label!r} must be letters, digits, _, - or .")
-        if label in labels:
-            raise ConfigError(f"duplicate model label {label!r}")
-        labels.append(label)
+def _get(d: dict, key: str, kind: type, default=None):
+    """d[key], or default when d has no key; TypeError unless of JSON type kind."""
+    v = d.get(key, default)
+    if not isinstance(v, kind):
+        raise TypeError(f"{key!r} must be {_JSON_TYPES[kind]}, not {v!r}")
+    return v
 
+
+def _parse(raw) -> RunConfig:
+    """The run config a decoded JSON document describes. Any error while
+    reading it becomes ConfigError("bad <section>: ..."); a ConfigError
+    raised inside passes through unchanged."""
+    section = "config"
     try:
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
+        models_raw = raw.get("models")
+        if not models_raw or not isinstance(models_raw, list):
+            raise ConfigError("config needs a non-empty 'models' list")
+        labels, models = [], []
+        for i, md in enumerate(models_raw):
+            section = f"model entry {i}"
+            label = _get(md, "label", str, f"model_{i}")
+            models.append(ModelSpec.from_dict(md))
+            if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):  # names files and SVG text, unescaped
+                raise ValueError(f"model label {label!r} must be letters, digits, _, - or .")
+            if label in labels:
+                raise ValueError(f"duplicate model label {label!r}")
+            labels.append(label)
+
+        section = "sim section"
         sim = SimConfig.from_dict(raw["sim"])
-    except KeyError as exc:
-        raise ConfigError(f"config needs a 'sim' section ({exc} missing)") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sim section: {exc}") from exc
 
-    cases = []
-    for j, pair in enumerate(raw.get("bound_cases", [])):
-        try:
-            lam, r = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"bad bound case {j}: {exc}") from exc
-        if not 0.0 < lam < 1.0 < r < math.inf:
-            raise ConfigError(f"bad bound case {j}: need 0 < lambda < 1 < R, not {pair}")
-        cases.append((lam, r))
+        section = "bound_cases"
+        cases = []
+        for j, pair in enumerate(_get(raw, "bound_cases", list, [])):
+            section = f"bound case {j}"
+            lam, r = (_number(v, "lambda and R") for v in pair)
+            if not 0.0 < lam < 1.0 < r:
+                raise ValueError(f"need 0 < lambda < 1 < R, not {pair}")
+            cases.append((lam, r))
 
-    smile = None
-    smile_paths = None
-    if "smile" in raw:
-        sd = raw["smile"]
-        try:
-            if not isinstance(sd, dict):
-                raise TypeError("it must be a JSON object")
+        smile = smile_paths = None
+        if "smile" in raw:
+            section = "smile section"
+            sd = _get(raw, "smile", dict)
             if sd.get("n_base_paths") is not None:
                 smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
                 if smile_paths < 1:
                     raise ValueError("n_base_paths must be >= 1")
             smile = SmileRequest(
-                strikes=tuple(float(k) for k in sd["strikes"]),
-                rate=float(sd["rate"]), maturity=float(sd["maturity"]),
-                spot=float(sd["spot"]),
+                strikes=tuple(_number(k, "strike") for k in sd["strikes"]),
+                rate=_number(sd["rate"], "rate"), spot=_number(sd["spot"], "spot"),
+                maturity=_number(sd["maturity"], "maturity"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad smile section: {exc}") from exc
-        # the smile prices the simulated terminals, so it must ask about them
-        if abs(smile.maturity - sim.t_horizon) > 1e-12 * smile.maturity:
-            raise ConfigError(f"smile maturity {smile.maturity} differs from "
-                              f"sim t_horizon {sim.t_horizon}")
-        if smile.spot != sim.x0:
-            raise ConfigError(f"smile spot {smile.spot} differs from sim x0 {sim.x0}")
+            # the smile prices the simulated terminals, so it must ask about them
+            if abs(smile.maturity - sim.t_horizon) > 1e-12 * smile.maturity:
+                raise ValueError(f"maturity {smile.maturity} differs from "
+                                 f"sim t_horizon {sim.t_horizon}")
+            if smile.spot != sim.x0:
+                raise ValueError(f"spot {smile.spot} differs from sim x0 {sim.x0}")
 
-    out = raw.get("output", {})
-    out_dir = str(out.get("dir", "out"))
-    formats = _check_formats(out.get("formats", ["csv", "json"]))
+        section = "output section"
+        out = _get(raw, "output", dict, {})
+        out_dir = _get(out, "dir", str, "out")
+        formats = _check_formats(_get(out, "formats", list, ["csv", "json"]))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {section}: {why}") from exc
 
     return RunConfig(labels=labels, models=models, sim=sim, bound_cases=cases,
                      smile=smile, smile_n_base_paths=smile_paths,
@@ -131,18 +137,14 @@ def _parse(raw: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Load and validate a JSON run config; 'paper.json' falls back to the
-    bundled default when no such file exists on disk."""
+    bundled default when no such file exists on disk. Raises only ConfigError."""
     p = Path(path)
-    if p.is_file():
-        text = p.read_text()
-    elif p.name == "paper.json":
-        text = bundled_paper_text()
-    else:
+    if not p.is_file() and p.name != "paper.json":
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = json.loads(p.read_text(encoding="utf-8") if p.is_file() else bundled_paper_text())
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     return _parse(raw)
 
 

@@ -38,14 +38,13 @@ re-validates its state.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponent import CONSTANT, _p_dp, _phi_dphi
+from .exponent import CONSTANT, _integral, _number, _p_dp, _phi_dphi
 from .models import ModelSpec
 
 EULER = "euler"
@@ -86,14 +85,6 @@ class BlowUpError(RuntimeError):
 
     def __reduce__(self):  # pickled with its fields, so it crosses a pool
         return type(self), (self.path_indices, self.step_index, self.model_label)
-
-
-def _integral(v, name: str) -> int:
-    """v as an int: an integral number such as 3 or 3.0, but not True."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
-                                   or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{name} must be an integer, not {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -148,13 +139,13 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """The config a JSON object describes; counts may be 3 or 3.0, not True."""
+        """The config a JSON object describes: numbers must be JSON numbers,
+        and counts integral (3 or 3.0, not True)."""
         return cls(
-            t_horizon=float(d["t_horizon"]), dt=float(d["dt"]),
+            t_horizon=_number(d["t_horizon"], "t_horizon"), dt=_number(d["dt"], "dt"),
             n_base_paths=_integral(d["n_base_paths"], "n_base_paths"),
             seed=_integral(d["seed"], "seed"), antithetic=d.get("antithetic", True),
-            scheme=str(d.get("scheme", LOG_MILSTEIN)),
-            x0=float(d.get("x0", 1.0)),
+            scheme=d.get("scheme", LOG_MILSTEIN), x0=_number(d.get("x0", 1.0), "x0"),
         )
 
 
@@ -167,25 +158,13 @@ def _require_fits(need: int, what: str, hint: str = "") -> None:
                           f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB{hint}")
 
 
-def gen_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.ndarray:
-    """n_steps i.i.d. N(0, dt) increments for one path.
-
-    The stream is keyed by (seed, path_index), so the same pair always
-    yields the same array no matter how many workers draw it or in what
-    order.
-    """
-    if n_steps < 1 or dt <= 0:
-        raise ValueError("need n_steps >= 1 and dt > 0")
-    key = np.array([seed, path_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.normal(0.0, math.sqrt(dt), n_steps)
-
-
 def _draw_rows(cfg: SimConfig, lo: int, hi: int):
     """Yield the increments of base paths lo..hi-1, one path at a time.
 
     One generator, re-keyed per path: a fresh state (counter 0, empty
-    buffer) with key (seed, i) draws exactly what gen_increments does.
+    buffer) with key (seed, i) draws exactly what a new
+    Generator(Philox(key=[seed, i])) draws, so path i's increments do not
+    depend on how the paths are partitioned.
     """
     bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
@@ -199,7 +178,7 @@ def _draw_rows(cfg: SimConfig, lo: int, hi: int):
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
     """(n_paths, n_steps) increment matrix for a whole run.
 
-    Rows 0..n_base_paths-1 come straight from gen_increments; with
+    Rows 0..n_base_paths-1 come straight from _draw_rows; with
     antithetic sampling row n_base_paths + i is the negation of row i.
     Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
     """

@@ -18,6 +18,7 @@ Lipschitz and linear-growth constants of phi(x) = x^p(x).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -44,6 +45,21 @@ SAFETY_FACTOR = 1.05
 DEFAULT_GRID_LO = 1e-6
 DEFAULT_GRID_HI = 1e6
 DEFAULT_GRID_POINTS = 10_000
+
+
+def _integral(v, name: str) -> int:
+    """v as an int: an integral number such as 3 or 3.0, but not True."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    return int(v)
+
+
+def _number(v, name: str) -> float:
+    """v as a float: a finite number such as 3 or 0.5, but not True, "0.5" or NaN."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, not {v!r}")
+    return float(v)
 
 
 def _positive(x, name: str = "x"):
@@ -113,38 +129,38 @@ class ExponentSpec:
         )
 
     @classmethod
-    def exp_decay(cls, a: float, b: float, delta: float = 1.0) -> "ExponentSpec":
-        """p(x) = 1 + a*exp(-b*x); tail bound uses alpha = 2.
+    def exp_decay(cls, a: float, b: float) -> "ExponentSpec":
+        """p(x) = 1 + a*exp(-b*x) with delta = 1; tail bound uses alpha = 2.
 
         c0 is the exact sup of a*b * x^3 * exp(-b*x) past delta, so the
         declared derivative bound holds with equality somewhere.
         """
+        if not (a > 0 and b > 0):
+            raise ValueError("exp_decay requires a > 0 and b > 0")
         x_star = 3.0 / b
-        if x_star > delta:
+        if x_star > 1.0:
             c0 = a * b * x_star**3 * math.exp(-3.0)
         else:
-            c0 = a * b * delta**3 * math.exp(-b * delta)
+            c0 = a * b * math.exp(-b)
         return cls(
             kind=EXP_DECAY, a=a, b=b, p_minus=1.0, p_plus=1.0 + a,
-            delta=delta, m0=a * b, c0=c0, alpha=2.0,
+            m0=a * b, c0=c0, alpha=2.0,
         )
 
     @classmethod
-    def inverse_square(cls, a: float, delta: float = 1.0) -> "ExponentSpec":
-        """p(x) = 1 + a/(1+x)^2 with delta <= 1, m0 = 2a/delta, c0 = 2a, alpha = 2."""
-        if delta > 1.0:
-            raise ValueError("inverse_square constants assume delta <= 1")
+    def inverse_square(cls, a: float) -> "ExponentSpec":
+        """p(x) = 1 + a/(1+x)^2 with delta = 1, m0 = c0 = 2a, alpha = 2."""
         return cls(
             kind=INVERSE_SQUARE, a=a, p_minus=1.0, p_plus=1.0 + a,
-            delta=delta, m0=2.0 * a / delta, c0=2.0 * a, alpha=2.0,
+            m0=2.0 * a, c0=2.0 * a, alpha=2.0,
         )
 
     @classmethod
-    def rational_decay(cls, c: float, delta: float = 1.0) -> "ExponentSpec":
-        """p(x) = 1 + c/(1+x); |p'| = c/(1+x)^2 <= c * x^-2, so alpha = 1."""
+    def rational_decay(cls, c: float) -> "ExponentSpec":
+        """p(x) = 1 + c/(1+x) with delta = 1; |p'| = c/(1+x)^2 <= c * x^-2, so alpha = 1."""
         return cls(
             kind=RATIONAL_DECAY, c=c, p_minus=1.0, p_plus=1.0 + c,
-            delta=delta, m0=c, c0=c, alpha=1.0,
+            m0=c, c0=c, alpha=1.0,
         )
 
     # -- serialization ---------------------------------------------------
@@ -158,8 +174,8 @@ class ExponentSpec:
         if kind not in KINDS:
             raise ValueError(f"unknown exponent kind {kind!r}")
         # The per-kind constructor's default constants, then explicit overrides.
-        base = getattr(cls, kind)(*(d[k] for k in _KIND_PARAMS[kind]))
-        return replace(base, **{k: float(d[k]) for k in _CONSTANTS if k in d})
+        base = getattr(cls, kind)(*(_number(d[k], k) for k in _KIND_PARAMS[kind]))
+        return replace(base, **{k: _number(d[k], k) for k in _CONSTANTS if k in d})
 
 
 # -- pointwise evaluation ------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exponent import ExponentSpec
+from .exponent import ExponentSpec, _number
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(mu=float(d["mu"]), sigma=float(d["sigma"]),
+        return cls(mu=_number(d["mu"], "mu"), sigma=_number(d["sigma"], "sigma"),
                    exponent=ExponentSpec.from_dict(d["exponent"]))
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,16 @@ def one_step(m, x, dt, dw, scheme=LOG_MILSTEIN):
     cfg = SimConfig(t_horizon=dt, dt=dt, n_base_paths=dw.size, seed=0,
                     antithetic=False, scheme=scheme, x0=x)
     return run_with_increments(m, cfg, dw[:, None])
+
+
+def replaced(raw, path, value):
+    """A deep copy of a decoded JSON document with the value at the key
+    path replaced (the whole document for the empty path)."""
+    if not path:
+        return value
+    raw = copy.deepcopy(raw)
+    node = raw
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return raw

@@ -9,6 +9,7 @@ import scipy
 
 from varexp import SimConfig, gbm, simulate_coupled
 from varexp.cli import main
+from conftest import replaced
 
 
 def _write_config(tmp_path, **overrides):
@@ -325,6 +326,35 @@ def _edited_config(tmp_path, section, key, value):
     return _write_config(tmp_path, **{section: raw[section]})
 
 
+# Malformed or mistyped documents, each a (key path, value) edit of the test
+# config: a missing or wrong JSON type, a number too large for a float, a
+# value that made a constructor divide by zero, or a file that is not UTF-8.
+_MALFORMED = {
+    "bound_cases_int": (("bound_cases",), 5),
+    "bound_cases_null": (("bound_cases",), None),
+    "bound_cases_object": (("bound_cases",), {}),
+    "bound_case_object": (("bound_cases", 0), {"x": 1}),
+    "output_list": (("output",), []),
+    "output_null": (("output",), None),
+    "formats_null": (("output", "formats"), None),
+    "formats_object": (("output", "formats"), {"csv": 1}),
+    "dir_null": (("output", "dir"), None),
+    "t_horizon_huge": (("sim", "t_horizon"), 10**400),
+    "mu_huge": (("models", 1, "mu"), 10**400),
+    "bound_case_R_huge": (("bound_cases", 0, 1), 10**400),
+    "strike_huge": (("smile", "strikes", 0), 10**400),
+    "exp_decay_b_zero": (("models", 1, "exponent", "b"), 0),
+    "m0_NaN": (("models", 1, "exponent", "m0"), float("nan")),
+    "sigma_true": (("models", 1, "sigma"), True),
+    "dt_string": (("sim", "dt"), "0.01"),
+    "label_null": (("models", 1, "label"), None),
+    "label_true": (("models", 1, "label"), True),
+    "label_number": (("models", 1, "label"), 5),
+    # a lone surrogate is written as the byte it escapes: 0xe9, not UTF-8
+    "not_utf8": (("output", "dir"), "out\udce9"),
+}
+
+
 class TestConfigErrors:
     """Config values that were coerced, or failed only when a command ran
     them, are config errors at load: exit 2, no file written."""
@@ -364,6 +394,24 @@ class TestConfigErrors:
         main(["simulate", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "b")])
         for name in ("sample_paths.csv", "batch_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"models": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["check-exponent", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("path,value", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_malformed_document_exits_two(self, tmp_path, monkeypatch, capsys, path, value):
+        monkeypatch.chdir(tmp_path)  # where a relative output dir would go
+        raw = replaced(json.loads(_write_config(tmp_path).read_text()), path, value)
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8", "surrogateescape"))
+        assert main(["check-exponent", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestBundledConfig:

@@ -1,0 +1,57 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from varexp.config import ConfigError, bundled_paper_text, load_config
+from conftest import replaced
+
+PAPER = json.loads(bundled_paper_text())
+
+
+def _key_paths(node, path=()):
+    """Every key path into a decoded JSON document, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _key_paths(v, path + (k,))
+
+
+def _schema_keys(node) -> set:
+    """Every object key that occurs anywhere in a decoded JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_schema_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_schema_keys, node))
+    return set()
+
+
+# Any JSON value (Python's NaN and Infinity included), weighted towards what
+# a real config holds: its own keys and strings, small and huge numbers.
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from([0, 1, 2, -1, 0.5, 1.0, 10**400, 1e-320])
+            | st.sampled_from(["", "csv", "pdf", "out", "gbm", "a/b", "euler", "1.0",
+                               "constant", "exp_decay", "inverse_square", "rational_decay"])
+            | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(sorted(_schema_keys(PAPER)))
+                                    | st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("path", list(_key_paths(PAPER)),
+                         ids=lambda p: "/".join(map(str, p)) or "root")
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_value_loads_or_is_a_config_error(tmp_path_factory, path, value):
+    # a malformed document raises ConfigError and nothing else, whatever
+    # the section, so the CLI reports every one as a config error (exit 2)
+    cfg = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    cfg.write_text(json.dumps(replaced(PAPER, path, value)))
+    try:
+        load_config(cfg)
+    except ConfigError:
+        pass

@@ -11,7 +11,7 @@ from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
 from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
 from varexp.analysis import diffusion_range
 from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
-                           SCHEMES, gen_increments)
+                           SCHEMES)
 from varexp.exponent import eval_dp, eval_p
 from conftest import one_step
 
@@ -72,21 +72,28 @@ class TestSimConfig:
             SimConfig(**params)
 
 
+def _philox_row(seed: int, i: int, n: int, dt: float) -> np.ndarray:
+    """Base path i's n increments, drawn by a new generator keyed (seed, i)."""
+    return np.random.Generator(np.random.Philox(key=[seed, i])).normal(0.0, math.sqrt(dt), n)
+
+
 class TestIncrements:
     def test_deterministic(self):
-        a = gen_increments(42, 7, 100, 1e-3)
-        b = gen_increments(42, 7, 100, 1e-3)
+        cfg = SimConfig(t_horizon=0.1, dt=1e-3, n_base_paths=8, seed=42, antithetic=False)
+        a, b = increment_matrix(cfg), increment_matrix(cfg)
         assert np.array_equal(a, b)
+        assert np.array_equal(a[7], _philox_row(42, 7, 100, 1e-3))
 
     def test_streams_differ_by_path(self):
-        a = gen_increments(42, 0, 100, 1e-3)
-        b = gen_increments(42, 1, 100, 1e-3)
-        assert not np.array_equal(a, b)
+        cfg = SimConfig(t_horizon=0.1, dt=1e-3, n_base_paths=2, seed=42, antithetic=False)
+        dw = increment_matrix(cfg)
+        assert not np.array_equal(dw[0], dw[1])
 
     def test_pooled_moments(self):
         # 1000 paths x 1000 steps = 1e6 pooled draws
         dt = 1e-3
-        pool = np.concatenate([gen_increments(7, i, 1000, dt) for i in range(1000)])
+        cfg = SimConfig(t_horizon=1.0, dt=dt, n_base_paths=1000, seed=7, antithetic=False)
+        pool = increment_matrix(cfg).ravel()
         assert abs(pool.mean()) < 3.0 * math.sqrt(dt / pool.size)
         assert abs(pool.var() - dt) < 0.01 * dt
 
@@ -95,7 +102,7 @@ class TestIncrements:
         dw = increment_matrix(cfg)
         assert dw.shape == (8, 10)
         for i in range(4):
-            assert np.array_equal(dw[i], gen_increments(3, i, 10, 0.01))
+            assert np.array_equal(dw[i], _philox_row(3, i, 10, 0.01))
             assert np.array_equal(dw[4 + i], -dw[i])
 
 

@@ -209,7 +209,7 @@ class TestAdmissibility:
         assert not report.passed
 
     def test_inverse_square_default_constants(self, inv_square_spec):
-        # delta <= 1, m0 = 2a/delta, c0 = 2a, alpha = 2
+        # delta = 1, m0 = c0 = 2a, alpha = 2
         assert inv_square_spec.m0 == pytest.approx(2.0)
         assert inv_square_spec.c0 == pytest.approx(2.0)
         assert inv_square_spec.alpha == 2.0
@@ -302,6 +302,17 @@ class TestValidation:
             ExponentSpec.exp_decay(-0.1, 0.1)
         with pytest.raises(ValueError):
             ExponentSpec.rational_decay(0.0)
+        with pytest.raises(ValueError):  # checked before c0 divides by b
+            ExponentSpec.exp_decay(0.5, 0.0)
+
+    @pytest.mark.parametrize("a,b", [(0.005, 0.1), (0.5, 1.0), (0.5, 3.0), (0.2, 4.0)])
+    def test_exp_decay_constants_at_delta_one(self, a, b):
+        # the formulas with a free delta, evaluated at delta = 1, give the same floats
+        delta, x_star = 1.0, 3.0 / b
+        c0 = (a * b * x_star**3 * math.exp(-3.0) if x_star > delta
+              else a * b * delta**3 * math.exp(-b * delta))
+        spec = ExponentSpec.exp_decay(a, b)
+        assert (spec.delta, spec.m0, spec.c0) == (delta, a * b, c0)
 
     def test_gamma_below_one_constructible(self):
         # CEV with gamma < 1 is allowed by the type (comparison use only)
