@@ -19,7 +19,6 @@ import numpy as np
 
 from . import engine as engine_mod
 from .engine import CoupledStats, ModelPathStats, PathBatch
-from .exponent import eval_phi
 from .models import ModelSpec
 
 
@@ -112,25 +111,24 @@ def terminal_stats(batch: PathBatch | ModelPathStats) -> TerminalStats:
     )
 
 
-def diffusion_range(batch: PathBatch, m: ModelSpec) -> tuple[float, float]:
-    """(min, max) of the state-dependent diffusion factor x^p(x) over all
-    visited states ("interpretation A" of the reported volatility range)."""
-    phi = np.asarray(eval_phi(m.exponent, batch.values.ravel()))
-    return float(phi.min()), float(phi.max())
-
-
 def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
                       n_base_paths: int, seed: int, t_horizon: float = 1.0,
                       x0: float = 1.0, scheme: str = engine_mod.LOG_MILSTEIN,
                       antithetic: bool = True) -> list[tuple[float, float]]:
     """Self-refinement strong errors for a scheme, one per coarse step size.
 
-    A single fine increment matrix at ref_dt drives everything: the
-    reference solution uses it directly and each coarse level consumes its
-    block sums, so differences isolate discretization error. The sup runs
-    over the grid of the coarsest level at every refinement - measuring
-    each level on its own grid would bias the coarse errors downward
-    (fewer points, smaller sup) and flatten the fitted order.
+    One stream of fine increments at ref_dt drives everything: the
+    reference solution steps it directly and each coarse level consumes its
+    block sums, so differences isolate discretization error. The fine
+    increments are drawn a block of steps at a time (a multiple of the
+    coarsest level's multiple of ref_dt), each path's Philox state carried
+    from block to block; each coarse level's sums are taken from the
+    path-major block before it is transposed for the reference run, so no
+    O(paths x fine steps) array is ever held, and the errors are the same
+    bytes however the steps are blocked. The sup runs over the grid of the
+    coarsest level at every refinement - measuring each level on its own
+    grid would bias the coarse errors downward (fewer points, smaller sup)
+    and flatten the fitted order.
     """
     coarsest = max(coarse_dts)
     for dtc in coarse_dts:
@@ -143,22 +141,37 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
         t_horizon=t_horizon, dt=ref_dt, n_base_paths=n_base_paths, seed=seed,
         antithetic=antithetic, scheme=engine_mod.LOG_MILSTEIN, x0=x0,
     )
-    dw_fine = engine_mod.increment_matrix(fine_cfg)
+    m_paths = fine_cfg.n_paths
+    levels = [replace(fine_cfg, dt=dtc, scheme=scheme) for dtc in coarse_dts]
+    engine_mod._require_fits(m_paths * sum(c.n_steps for c in levels) * 8,
+                             "coarse increments")
+    # step-major increments of each level, filled as the fine blocks stream
+    dwc = [np.empty((c.n_steps, m_paths)) for c in levels]
+    mults = [round(c.dt / ref_dt) for c in levels]
+    cm = round(coarsest / ref_dt)
+    block = max(1, engine_mod._BLOCK_STEPS // cm) * cm
+
+    def fine_blocks():
+        k0 = 0
+        for dw in engine_mod._increment_blocks(fine_cfg, block):
+            for mult, d in zip(mults, dwc):
+                sums = dw.reshape(m_paths, -1, mult).sum(axis=2)
+                d[k0 // mult:k0 // mult + sums.shape[1]] = sums.T
+            k0 += dw.shape[1]
+            yield dw
+
     # only the shared_n + 1 points of the coarsest grid are kept, not paths
     shared_n = round(t_horizon / coarsest)
-    ref = engine_mod._advance([m], fine_cfg, ["reference"], dw_fine.T, engine_mod.PATHS,
-                              round(coarsest / ref_dt))["values"][0]
+    ref = engine_mod._advance([m], fine_cfg, ["reference"],
+                              engine_mod._step_major(fine_blocks()), m_paths,
+                              engine_mod.PATHS, cm)["values"][0]
     out = []
-    for dtc in coarse_dts:
-        mult = round(dtc / ref_dt)
-        nc = round(t_horizon / dtc)
-        dwc = dw_fine[:, :nc * mult].reshape(dw_fine.shape[0], nc, mult).sum(axis=2)
-        cfg_c = replace(fine_cfg, dt=dtc, scheme=scheme)
-        coarse = engine_mod._advance([m], cfg_c, ["coarse"], dwc.T, engine_mod.PATHS,
-                                     nc // shared_n)["values"][0]
-        per_path = np.max(np.abs(coarse - ref), axis=1)
-        mean, _ = _pair_mean_ci(per_path, antithetic)
-        out.append((dtc, mean))
+    for cfg_c in levels:  # each level's increments are freed once stepped
+        diff = engine_mod._advance([m], cfg_c, ["coarse"], [dwc.pop(0)], m_paths,
+                                   engine_mod.PATHS, cfg_c.n_steps // shared_n)["values"][0]
+        np.abs(np.subtract(diff, ref, out=diff), out=diff)
+        mean, _ = _pair_mean_ci(diff.max(axis=1), antithetic)
+        out.append((cfg_c.dt, mean))
     return out
 
 

@@ -108,8 +108,7 @@ def _parse(raw) -> RunConfig:
             sd = _get(raw, "smile", dict)
             if sd.get("n_base_paths") is not None:
                 smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
-                if smile_paths < 1:
-                    raise ValueError("n_base_paths must be >= 1")
+                replace(sim, n_base_paths=smile_paths)  # checked as the sim's count is
             smile = SmileRequest(
                 strikes=tuple(_number(k, "strike") for k in sd["strikes"]),
                 rate=_number(sd["rate"], "rate"), spot=_number(sd["spot"], "spot"),

@@ -29,10 +29,17 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 Each step gives that formula's floats with the least arithmetic: p, p',
 phi and phi' from one unvalidated evaluation sharing p, log x and x^p
 (one exp for exp_decay's p), nothing for GBM; dW^2 - dt once per step for
-all models, and one contiguous increment row per step (a view of a
-step-major chunk, or one copy of a column of a caller's path-major
-matrix). Inputs are checked once, by SimConfig and ModelSpec; no step
+all models. Inputs are checked once, by SimConfig and ModelSpec; no step
 re-validates its state.
+
+Increments reach the runner as C-contiguous step-major blocks (B, m), so
+each step reads one contiguous row: a streaming chunk is one block; a
+caller's path-major matrix is cut into blocks of _BLOCK_STEPS steps by
+strip transposes; and the refinement study draws its fine increments a
+block at a time, carrying each path's Philox state from block to block.
+Dense states are recorded step-major and flushed into the path-major
+values about every _BLOCK_STEPS steps. The outputs are the same bytes
+however the steps are blocked.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +77,12 @@ MEMORY_CAP_BYTES = 2 << 30
 # paper-cli workload on a 2-core host: smaller chunks pay the per-step
 # overhead more often, larger ones hold more memory per worker.
 _CHUNK_BYTES = 96 << 20
+
+# Steps per increment block cut from a path-major source, and steps per
+# flush of the dense recording buffer; blocks are transposed this many paths
+# at a time, in 128 KiB tiles that stay in cache (chosen by timing the
+# transposes of 8000 x 1000 and 512 x 100000 matrices on a 2-core host).
+_BLOCK_STEPS = 128
 
 
 class BlowUpError(RuntimeError):
@@ -110,6 +124,9 @@ class SimConfig:
             raise ValueError("t_horizon and dt must be positive")
         if self.n_base_paths < 1:
             raise ValueError("n_base_paths must be >= 1")
+        if self.n_base_paths > 2**64:
+            raise ValueError("n_base_paths must be <= 2**64: path indices key Philox "
+                             "as unsigned 64-bit integers")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.antithetic, bool):
@@ -158,21 +175,49 @@ def _require_fits(need: int, what: str, hint: str = "") -> None:
                           f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB{hint}")
 
 
-def _draw_rows(cfg: SimConfig, lo: int, hi: int):
-    """Yield the increments of base paths lo..hi-1, one path at a time.
+def _draw_rows(cfg: SimConfig, lo: int, hi: int, n_draws: int,
+               states: Optional[list] = None):
+    """Yield n_draws increments of each base path lo..hi-1, one path at a
+    time.
 
     One generator, re-keyed per path: a fresh state (counter 0, empty
     buffer) with key (seed, i) draws exactly what a new
     Generator(Philox(key=[seed, i])) draws, so path i's increments do not
-    depend on how the paths are partitioned.
+    depend on how the paths are partitioned. `states`, one entry per path
+    (None before its first draw), carries each path's Philox state from one
+    call to the next, so that each call draws the steps after the last
+    call's: a path's steps drawn block by block are the bits of one draw,
+    however the steps are blocked.
     """
     bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
-    for i in range(lo, hi):
-        fresh["state"]["key"][1] = i
-        bitgen.state = fresh
-        yield rng.normal(0.0, math.sqrt(cfg.dt), cfg.n_steps)
+    for c, i in enumerate(range(lo, hi)):
+        if states is None or states[c] is None:
+            fresh["state"]["key"][1] = i
+            bitgen.state = fresh
+        else:
+            bitgen.state = states[c]
+        yield rng.normal(0.0, math.sqrt(cfg.dt), n_draws)
+        if states is not None:
+            states[c] = bitgen.state
+
+
+def _increment_blocks(cfg: SimConfig, block: int):
+    """The run's increment matrix as path-major (n_paths, B) blocks of
+    `block` steps (the last may be shorter), drawn one block at a time into
+    one buffer that the next block overwrites: side by side they are
+    increment_matrix(cfg)."""
+    n = cfg.n_base_paths
+    states = [None] * n
+    buf = np.empty((cfg.n_paths, min(block, cfg.n_steps)))
+    for k0 in range(0, cfg.n_steps, block):
+        dw = buf[:, :min(block, cfg.n_steps - k0)]
+        for i, row in enumerate(_draw_rows(cfg, 0, n, dw.shape[1], states)):
+            dw[i] = row
+        if cfg.antithetic:
+            np.negative(dw[:n], out=dw[n:])
+        yield dw
 
 
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
@@ -183,13 +228,22 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
     Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
     """
     _require_fits(cfg.n_paths * cfg.n_steps * 8, "increment matrix")
-    n = cfg.n_base_paths
-    dw = np.empty((cfg.n_paths, cfg.n_steps))
-    for i, row in enumerate(_draw_rows(cfg, 0, n)):
-        dw[i] = row
-    if cfg.antithetic:
-        np.negative(dw[:n], out=dw[n:])
-    return dw
+    return next(_increment_blocks(cfg, cfg.n_steps))
+
+
+def _step_major(blocks):
+    """Yield each path-major (m, B) block of `blocks` as a C-contiguous
+    step-major (B, m) copy, made by strip transposes of _BLOCK_STEPS paths
+    into one buffer that the next block overwrites."""
+    buf = None
+    for b in blocks:
+        m, n = b.shape
+        if buf is None or len(buf) < n:
+            buf = np.empty((n, m))
+        out = buf[:n]
+        for i in range(0, m, _BLOCK_STEPS):
+            out[:, i:i + _BLOCK_STEPS] = b[i:i + _BLOCK_STEPS].T
+        yield out
 
 
 def _increment_chunk(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
@@ -200,7 +254,7 @@ def _increment_chunk(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     m = nb * (cfg.n_paths // cfg.n_base_paths)
     _require_fits(m * cfg.n_steps * 8, "increment chunk")
     dw = np.empty((cfg.n_steps, m))
-    for c, row in enumerate(_draw_rows(cfg, lo, hi)):
+    for c, row in enumerate(_draw_rows(cfg, lo, hi, cfg.n_steps)):
         dw[:, c] = row
     if cfg.antithetic:
         np.negative(dw[:, :nb], out=dw[:, nb:])
@@ -285,9 +339,10 @@ PATHS, TERMINAL, STATS = "paths", "terminal", "stats"
 
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-             dw: np.ndarray, keep: str, stride: int = 1) -> dict:
-    """Step every model over the shared increments dw (n_steps, m), in either
-    memory order, and keep what `keep` asks for.
+             blocks: Iterable[np.ndarray], m: int, keep: str, stride: int = 1) -> dict:
+    """Step every model over m paths' shared increments, read as C-contiguous
+    step-major blocks (B, m) that hold cfg.n_steps steps in all, and keep
+    what `keep` asks for. Each block is read before the next is taken.
 
     Always kept: "terminal" (n_models, m) and the per-path positivity-floor
     breach counts of each model ("breaches"). PATHS adds each model's states
@@ -298,8 +353,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     0 steps first, so its state is current when a later model's sup-diff
     reads it, and a blow-up names the earliest step, then the first model.
     """
-    n_steps, m = dw.shape
-    dt, n = cfg.dt, len(models)
+    n_steps, dt, n = cfg.n_steps, cfg.dt, len(models)
     log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
     stepper = _log_stepper if log_space else _direct_stepper
@@ -313,23 +367,26 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     if keep == PATHS:
         values = np.empty((n, m, n_steps // stride + 1))
         values[:, :, 0] = cfg.x0
+        # step-major rows of about _BLOCK_STEPS steps, flushed into values
+        # when full and after the last
+        rows = min(-(-_BLOCK_STEPS // stride), n_steps // stride)
+        rec, flushed, r = np.empty((n, rows, m)), 1, 0
     elif keep == STATS:
         # from x0 itself, as the PATHS grid, not from exp(log(x0))
         path_sup, sup_diff = np.full((n, m), cfg.x0), np.zeros((n, m))
         phi0 = [float(_phi_dphi(model.exponent, np.array(cfg.x0), False)[0]) for model in models]
         x_min, phi_min, phi_max = [cfg.x0] * n, phi0, list(phi0)
         path0 = np.full((n, n_steps + 1), cfg.x0)
-    for k in range(n_steps):
-        # One contiguous row per step (a view when dw is C-ordered); every
-        # model reads it.
-        dwk = np.ascontiguousarray(dw[k])
+    for k, dwk in enumerate(chain.from_iterable(blocks)):  # one row per step
         dw2 = dwk * dwk - dt if milstein else None
+        record = keep == PATHS and (k + 1) % stride == 0
         for j, step in enumerate(steps):
             if log_space:
                 y = step(ys[j], xs[j], dwk, dw2)
                 _check_log_range(y, k, labels[j])
                 ys[j] = y
-                x = np.exp(y)
+                # a recorded state is computed straight into its recording row
+                x = np.exp(y, out=rec[j, r] if record else None)
             else:
                 x = step(xs[j], dwk, dw2)
                 low = x < POSITIVITY_FLOOR
@@ -339,8 +396,8 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                 if not np.all(np.isfinite(x)):
                     raise BlowUpError(np.nonzero(~np.isfinite(x))[0], k, labels[j])
             xs[j] = x
-            if keep == PATHS and (k + 1) % stride == 0:
-                values[j, :, (k + 1) // stride] = x
+            if record and not log_space:
+                rec[j, r] = x
             elif keep == STATS:
                 np.maximum(path_sup[j], x, out=path_sup[j])
                 x_min[j] = min(x_min[j], float(x.min()))
@@ -350,6 +407,11 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                 if j > 0:
                     np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
                 path0[j, k + 1] = x[0]
+        if record:
+            r += 1
+            if r == rec.shape[1] or k + 1 + stride > n_steps:
+                values[:, :, flushed:flushed + r] = rec[:, :r].transpose(0, 2, 1)
+                flushed, r = flushed + r, 0
     out = {"terminal": np.array(xs), "breaches": breaches}
     if keep == PATHS:
         out["values"] = values
@@ -366,7 +428,8 @@ def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
     dw = np.asarray(dw, dtype=float)
     if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
         raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
-    out = _advance([m], cfg, [label], dw.T, PATHS)
+    blocks = (dw[:, k0:k0 + _BLOCK_STEPS] for k0 in range(0, cfg.n_steps, _BLOCK_STEPS))
+    out = _advance([m], cfg, [label], _step_major(blocks), len(dw), PATHS)
     return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
                      model_label=label, config=cfg, breach_counts=out["breaches"][0])
 
@@ -465,7 +528,8 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
     blow-up names global path indices.
     """
     try:
-        out = _advance(models, cfg, labels, _increment_chunk(cfg, lo, hi), keep)
+        dw = _increment_chunk(cfg, lo, hi)
+        out = _advance(models, cfg, labels, [dw], dw.shape[1], keep)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)

@@ -101,21 +101,26 @@ class ExponentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown exponent kind {self.kind!r}")
+        # finite first, so that no NaN slips through a comparison below
+        for name in _KIND_PARAMS[self.kind] + _CONSTANTS:
+            v = getattr(self, name)
+            if v is None or not math.isfinite(v):
+                raise ValueError(f"{self.kind} exponent needs a finite {name}, not {v!r}")
         if self.kind == CONSTANT:
-            if self.gamma is None or self.gamma < 0:
+            if not self.gamma >= 0:
                 raise ValueError("constant exponent requires gamma >= 0")
         elif self.kind == EXP_DECAY:
-            if self.a is None or self.b is None or self.a <= 0 or self.b <= 0:
+            if not (self.a > 0 and self.b > 0):
                 raise ValueError("exp_decay requires a > 0 and b > 0")
         elif self.kind == INVERSE_SQUARE:
-            if self.a is None or self.a <= 0:
+            if not self.a > 0:
                 raise ValueError("inverse_square requires a > 0")
         elif self.kind == RATIONAL_DECAY:
-            if self.c is None or self.c <= 0:
+            if not self.c > 0:
                 raise ValueError("rational_decay requires c > 0")
-        if not (self.p_minus <= self.p_plus < math.inf):
-            raise ValueError("need p_minus <= p_plus < inf")
-        if min(self.delta, self.m0, self.c0, self.alpha) <= 0:
+        if not self.p_minus <= self.p_plus:
+            raise ValueError("need p_minus <= p_plus")
+        if not all(v > 0 for v in (self.delta, self.m0, self.c0, self.alpha)):
             raise ValueError("delta, m0, c0, alpha must all be positive")
 
     # -- constructors with per-kind default constants -------------------

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from .analysis import _pair_mean_ci
@@ -61,8 +62,8 @@ def bs_call(spot: float, strike: float, rate: float, vol: float,
     d2 = d1 - vol * sqt
     pv_strike = strike * math.exp(-rate * maturity)
     if pv_strike < spot:
-        return spot - pv_strike + (pv_strike * norm.cdf(-d2) - spot * norm.cdf(-d1))
-    return spot * norm.cdf(d1) - pv_strike * norm.cdf(d2)
+        return spot - pv_strike + (pv_strike * ndtr(-d2) - spot * ndtr(-d1))
+    return spot * ndtr(d1) - pv_strike * ndtr(d2)
 
 
 def bs_vega(spot: float, strike: float, rate: float, vol: float,

@@ -4,11 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varexp import (ExponentSpec, ModelSpec, SimConfig, simulate_batch,
+from varexp import (ExponentSpec, ModelSpec, SimConfig, eval_phi, simulate_batch,
                     simulate_coupled, simulate_coupled_stats, strong_error,
                     strong_error_from_stats, sup_second_moment, terminal_stats)
-from varexp import increment_matrix, refinement_errors, run_with_increments
-from varexp.analysis import diffusion_range
+from varexp import engine, increment_matrix, refinement_errors, run_with_increments
 from varexp.engine import EULER, LOG_MILSTEIN, MILSTEIN
 
 
@@ -114,21 +113,23 @@ class TestTerminalStats:
 
 
 class TestDiffusionRange:
+    """The range of x^p(x) over a batch's visited states."""
+
     def test_identity_map(self, gbm_model, coupled_pair):
-        lo, hi = diffusion_range(coupled_pair[0], gbm_model)
-        assert lo == coupled_pair[0].values.min()
-        assert hi == coupled_pair[0].values.max()
+        phi = eval_phi(gbm_model.exponent, coupled_pair[0].values.ravel())
+        assert phi.min() == coupled_pair[0].values.min()
+        assert phi.max() == coupled_pair[0].values.max()
 
     def test_unit_constant_path(self, p1_model):
         m = ModelSpec(mu=0.0, sigma=0.0, exponent=p1_model.exponent)
         cfg = SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=2, seed=3)
-        lo, hi = diffusion_range(simulate_batch(m, cfg), m)
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
+        phi = eval_phi(m.exponent, simulate_batch(m, cfg).values.ravel())
+        assert phi.min() == pytest.approx(1.0, abs=1e-12)
+        assert phi.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_and_ordered(self, coupled_pair, p1_model):
-        lo, hi = diffusion_range(coupled_pair[1], p1_model)
-        assert 0 < lo < hi < math.inf
+        phi = eval_phi(p1_model.exponent, coupled_pair[1].values.ravel())
+        assert 0 < phi.min() < phi.max() < math.inf
 
 
 def _dense_refinement(m, coarse_dts, ref_dt, n_base_paths, seed, x0, scheme, antithetic):
@@ -169,8 +170,9 @@ class TestRefinementErrors:
                 [(d.hex(), e.hex()) for d, e in want]
 
     def test_keeps_only_the_shared_grid(self, p1_model):
-        # the fine increments are the one O(paths x fine steps) array held;
-        # a dense fine reference alone would double the peak
+        # no O(paths x fine steps) array is held: the fine increments stream
+        # in blocks, and the coarse increments (0.175 of the fine bytes here)
+        # and the coarsest grid's points are what the peak holds
         fine_bytes = 2 * 16 * 10_000 * 8
         tracemalloc.start()
         try:
@@ -178,4 +180,25 @@ class TestRefinementErrors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * fine_bytes
+        assert peak < 0.25 * fine_bytes
+
+    # fine blocks of 16 steps (the coarsest level's multiple), of 64 (which
+    # do not divide the 4000 fine steps) and of the whole run
+    @pytest.mark.parametrize("block", [1, 70, 5000])
+    def test_same_bytes_however_blocked(self, monkeypatch, p1_model, block):
+        args = (p1_model, self.DTS, 2.5e-4, 16, 3)
+        want = [(d.hex(), e.hex()) for d, e in refinement_errors(*args)]
+        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        assert [(d.hex(), e.hex()) for d, e in refinement_errors(*args)] == want
+
+    def test_streams_under_the_memory_cap(self, monkeypatch, p1_model):
+        args = (p1_model, self.DTS, 2.5e-4, 16, 3)
+        want = [(d.hex(), e.hex()) for d, e in refinement_errors(*args)]
+        fine_bytes = 2 * 16 * 4000 * 8  # the coarse increments take 0.4375 of it
+        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 2)
+        with pytest.raises(MemoryError):
+            increment_matrix(SimConfig(t_horizon=1.0, dt=2.5e-4, n_base_paths=16, seed=3))
+        assert [(d.hex(), e.hex()) for d, e in refinement_errors(*args)] == want
+        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 4)
+        with pytest.raises(MemoryError, match="coarse increments"):
+            refinement_errors(*args)

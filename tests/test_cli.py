@@ -366,6 +366,8 @@ class TestConfigErrors:
         ("simulate", "sim", "seed", 1.5),
         ("check-exponent", "smile", "n_base_paths", "abc"),
         ("smile", "smile", "n_base_paths", 0),
+        ("smile", "smile", "n_base_paths", 1e30),
+        ("simulate", "sim", "n_base_paths", 2**64 + 1),
         ("check-exponent", "smile", None, [1, 2]),
         ("bound-table", "bound_cases", None, [[0.1, float("nan")]]),
         ("bound-table", "bound_cases", None, [[0.5, 1.0]]),
@@ -373,8 +375,9 @@ class TestConfigErrors:
         ("check-exponent", "models", "label", "a/b"),
         ("check-exponent", "models", "label", ""),
     ], ids=["antithetic_string", "fractional_paths", "boolean_paths", "fractional_seed",
-            "smile_paths_string", "smile_paths_zero", "smile_list", "bound_case_NaN",
-            "bound_case_R_1", "bound_case_R_Infinity", "label_slash", "label_empty"])
+            "smile_paths_string", "smile_paths_zero", "smile_paths_huge", "paths_past_key",
+            "smile_list", "bound_case_NaN", "bound_case_R_1", "bound_case_R_Infinity",
+            "label_slash", "label_empty"])
     def test_exits_two(self, tmp_path, capsys, command, section, key, value):
         cfg = _edited_config(tmp_path, section, key, value)
         assert main([command, "--config", str(cfg)]) == 2

@@ -9,7 +9,6 @@ from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
                     run_with_increments, simulate_batch, simulate_coupled,
                     simulate_coupled_stats, simulate_coupled_terminals)
 from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
-from varexp.analysis import diffusion_range
 from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
                            SCHEMES)
 from varexp.exponent import eval_dp, eval_p
@@ -71,6 +70,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="t_horizon, dt and x0 must be finite"):
             SimConfig(**params)
 
+    def test_path_indices_fit_the_philox_key(self):
+        # base path i is keyed (seed, i) as unsigned 64-bit integers
+        assert SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=2**64, seed=0).n_base_paths == 2**64
+        with pytest.raises(ValueError, match="n_base_paths must be <= 2\\*\\*64"):
+            SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=2**64 + 1, seed=0)
+
 
 def _philox_row(seed: int, i: int, n: int, dt: float) -> np.ndarray:
     """Base path i's n increments, drawn by a new generator keyed (seed, i)."""
@@ -104,6 +109,15 @@ class TestIncrements:
         for i in range(4):
             assert np.array_equal(dw[i], _philox_row(3, i, 10, 0.01))
             assert np.array_equal(dw[4 + i], -dw[i])
+
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("block", [1, 7, 10, 30])
+    def test_blocks_side_by_side_are_the_matrix(self, block, antithetic):
+        # each path's Philox state is carried from block to block
+        cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=4, seed=3, antithetic=antithetic)
+        blocks = [b.copy() for b in engine._increment_blocks(cfg, block)]
+        assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.hstack(blocks).tobytes() == increment_matrix(cfg).tobytes()
 
 
 class TestSteps:
@@ -295,6 +309,32 @@ class TestSimulateBatch:
                                   full.breach_counts)
 
 
+class TestStepBlocks:
+    """Dense outputs are the same bytes however the steps are blocked: one
+    step per block, a block length that divides no step count here, and one
+    longer than every run, against the default block length."""
+
+    BLOCKS = [1, 70, 5000]
+    CFG = SimConfig(t_horizon=3.0, dt=0.01, n_base_paths=40, seed=5)  # 300 steps
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, MILSTEIN])
+    def test_run_with_increments(self, monkeypatch, p1_model, scheme, block):
+        cfg = SimConfig(**{**self.CFG.to_dict(), "scheme": scheme})
+        dw = increment_matrix(cfg)
+        want = run_with_increments(p1_model, cfg, dw).values.tobytes()
+        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        for layout in (dw, np.asfortranarray(dw)):
+            assert run_with_increments(p1_model, cfg, layout).values.tobytes() == want
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_simulate_coupled(self, monkeypatch, gbm_model, p1_model, block):
+        models = [gbm_model, p1_model]
+        want = [b.values.tobytes() for b in simulate_coupled(models, self.CFG)]
+        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        assert [b.values.tobytes() for b in simulate_coupled(models, self.CFG)] == want
+
+
 def _oracle_log_step(m, y, x, dt, dw, milstein):
     """The log step with p and p' from the validating eval_p and eval_dp,
     nothing shared or special-cased: the reference for the fused kernel."""
@@ -466,7 +506,8 @@ class TestCoupled:
                     assert np.array_equal(ms.path_sup, b.values.max(axis=1))
                     assert ms.min_value == b.values.min()
                     assert ms.max_value == b.values.max()
-                    assert (ms.phi_min, ms.phi_max) == diffusion_range(b, models[j])
+                    phi = eval_phi(models[j].exponent, b.values.ravel())
+                    assert (ms.phi_min, ms.phi_max) == (phi.min(), phi.max())
                     assert ms.sample_path.tobytes() == b.values[0].tobytes()
                     assert ms.positivity_breaches == b.breach_counts.sum()
                     if j > 0:

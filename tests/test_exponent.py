@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
                     eval_dphi, eval_phi, sup_deviation)
-from varexp.exponent import _p_dp, _phi_dphi, eval_dp, eval_p, log_grid
+from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _phi_dphi, eval_dp, eval_p,
+                             log_grid)
 
 from conftest import all_kinds
 
@@ -313,6 +314,18 @@ class TestValidation:
               else a * b * delta**3 * math.exp(-b * delta))
         spec = ExponentSpec.exp_decay(a, b)
         assert (spec.delta, spec.m0, spec.c0) == (delta, a * b, c0)
+
+    VALID = {spec.kind: spec for spec in all_kinds()}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,name", [(kind, name) for kind in VALID
+                                           for name in _KIND_PARAMS[kind] + _CONSTANTS])
+    def test_non_finite_rejected(self, kind, name, value):
+        # a NaN fails every comparison, so it once passed the checks and
+        # made check_admissibility pass vacuously
+        fields = {**self.VALID[kind].to_dict(), name: value}
+        with pytest.raises(ValueError, match=f"needs a finite {name}"):
+            ExponentSpec(**fields)
 
     def test_gamma_below_one_constructible(self):
         # CEV with gamma < 1 is allowed by the type (comparison use only)

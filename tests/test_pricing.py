@@ -36,6 +36,26 @@ class TestBsCall:
         prices_k = [bs_call(1.0, k, 0.05, 0.2, 1.0) for k in strikes]
         assert all(a > b for a, b in zip(prices_k, prices_k[1:]))
 
+    def test_equals_norm_cdf_oracle(self):
+        # the formula written with scipy.stats.norm.cdf, bit for bit, on a
+        # grid that covers the parity (in the money) and the direct branch
+        from scipy.stats import norm
+        spot, rate, mat = 1.0, 0.05, 1.0
+        branches = set()
+        for k in np.geomspace(0.3, 3.0, 31):
+            for vol in np.geomspace(0.01, 2.0, 31):
+                d1 = (math.log(spot / k) + (rate + 0.5 * vol * vol) * mat) / (vol * math.sqrt(mat))
+                d2 = d1 - vol * math.sqrt(mat)
+                pv = k * math.exp(-rate * mat)
+                if pv < spot:
+                    want = spot - pv + (pv * norm.cdf(-d2) - spot * norm.cdf(-d1))
+                    branches.add("parity")
+                else:
+                    want = spot * norm.cdf(d1) - pv * norm.cdf(d2)
+                    branches.add("direct")
+                assert float(bs_call(spot, k, rate, vol, mat)).hex() == float(want).hex(), (k, vol)
+        assert branches == {"parity", "direct"}
+
     def test_monotone_in_spot(self):
         spots = np.linspace(0.5, 2.0, 30)
         prices = [bs_call(s, 1.0, 0.05, 0.2, 1.0) for s in spots]
