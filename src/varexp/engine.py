@@ -29,14 +29,20 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 Each step gives that formula's floats with the least arithmetic: p, p',
 phi and phi' from one unvalidated evaluation sharing p, log x and x^p
 (one exp for exp_decay's p), nothing for GBM; dW^2 - dt once per step for
-all models. Inputs are checked once, by SimConfig and ModelSpec; no step
-re-validates its state.
+all models. A step allocates nothing: each model's stepper is built once
+per run with buffers of the run's width and its constants as 0-d arrays,
+overwrites its state in place and writes every intermediate into those
+buffers, in the formula's operation and operand order. Inputs are checked
+once, by SimConfig and ModelSpec; no step re-validates its state. The
+check after each step reads the new state with reductions alone, and looks
+for the paths out of range only when a reduction fails.
 
 Increments reach the runner as C-contiguous step-major blocks (B, m), so
 each step reads one contiguous row: a streaming chunk is one block; a
 caller's path-major matrix is cut into blocks of _BLOCK_STEPS steps by
 strip transposes; and the refinement study draws its fine increments a
-block at a time, carrying each path's Philox state from block to block.
+block at a time, each path keeping its own Philox generator from block to
+block.
 Dense states are recorded step-major and flushed into the path-major
 values about every _BLOCK_STEPS steps. The outputs are the same bytes
 however the steps are blocked.
@@ -52,7 +58,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exponent import CONSTANT, _integral, _number, _p_dp, _phi_dphi
+from .exponent import (CONSTANT, _integral, _number, _p_dp_kernel, _phi_dphi,
+                       _phi_dphi_kernel)
 from .models import ModelSpec
 
 EULER = "euler"
@@ -180,36 +187,41 @@ def _draw_rows(cfg: SimConfig, lo: int, hi: int, n_draws: int,
     """Yield n_draws increments of each base path lo..hi-1, one path at a
     time.
 
-    One generator, re-keyed per path: a fresh state (counter 0, empty
-    buffer) with key (seed, i) draws exactly what a new
+    Without `states`, one generator, re-keyed per path: a fresh state
+    (counter 0, empty buffer) with key (seed, i) draws exactly what a new
     Generator(Philox(key=[seed, i])) draws, so path i's increments do not
-    depend on how the paths are partitioned. `states`, one entry per path
-    (None before its first draw), carries each path's Philox state from one
-    call to the next, so that each call draws the steps after the last
-    call's: a path's steps drawn block by block are the bits of one draw,
-    however the steps are blocked.
+    depend on how the paths are partitioned; a re-key costs less than a new
+    generator. `states`, one entry per path (None before its first draw),
+    holds each path's own Generator(Philox(key=[seed, i])) from one call to
+    the next, so that each call draws the steps after the last call's: a
+    path's steps drawn block by block are the bits of one draw, however the
+    steps are blocked.
     """
+    scale = math.sqrt(cfg.dt)
+    if states is not None:
+        for c, i in enumerate(range(lo, hi)):
+            if states[c] is None:
+                states[c] = np.random.Generator(np.random.Philox(
+                    key=np.array([cfg.seed, i], dtype=np.uint64)))
+            yield states[c].normal(0.0, scale, n_draws)
+        return
     bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
-    for c, i in enumerate(range(lo, hi)):
-        if states is None or states[c] is None:
-            fresh["state"]["key"][1] = i
-            bitgen.state = fresh
-        else:
-            bitgen.state = states[c]
-        yield rng.normal(0.0, math.sqrt(cfg.dt), n_draws)
-        if states is not None:
-            states[c] = bitgen.state
+    for i in range(lo, hi):
+        fresh["state"]["key"][1] = i
+        bitgen.state = fresh
+        yield rng.normal(0.0, scale, n_draws)
 
 
 def _increment_blocks(cfg: SimConfig, block: int):
     """The run's increment matrix as path-major (n_paths, B) blocks of
     `block` steps (the last may be shorter), drawn one block at a time into
     one buffer that the next block overwrites: side by side they are
-    increment_matrix(cfg)."""
+    increment_matrix(cfg). A run of one block re-keys one generator; a run
+    of several keeps one generator per path from block to block."""
     n = cfg.n_base_paths
-    states = [None] * n
+    states = [None] * n if block < cfg.n_steps else None
     buf = np.empty((cfg.n_paths, min(block, cfg.n_steps)))
     for k0 in range(0, cfg.n_steps, block):
         dw = buf[:, :min(block, cfg.n_steps - k0)]
@@ -262,58 +274,100 @@ def _increment_chunk(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
 
 
 # -- steppers (the schemes) -------------------------------------------------
+#
+# Built once per model and run: buffers of length m, operands as 0-d arrays
+# (numpy reads them more cheaply than Python floats).
 
-def _log_stepper(m: ModelSpec, dt: float, milstein: bool):
-    """Model m's log-space step f(y, x, dw, dw2) -> y', for x = exp(y) and
-    dw2 = dw*dw - dt. x is not re-validated: |y| <= LOG_OVERFLOW_LIMIT keeps
-    it positive and finite. Every variant gives the generic formula's floats.
+def _log_stepper(model: ModelSpec, dt: float, milstein: bool, m: int):
+    """Model's log-space step f(y, x, dw, dw2), which overwrites y with y'
+    for x = exp(y) and dw2 = dw*dw - dt. x is not re-validated:
+    |y| <= LOG_OVERFLOW_LIMIT keeps it positive and finite. Every variant
+    gives the generic formula's floats.
     """
-    spec, mu, sigma = m.exponent, m.mu, m.sigma
+    spec = model.exponent
+    mu, sigma, dt0, half, one = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5, 1.0))
+    t = np.empty(m)
+    if spec.kind == CONSTANT and spec.gamma == 1.0:
+        drift_dt = np.array((model.mu - 0.5 * model.sigma * model.sigma) * dt)
+
+        def gbm_step(y, x, dw, dw2):  # y + (drift_dt + sigma dw)
+            np.add(y, np.add(drift_dt, np.multiply(sigma, dw, out=t), out=t), out=y)
+        return gbm_step
+
     constant = spec.kind == CONSTANT
-    if constant and spec.gamma == 1.0:
-        drift_dt = (mu - 0.5 * sigma * sigma) * dt
-        return lambda y, x, dw, dw2: y + (drift_dt + sigma * dw)
+    # p - 1 is constant and p' = 0 adds nothing to b' for a constant kind
+    gamma_m1 = np.array(spec.gamma - 1.0) if constant else None
+    p_dp = None if constant else _p_dp_kernel(spec, m, milstein)
+    b, half_b, incr = np.empty(m), np.empty(m), np.empty(m)
 
     def step(y, x, dw, dw2):
         if constant:
-            pm1 = spec.gamma - 1.0  # nonzero, and p' = 0 adds nothing to it
+            pm1 = gamma_m1
         else:
-            pm1, dp = _p_dp(spec, x, milstein)
-            pm1 -= 1.0
-        b = sigma * np.exp(pm1 * y)  # sigma * x^(p-1)
-        half_b = 0.5 * b
-        incr = (mu - half_b * b) * dt + b * dw
+            pm1, dp = p_dp(x)
+            np.subtract(pm1, one, out=pm1)
+        np.multiply(sigma, np.exp(np.multiply(pm1, y, out=b), out=b), out=b)  # sigma x^(p-1)
+        np.multiply(half, b, out=half_b)
+        np.multiply(np.subtract(mu, np.multiply(half_b, b, out=incr), out=incr), dt0, out=incr)
+        np.add(incr, np.multiply(b, dw, out=t), out=incr)  # (mu - b^2/2) dt + b dw
         if milstein:  # b' = b ((p-1) + x p' y)
-            incr += half_b * (b * pm1 if constant else b * (pm1 + x * dp * y)) * dw2
-        incr += y
-        return incr
+            if constant:
+                np.multiply(b, pm1, out=t)
+            else:
+                np.multiply(np.multiply(x, dp, out=t), y, out=t)
+                np.multiply(b, np.add(pm1, t, out=t), out=t)
+            np.multiply(np.multiply(half_b, t, out=t), dw2, out=t)
+            np.add(incr, t, out=incr)
+        np.add(incr, y, out=y)
 
     return step
 
 
-def _check_log_range(y, step_index: int, label: str = "") -> None:
-    """Raise BlowUpError unless every |y| <= LOG_OVERFLOW_LIMIT (NaN fails)."""
-    if not np.abs(y).max(initial=0.0) <= LOG_OVERFLOW_LIMIT:
+def _check_log_range(y, scratch, step_index: int, label: str = "") -> None:
+    """Raise BlowUpError unless every |y| <= LOG_OVERFLOW_LIMIT (NaN fails);
+    one reduction of |y|, written into scratch, when every path is in range."""
+    if not np.maximum.reduce(np.abs(y, out=scratch), initial=0.0) <= LOG_OVERFLOW_LIMIT:
         bad = ~(np.abs(y) <= LOG_OVERFLOW_LIMIT)
         raise BlowUpError(np.nonzero(bad)[0], step_index, label)
 
 
-def _direct_stepper(m: ModelSpec, dt: float, milstein: bool):
-    """Model m's direct-space step f(x, dw, dw2) -> x', for dw2 = dw*dw - dt.
-    x is not re-validated: _advance keeps it finite and >= POSITIVITY_FLOOR.
-    Every variant gives the generic formula's floats."""
-    spec, mu, sigma = m.exponent, m.mu, m.sigma
+def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, m: int):
+    """Model's direct-space step f(x, dw, dw2, out), which writes x' into
+    out (which may be x) for dw2 = dw*dw - dt. x is not re-validated:
+    _advance keeps it finite and >= POSITIVITY_FLOOR. Every variant gives
+    the generic formula's floats."""
+    spec = model.exponent
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0  # phi = x, phi' = 1 exactly
+    phi_dphi = None if gbm else _phi_dphi_kernel(spec, m, milstein)
+    mu, sigma, dt0, half = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5))
+    g, t = np.empty(m), np.empty(m)
 
-    def step(x, dw, dw2):
-        phi, dphi = (x, 1.0) if gbm else _phi_dphi(spec, x, milstein)
-        g = sigma * phi
-        out = x + mu * x * dt + g * dw
-        if milstein:
-            out += 0.5 * g * (sigma * dphi) * dw2
-        return out
+    def step(x, dw, dw2, out):
+        phi, dphi = (x, None) if gbm else phi_dphi(x)
+        np.multiply(sigma, phi, out=g)
+        np.add(x, np.multiply(np.multiply(mu, x, out=t), dt0, out=t), out=out)
+        np.add(out, np.multiply(g, dw, out=t), out=out)  # x + mu x dt + g dw
+        if milstein:  # 0.5 g (sigma phi') dw2, with sigma phi' = sigma for GBM
+            np.multiply(half, g, out=g)
+            np.multiply(g, sigma if gbm else np.multiply(sigma, dphi, out=dphi), out=g)
+            np.add(out, np.multiply(g, dw2, out=g), out=out)
 
     return step
+
+
+def _check_direct(x, breaches, step_index: int, label: str = "") -> None:
+    """Clamp x below POSITIVITY_FLOOR to the floor in place, counting each
+    clamp in breaches, then raise BlowUpError unless every x is finite; two
+    reductions when every x is finite and at or above the floor."""
+    if np.minimum.reduce(x, initial=np.inf) >= POSITIVITY_FLOOR \
+            and np.maximum.reduce(x, initial=-np.inf) < np.inf:  # NaN fails both
+        return
+    low = x < POSITIVITY_FLOOR
+    if low.any():
+        breaches += low
+        x[low] = POSITIVITY_FLOOR
+    if not np.all(np.isfinite(x)):
+        raise BlowUpError(np.nonzero(~np.isfinite(x))[0], step_index, label)
 
 
 # -- batches ----------------------------------------------------------------
@@ -357,13 +411,16 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
     stepper = _log_stepper if log_space else _direct_stepper
-    steps = [stepper(model, dt, milstein) for model in models]
-    # Per-model states are 1-D arrays rebound each step (in-place row writes
-    # were measured slower). Log schemes start from exp(log(x0)), which
-    # differs from x0 in the last ulp unless x0 == 1; outputs depend on it.
+    steps = [stepper(model, dt, milstein, m) for model in models]
+    # Each model's state is one buffer that its step overwrites: y for log
+    # schemes, whose x = exp(y) goes into xbuf or a recording row, and x for
+    # direct ones, which step into xbuf or a recording row. Log schemes start
+    # from exp(log(x0)), which differs from x0 in the last ulp unless
+    # x0 == 1; outputs depend on it.
     ys = [np.full(m, math.log(cfg.x0)) for _ in models]
-    xs = [np.exp(y) for y in ys] if log_space else [np.full(m, cfg.x0) for _ in models]
-    breaches = [np.zeros(m, dtype=int) for _ in models]
+    xbuf = [np.exp(y) for y in ys] if log_space else [np.full(m, cfg.x0) for _ in models]
+    xs, breaches = list(xbuf), [np.zeros(m, dtype=int) for _ in models]
+    dt0, dw2, scratch = np.array(dt), np.empty(m), np.empty(m)
     if keep == PATHS:
         values = np.empty((n, m, n_steps // stride + 1))
         values[:, :, 0] = cfg.x0
@@ -377,35 +434,30 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
         phi0 = [float(_phi_dphi(model.exponent, np.array(cfg.x0), False)[0]) for model in models]
         x_min, phi_min, phi_max = [cfg.x0] * n, phi0, list(phi0)
         path0 = np.full((n, n_steps + 1), cfg.x0)
+        phis = [_phi_dphi_kernel(model.exponent, m, False) for model in models]
     for k, dwk in enumerate(chain.from_iterable(blocks)):  # one row per step
-        dw2 = dwk * dwk - dt if milstein else None
+        if milstein:
+            np.subtract(np.multiply(dwk, dwk, out=dw2), dt0, out=dw2)
         record = keep == PATHS and (k + 1) % stride == 0
         for j, step in enumerate(steps):
+            x = rec[j, r] if record else xbuf[j]
             if log_space:
-                y = step(ys[j], xs[j], dwk, dw2)
-                _check_log_range(y, k, labels[j])
-                ys[j] = y
-                # a recorded state is computed straight into its recording row
-                x = np.exp(y, out=rec[j, r] if record else None)
+                step(ys[j], xs[j], dwk, dw2)
+                _check_log_range(ys[j], scratch, k, labels[j])
+                np.exp(ys[j], out=x)
             else:
-                x = step(xs[j], dwk, dw2)
-                low = x < POSITIVITY_FLOOR
-                if low.any():
-                    breaches[j] += low
-                    x = np.where(low, POSITIVITY_FLOOR, x)
-                if not np.all(np.isfinite(x)):
-                    raise BlowUpError(np.nonzero(~np.isfinite(x))[0], k, labels[j])
+                step(xs[j], dwk, dw2, x)
+                _check_direct(x, breaches[j], k, labels[j])
             xs[j] = x
-            if record and not log_space:
-                rec[j, r] = x
-            elif keep == STATS:
+            if keep == STATS:
                 np.maximum(path_sup[j], x, out=path_sup[j])
-                x_min[j] = min(x_min[j], float(x.min()))
-                phi = _phi_dphi(models[j].exponent, x, False)[0]  # x > 0: clamped or exp(y)
-                phi_min[j] = min(phi_min[j], float(phi.min()))
-                phi_max[j] = max(phi_max[j], float(phi.max()))
+                x_min[j] = min(x_min[j], float(np.minimum.reduce(x)))
+                phi = phis[j](x)[0]  # x > 0: clamped or exp(y)
+                phi_min[j] = min(phi_min[j], float(np.minimum.reduce(phi)))
+                phi_max[j] = max(phi_max[j], float(np.maximum.reduce(phi)))
                 if j > 0:
-                    np.maximum(sup_diff[j], np.abs(x - xs[0]), out=sup_diff[j])
+                    diff = np.abs(np.subtract(x, xs[0], out=scratch), out=scratch)
+                    np.maximum(sup_diff[j], diff, out=sup_diff[j])
                 path0[j, k + 1] = x[0]
         if record:
             r += 1

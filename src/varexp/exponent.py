@@ -185,20 +185,57 @@ class ExponentSpec:
 
 # -- pointwise evaluation ------------------------------------------------
 
+def _p_dp_kernel(spec: ExponentSpec, shape, deriv: bool):
+    """A function f(xs) -> (p(xs), p'(xs)) for float arrays xs of `shape`
+    known to lie in (0, inf), with no check; p'(xs) is None unless deriv.
+    Each call writes into two arrays made here and returns them, so the
+    next call overwrites them; the operands are 0-d arrays made here too,
+    which numpy reads more cheaply than Python floats. The one place each
+    formula is written: exp_decay shares exp(-b x), the rational kinds
+    share 1 + x.
+    """
+    p, dp = np.empty(shape), np.empty(shape) if deriv else None
+    one = np.array(1.0)
+    if spec.kind == CONSTANT:
+        def f(xs):
+            p.fill(spec.gamma)
+            if deriv:
+                dp.fill(0.0)
+            return p, dp
+    elif spec.kind == EXP_DECAY:
+        neg_b, a, neg_ab = np.array(-spec.b), np.array(spec.a), np.array(-spec.a * spec.b)
+
+        def f(xs):
+            e = np.exp(np.multiply(neg_b, xs, out=p), out=p)  # exp(-b x)
+            if deriv:
+                np.multiply(neg_ab, e, out=dp)
+            np.add(one, np.multiply(a, e, out=p), out=p)
+            return p, dp
+    elif spec.kind == INVERSE_SQUARE:
+        a, neg_2a, three = np.array(spec.a), np.array(-2.0 * spec.a), np.array(3.0)
+
+        def f(xs):
+            u = np.add(one, xs, out=p)
+            if deriv:
+                np.divide(neg_2a, np.power(u, three, out=dp), out=dp)
+            np.add(one, np.divide(a, np.square(u, out=p), out=p), out=p)
+            return p, dp
+    else:
+        c, neg_c = np.array(spec.c), np.array(-spec.c)
+
+        def f(xs):
+            u = np.add(one, xs, out=p)
+            if deriv:
+                np.divide(neg_c, np.square(u, out=dp), out=dp)
+            np.add(one, np.divide(c, u, out=p), out=p)
+            return p, dp
+    return f
+
+
 def _p_dp(spec: ExponentSpec, xs: np.ndarray, deriv: bool = True):
     """(p(x), p'(x)) for a float array xs known to lie in (0, inf), with no
-    check; p'(x) is None unless deriv. The one place each formula is
-    written: exp_decay shares exp(-b x), the rational kinds share 1 + x.
-    """
-    if spec.kind == CONSTANT:
-        return np.full_like(xs, spec.gamma), np.zeros_like(xs) if deriv else None
-    if spec.kind == EXP_DECAY:
-        e = np.exp(-spec.b * xs)
-        return 1.0 + spec.a * e, -spec.a * spec.b * e if deriv else None
-    u = 1.0 + xs
-    if spec.kind == INVERSE_SQUARE:
-        return 1.0 + spec.a / u ** 2, -2.0 * spec.a / u ** 3 if deriv else None
-    return 1.0 + spec.c / u, -spec.c / u ** 2 if deriv else None
+    check; p'(x) is None unless deriv."""
+    return _p_dp_kernel(spec, xs.shape, deriv)(xs)
 
 
 def eval_p(spec: ExponentSpec, x) -> float | np.ndarray:
@@ -211,18 +248,41 @@ def eval_dp(spec: ExponentSpec, x) -> float | np.ndarray:
     return _like(x, _p_dp(spec, _positive(x))[1])
 
 
+def _phi_dphi_kernel(spec: ExponentSpec, shape, deriv: bool):
+    """A function f(xs) -> (phi(xs), phi'(xs)) for phi = x^p(x) and float
+    arrays xs of `shape` known to lie in (0, inf), with no check; phi' is
+    None unless deriv. Like _p_dp_kernel, each call overwrites arrays made
+    here once. The one place both are written: constant kinds use np.power
+    (p == 1 returns x exactly), the others share p, log x and
+    x^p = exp(p log x)."""
+    phi, dphi = np.empty(shape), np.empty(shape) if deriv else None
+    if spec.kind == CONSTANT:
+        g, gm1 = np.array(spec.gamma), np.array(spec.gamma - 1.0)
+
+        def f(xs):
+            np.power(xs, g, out=phi)
+            if deriv:
+                np.multiply(g, np.power(xs, gm1, out=dphi), out=dphi)
+            return phi, dphi
+        return f
+    p_dp, lnx, one = _p_dp_kernel(spec, shape, deriv), np.empty(shape), np.array(1.0)
+
+    def f(xs):
+        p, dp = p_dp(xs)
+        np.log(xs, out=lnx)
+        np.exp(np.multiply(p, lnx, out=phi), out=phi)
+        if deriv:  # p x^(p-1) + p' x^p log x
+            np.exp(np.multiply(np.subtract(p, one, out=dphi), lnx, out=dphi), out=dphi)
+            np.multiply(p, dphi, out=dphi)
+            np.add(dphi, np.multiply(np.multiply(dp, phi, out=dp), lnx, out=dp), out=dphi)
+        return phi, dphi
+    return f
+
+
 def _phi_dphi(spec: ExponentSpec, xs: np.ndarray, deriv: bool):
     """(phi(x), phi'(x)) for phi = x^p(x) and a float array xs known to lie
-    in (0, inf), with no check; phi'(x) is None unless deriv. The one place
-    both are written: constant kinds use np.power (p == 1 returns x exactly),
-    the others share p, log x and x^p = exp(p log x)."""
-    if spec.kind == CONSTANT:
-        g = spec.gamma
-        return np.power(xs, g), g * np.power(xs, g - 1.0) if deriv else None
-    p, dp = _p_dp(spec, xs, deriv)
-    lnx = np.log(xs)
-    x_pow = np.exp(p * lnx)
-    return x_pow, p * np.exp((p - 1.0) * lnx) + dp * x_pow * lnx if deriv else None
+    in (0, inf), with no check; phi'(x) is None unless deriv."""
+    return _phi_dphi_kernel(spec, xs.shape, deriv)(xs)
 
 
 def eval_phi(spec: ExponentSpec, x) -> float | np.ndarray:

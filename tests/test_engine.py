@@ -257,6 +257,27 @@ class TestSimulateBatch:
             simulate_coupled_terminals([cev(0.0, 1.0, 3.0)], cfg)
         assert exc.value.path_indices == list(range(cfg.n_paths))
 
+    # direct schemes: a state that turns +inf or NaN blows up, one that
+    # turns -inf is clamped to the floor; the path indices and steps are
+    # the ones the mask-and-nonzero check gave before the reduction check
+    @pytest.mark.parametrize("scheme,n_base_paths,antithetic,x0,dt,paths,step", [
+        (EULER, 2, False, math.exp(400), 0.5, [0, 1], 0),  # g dw = +inf
+        (MILSTEIN, 4, True, math.exp(400), 0.5, [0, 1, 4, 6, 7], 0),  # +inf, or inf - inf
+        (MILSTEIN, 8, False, 1e100, 0.25, [0, 4], 0),
+        (EULER, 6, True, 1e100, 0.25, [0, 4, 5, 8], 1),  # the others clamped at step 0
+    ], ids=["euler", "milstein_antithetic", "milstein", "euler_second_step"])
+    def test_direct_non_finite_states_blow_up(self, scheme, n_base_paths, antithetic, x0, dt,
+                                              paths, step):
+        cfg = SimConfig(t_horizon=1.0, dt=dt, n_base_paths=n_base_paths, seed=1,
+                        antithetic=antithetic, scheme=scheme, x0=x0)
+        model = cev(0.0, 1.0, 3.0)
+        for run in (lambda: simulate_coupled_terminals([model], cfg, ["cev3"]),
+                    lambda: run_with_increments(model, cfg, increment_matrix(cfg), "cev3")):
+            with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+                run()
+            assert (exc.value.path_indices, exc.value.step_index) == (paths, step)
+            assert exc.value.model_label == "cev3"
+
     def test_memory_cap(self, gbm_model):
         with pytest.raises(MemoryError):
             simulate_batch(gbm_model, OVERSIZE_CFG)
@@ -477,6 +498,32 @@ class TestFusedDirectStep:
             want = _oracle_direct_step(m, np.full(dw.size, x), 1e-3, dw, scheme == MILSTEIN)
             want = np.where(want < POSITIVITY_FLOOR, POSITIVITY_FLOOR, want)
             assert one_step(m, x, 1e-3, dw, scheme).terminal.tobytes() == want.tobytes(), x
+
+
+class TestStepBuffers:
+    """Each model steps in buffers of its own, in place, and a recorded
+    state goes straight into its recording row: models stepped together at
+    any stride give the bytes of each model's own run, also when one
+    recording row is reused at every recorded step (blocks of one step)."""
+
+    MODELS = {**ORACLE_MODELS, "wild": gbm(0.0, 3.0)}  # wild breaches the floor
+
+    @pytest.mark.parametrize("block", [1, 128])
+    @pytest.mark.parametrize("stride", [1, 3, 20])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_strided_values_are_the_full_grid(self, monkeypatch, scheme, stride, block):
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=8, scheme=scheme)
+        dw = increment_matrix(cfg)
+        full = [run_with_increments(m, cfg, dw, name) for name, m in self.MODELS.items()]
+        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
+                              [np.ascontiguousarray(dw.T)], len(dw), engine.PATHS, stride)
+        for j, (name, b) in enumerate(zip(self.MODELS, full)):
+            assert out["values"][j].tobytes() == b.values[:, ::stride].tobytes(), name
+            assert out["terminal"][j].tobytes() == b.terminal.tobytes(), name
+            assert out["breaches"][j].tobytes() == b.breach_counts.tobytes(), name
+        if scheme == EULER:
+            assert full[-1].breach_counts.sum() > 0
 
 
 class TestCoupled:
