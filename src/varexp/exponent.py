@@ -243,11 +243,6 @@ def eval_p(spec: ExponentSpec, x) -> float | np.ndarray:
     return _like(x, _p_dp(spec, _positive(x), deriv=False)[0])
 
 
-def eval_dp(spec: ExponentSpec, x) -> float | np.ndarray:
-    """p'(x) in closed form."""
-    return _like(x, _p_dp(spec, _positive(x))[1])
-
-
 def _phi_dphi_kernel(spec: ExponentSpec, shape, deriv: bool):
     """A function f(xs) -> (phi(xs), phi'(xs)) for phi = x^p(x) and float
     arrays xs of `shape` known to lie in (0, inf), with no check; phi' is

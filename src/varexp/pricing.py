@@ -21,9 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .analysis import _pair_mean_ci
 
@@ -70,7 +68,75 @@ def bs_vega(spot: float, strike: float, rate: float, vol: float,
             maturity: float) -> float:
     sqt = math.sqrt(maturity)
     d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * maturity) / (vol * sqt)
-    return spot * norm.pdf(d1) * sqt
+    return spot * math.exp(-0.5 * d1 * d1) / math.sqrt(2 * math.pi) * sqt
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method.
+
+    A line-for-line port of scipy's C brentq (scipy/optimize/Zeros/brentq.c):
+    the same variables, branch order and floating-point operations in the
+    same order, so it takes the same iterates and returns the same float as
+    scipy.optimize.brentq. Like that function, it returns a or b where f
+    is zero and raises ValueError for a NaN value of f or for f(a) and f(b)
+    of one sign, and RuntimeError after maxiter iterations.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2 delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den == 0:
+                    # C divides by zero into inf or NaN here, which fails the
+                    # step test below and bisects; Python would raise.
+                    stry = math.inf
+                else:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur:f}")
 
 
 def implied_vol(price: float, spot: float, strike: float, rate: float,
@@ -99,7 +165,7 @@ def implied_vol(price: float, spot: float, strike: float, rate: float,
     cap_price = bs_call(spot, strike, rate, VOL_CAP, maturity)
     if cap_price < price:
         raise ImpliedVolError(price, lower, cap_price)
-    return brentq(f, VOL_FLOOR, VOL_CAP, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+    return _brentq(f, VOL_FLOOR, VOL_CAP, xtol=1e-14, rtol=4 * np.finfo(float).eps)
 
 
 def mc_call_price(terminal: np.ndarray, strike: float, rate: float,

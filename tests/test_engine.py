@@ -11,7 +11,7 @@ from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
 from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
 from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
                            SCHEMES)
-from varexp.exponent import eval_dp, eval_p
+from varexp.exponent import _p_dp, eval_p
 from conftest import one_step
 
 # 4M paths x 100k steps: far beyond every memory cap.
@@ -182,7 +182,8 @@ class TestSteps:
 def _bprime(m, x):
     p = eval_p(m.exponent, x)
     b = m.sigma * x ** (p - 1.0)
-    return b * ((p - 1.0) + x * eval_dp(m.exponent, x) * math.log(x))
+    dp = float(_p_dp(m.exponent, np.asarray(x, dtype=float))[1])
+    return b * ((p - 1.0) + x * dp * math.log(x))
 
 
 class TestSimulateBatch:
@@ -357,13 +358,14 @@ class TestStepBlocks:
 
 
 def _oracle_log_step(m, y, x, dt, dw, milstein):
-    """The log step with p and p' from the validating eval_p and eval_dp,
-    nothing shared or special-cased: the reference for the fused kernel."""
+    """The log step with p from the validating eval_p and p' from _p_dp on
+    the same x, nothing shared or special-cased: the reference for the
+    fused kernel."""
     p = eval_p(m.exponent, x)
     b = m.sigma * np.exp((p - 1.0) * y)
     incr = (m.mu - 0.5 * b * b) * dt + b * dw
     if milstein:
-        b_prime = b * ((p - 1.0) + x * eval_dp(m.exponent, x) * y)
+        b_prime = b * ((p - 1.0) + x * _p_dp(m.exponent, x)[1] * y)
         incr = incr + 0.5 * b * b_prime * (dw * dw - dt)
     return y + incr
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
                     eval_dphi, eval_phi, sup_deviation)
-from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _phi_dphi, eval_dp, eval_p,
-                             log_grid)
+from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _phi_dphi, eval_p, log_grid)
 
 from conftest import all_kinds
 
@@ -40,16 +39,23 @@ class TestEvalP:
         assert np.all(p <= spec.p_plus + 1e-12)
 
 
+def _dp(spec, x):
+    """p'(x) from the unchecked evaluator, on x first validated by eval_p."""
+    xs = np.asarray(x, dtype=float)
+    eval_p(spec, xs)
+    return _p_dp(spec, xs)[1]
+
+
 class TestEvalDp:
     def test_exp_decay_origin_limit(self, p1_spec):
         # p'(x) -> -a*b as x -> 0+
-        assert eval_dp(p1_spec, 1e-12) == pytest.approx(-0.0005, rel=1e-9)
+        assert _dp(p1_spec, 1e-12) == pytest.approx(-0.0005, rel=1e-9)
 
     def test_constant_zero(self):
-        assert eval_dp(ExponentSpec.constant(3.0), 17.0) == 0.0
+        assert _dp(ExponentSpec.constant(3.0), 17.0) == 0.0
 
     def test_inverse_square_at_one(self, inv_square_spec):
-        assert eval_dp(inv_square_spec, 1.0) == pytest.approx(-0.25, rel=1e-12)
+        assert _dp(inv_square_spec, 1.0) == pytest.approx(-0.25, rel=1e-12)
 
 
 def _closed_form_p_dp(spec, xs):
@@ -70,7 +76,6 @@ class TestFusedCoefficients:
         xs = log_grid(1e-8, 1e6, 4096)
         p, dp = _p_dp(spec, xs)
         assert p.tobytes() == np.asarray(eval_p(spec, xs)).tobytes()
-        assert dp.tobytes() == np.asarray(eval_dp(spec, xs)).tobytes()
         ref_p, ref_dp = _closed_form_p_dp(spec, xs)
         assert p.tobytes() == ref_p.tobytes()
         assert dp.tobytes() == ref_dp.tobytes()
@@ -85,7 +90,9 @@ class TestFusedCoefficients:
         with pytest.raises(ValueError, match="positive and finite"):
             eval_p(spec, bad)
         with pytest.raises(ValueError, match="positive and finite"):
-            eval_dp(spec, bad)
+            eval_phi(spec, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            eval_dphi(spec, bad)
 
 
 class TestEvalPhi:
@@ -111,7 +118,7 @@ class TestEvalPhi:
         if spec.kind == "constant":
             want = spec.gamma * np.power(xs, spec.gamma - 1.0)
         else:
-            p, dp = np.asarray(eval_p(spec, xs)), np.asarray(eval_dp(spec, xs))
+            p, dp = np.asarray(eval_p(spec, xs)), _dp(spec, xs)
             lnx = np.log(xs)
             want = p * np.exp((p - 1.0) * lnx) + dp * np.exp(p * lnx) * lnx
         phi, dphi = _phi_dphi(spec, xs, True)

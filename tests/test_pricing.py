@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call,
+import varexp
+from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call, bs_vega,
                     coupled_smile, implied_vol, mc_call_price, simulate_batch,
                     simulate_coupled_terminals, smile_from_terminal)
-from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR
+from varexp import pricing
+from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR, _brentq
 
 
 class TestBsCall:
@@ -60,6 +66,118 @@ class TestBsCall:
         spots = np.linspace(0.5, 2.0, 30)
         prices = [bs_call(s, 1.0, 0.05, 0.2, 1.0) for s in spots]
         assert all(a < b for a, b in zip(prices, prices[1:]))
+
+
+class TestBsVega:
+    def test_equals_norm_pdf_oracle(self):
+        # the closed form against the formula written with scipy.stats.norm.pdf
+        from scipy.stats import norm
+        spot, rate, mat = 1.0, 0.05, 1.5
+        for k in np.geomspace(0.3, 3.0, 31):
+            for vol in np.geomspace(0.01, 2.0, 31):
+                d1 = (math.log(spot / k) + (rate + 0.5 * vol * vol) * mat) / (vol * math.sqrt(mat))
+                want = float(spot * norm.pdf(d1) * math.sqrt(mat))
+                got = bs_vega(spot, float(k), rate, float(vol), mat)
+                assert type(got) is float
+                assert abs(got - want) <= 2 * np.spacing(want), (k, vol)
+
+
+def _outcome(fn):
+    """fn()'s float as hex, or the type of the exception it raised."""
+    try:
+        x = fn()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    assert type(x) is float
+    return x.hex()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBrentq:
+    """_brentq against scipy.optimize.brentq, compared bit for bit."""
+
+    XTOL, RTOL = 1e-14, 4 * np.finfo(float).eps
+
+    def _scipy(self, f, a, b, xtol, rtol, maxiter=100):
+        from scipy.optimize import brentq
+        return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+    def test_implied_vol_equals_scipy_brentq(self, monkeypatch):
+        cases = [(price * (1.0 + rel), k, rate, mat)
+                 for k in np.geomspace(0.4, 2.5, 12)
+                 for rate in (-0.01, 0.0, 0.05)
+                 for mat in (0.05, 0.5, 1.0, 4.0)
+                 for vol in np.geomspace(0.02, 2.0, 8)
+                 for price in (float(bs_call(1.0, k, rate, vol, mat)),)
+                 for rel in (0.0, 1e-13, -1e-9, 1e-4, -3e-3)]
+        assert len(cases) >= 5000
+        ours = [_outcome(lambda: implied_vol(price, 1.0, k, rate, mat))
+                for price, k, rate, mat in cases]
+        solved = []
+
+        def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):
+            solved.append(1)
+            return self._scipy(f, a, b, xtol, rtol, maxiter)
+
+        monkeypatch.setattr(pricing, "_brentq", scipy_brentq)
+        want = [_outcome(lambda: implied_vol(price, 1.0, k, rate, mat))
+                for price, k, rate, mat in cases]
+        assert len(solved) >= 4000
+        assert ours == want
+
+    def test_zero_denominator_bisects(self):
+        # the inverse-quadratic step of this inversion divides by zero
+        # (found by counting the branch); C bisects on the inf or NaN step,
+        # and a port without the explicit bisection raises ZeroDivisionError
+        def f(vol):
+            return bs_call(1.0, 50.0, 0.05, vol, 1.0) - 1e-300
+
+        want = self._scipy(f, pricing.VOL_FLOOR, pricing.VOL_CAP, self.XTOL, self.RTOL)
+        assert implied_vol(1e-300, 1.0, 50.0, 0.05, 1.0).hex() == want.hex()
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x - 1.0, 1.0, 2.0),  # f(a) == 0
+        (lambda x: x - 2.0, 1.0, 2.0),  # f(b) == 0
+        (lambda x: x * x - 0.5, 2.0, 0.0),
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),
+        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) f(b) underflows
+        (lambda x: math.tanh(50.0 * (x - 0.7)), -1.0, 2.0),
+        (lambda x: 1.0 if x > 0.5 else -1.0, 0.0, 1.0),
+        (lambda x: x - 0.5, 1.0, 2.0),  # one sign
+        (lambda x: 1e-200 * (x + 1.0), 0.0, 1.0),  # one sign, f(a) f(b) underflows
+        (lambda x: math.nan, 0.0, 1.0),
+        (lambda x: math.nan if 0.6 < x < 0.9 else x - 0.75, 0.0, 1.0),  # NaN mid-run
+    ])
+    @pytest.mark.parametrize("maxiter", [0, 3, 100])
+    def test_small_functions_equal_scipy(self, f, a, b, maxiter):
+        assert (_outcome(lambda: _brentq(f, a, b, self.XTOL, self.RTOL, maxiter))
+                == _outcome(lambda: self._scipy(f, a, b, self.XTOL, self.RTOL, maxiter)))
+
+    def test_wrapper_behaviour(self):
+        assert _brentq(lambda x: x - 1.0, 1, 2.0, self.XTOL, self.RTOL).hex() == "0x1.0000000000000p+0"
+        assert _brentq(lambda x: x - 2.0, 1.0, 2, self.XTOL, self.RTOL).hex() == "0x1.0000000000000p+1"
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan, 0.0, 1.0, self.XTOL, self.RTOL)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0, self.XTOL, self.RTOL)
+        with pytest.raises(RuntimeError, match="converge"):
+            _brentq(lambda x: x * x - 0.5, 0.0, 1.0, self.XTOL, self.RTOL, maxiter=3)
+        assert type(_brentq(lambda x: np.float64(x) - 0.25, 0, 1, self.XTOL, self.RTOL)) is float
+
+
+class TestImportPath:
+    def test_loads_neither_optimize_nor_stats(self, tmp_path):
+        # a fresh interpreter: this one has loaded scipy.stats for other tests
+        src = Path(varexp.__file__).resolve().parents[1]
+        code = ("import sys, varexp, varexp.cli\n"
+                "from varexp.config import load_config\n"
+                "load_config('paper.json')\n"
+                "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestImpliedVol:
