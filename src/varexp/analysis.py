@@ -153,7 +153,7 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
 
     def fine_blocks():
         k0 = 0
-        for dw in engine_mod._increment_blocks(fine_cfg, block):
+        for dw in engine_mod._increment_blocks(fine_cfg, 0, n_base_paths, block):
             for mult, d in zip(mults, dwc):
                 sums = dw.reshape(m_paths, -1, mult).sum(axis=2)
                 d[k0 // mult:k0 // mult + sums.shape[1]] = sums.T

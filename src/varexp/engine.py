@@ -37,20 +37,22 @@ once, by SimConfig and ModelSpec; no step re-validates its state. The
 check after each step reads the new state with reductions alone, and looks
 for the paths out of range only when a reduction fails.
 
-Increments reach the runner as C-contiguous step-major blocks (B, m), so
-each step reads one contiguous row: a streaming chunk is one block; a
-caller's path-major matrix is cut into blocks of _BLOCK_STEPS steps by
-strip transposes; and the refinement study draws its fine increments a
-block at a time, each path keeping its own Philox generator from block to
-block.
-Dense states are recorded step-major and flushed into the path-major
-values about every _BLOCK_STEPS steps. The outputs are the same bytes
-however the steps are blocked.
+Increments are drawn one way, path-major, by _increment_blocks: a chunk's
+(or the whole run's) steps as one block, or the refinement study's fine
+steps a block at a time, each path keeping its own Philox generator from
+block to block. They reach the runner one way too: _step_major cuts every
+path-major block, the caller's matrix of run_with_increments included,
+into C-contiguous step-major pieces (B, m) of at most _BLOCK_STEPS steps
+by strip transposes, so each step reads one contiguous row. Dense states
+are written once, step-major, where they are stepped; PathBatch.values is
+the transposed view. The outputs are the same bytes however the paths are
+partitioned and however the steps are blocked.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -85,10 +87,10 @@ MEMORY_CAP_BYTES = 2 << 30
 # overhead more often, larger ones hold more memory per worker.
 _CHUNK_BYTES = 96 << 20
 
-# Steps per increment block cut from a path-major source, and steps per
-# flush of the dense recording buffer; blocks are transposed this many paths
-# at a time, in 128 KiB tiles that stay in cache (chosen by timing the
-# transposes of 8000 x 1000 and 512 x 100000 matrices on a 2-core host).
+# Most steps per step-major piece cut from a path-major block; pieces are
+# transposed this many paths at a time, in 128 KiB tiles that stay in cache
+# (chosen by timing the transposes of 8000 x 1000 and 512 x 100000 matrices
+# on a 2-core host).
 _BLOCK_STEPS = 128
 
 
@@ -129,6 +131,10 @@ class SimConfig:
             raise ValueError("t_horizon, dt and x0 must be finite")
         if self.t_horizon <= 0 or self.dt <= 0:
             raise ValueError("t_horizon and dt must be positive")
+        for name in ("n_base_paths", "seed"):  # not 1.5 or True: Philox keys are integers
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
         if self.n_base_paths < 1:
             raise ValueError("n_base_paths must be >= 1")
         if self.n_base_paths > 2**64:
@@ -182,95 +188,62 @@ def _require_fits(need: int, what: str, hint: str = "") -> None:
                           f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB{hint}")
 
 
-def _draw_rows(cfg: SimConfig, lo: int, hi: int, n_draws: int,
-               states: Optional[list] = None):
-    """Yield n_draws increments of each base path lo..hi-1, one path at a
-    time.
+def _increment_blocks(cfg: SimConfig, lo: int, hi: int, block: int):
+    """Path-major (m, B) blocks of `block` steps (the last may be shorter)
+    of base paths lo..hi-1, then their antithetic partners, drawn into one
+    buffer that the next block overwrites: side by side they are rows
+    lo:hi (and n+lo:n+hi) of increment_matrix(cfg).
 
-    Without `states`, one generator, re-keyed per path: a fresh state
-    (counter 0, empty buffer) with key (seed, i) draws exactly what a new
-    Generator(Philox(key=[seed, i])) draws, so path i's increments do not
-    depend on how the paths are partitioned; a re-key costs less than a new
-    generator. `states`, one entry per path (None before its first draw),
-    holds each path's own Generator(Philox(key=[seed, i])) from one call to
-    the next, so that each call draws the steps after the last call's: a
-    path's steps drawn block by block are the bits of one draw, however the
-    steps are blocked.
+    Path i draws what a new Generator(Philox(key=[seed, i])) draws, however
+    the paths are partitioned. A run of one block re-keys one generator per
+    path (counter 0, empty buffer), which costs less than a new generator;
+    a run of several keeps each path's own generator from block to block,
+    so its steps drawn block by block are the bits of one draw.
     """
-    scale = math.sqrt(cfg.dt)
-    if states is not None:
-        for c, i in enumerate(range(lo, hi)):
-            if states[c] is None:
-                states[c] = np.random.Generator(np.random.Philox(
-                    key=np.array([cfg.seed, i], dtype=np.uint64)))
-            yield states[c].normal(0.0, scale, n_draws)
-        return
-    bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    for i in range(lo, hi):
-        fresh["state"]["key"][1] = i
-        bitgen.state = fresh
-        yield rng.normal(0.0, scale, n_draws)
-
-
-def _increment_blocks(cfg: SimConfig, block: int):
-    """The run's increment matrix as path-major (n_paths, B) blocks of
-    `block` steps (the last may be shorter), drawn one block at a time into
-    one buffer that the next block overwrites: side by side they are
-    increment_matrix(cfg). A run of one block re-keys one generator; a run
-    of several keeps one generator per path from block to block."""
-    n = cfg.n_base_paths
-    states = [None] * n if block < cfg.n_steps else None
-    buf = np.empty((cfg.n_paths, min(block, cfg.n_steps)))
+    nb, scale, gens = hi - lo, math.sqrt(cfg.dt), None
+    if block < cfg.n_steps:
+        gens = [np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
+                for i in range(lo, hi)]
+    else:
+        bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
+        rng, fresh = np.random.Generator(bitgen), bitgen.state
+    buf = np.empty((nb * (cfg.n_paths // cfg.n_base_paths), min(block, cfg.n_steps)))
     for k0 in range(0, cfg.n_steps, block):
         dw = buf[:, :min(block, cfg.n_steps - k0)]
-        for i, row in enumerate(_draw_rows(cfg, 0, n, dw.shape[1], states)):
-            dw[i] = row
+        for c, i in enumerate(range(lo, hi)):
+            if gens is None:
+                fresh["state"]["key"][1] = i
+                bitgen.state = fresh
+            dw[c] = (rng if gens is None else gens[c]).normal(0.0, scale, dw.shape[1])
         if cfg.antithetic:
-            np.negative(dw[:n], out=dw[n:])
+            np.negative(dw[:nb], out=dw[nb:])
         yield dw
 
 
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
-    """(n_paths, n_steps) increment matrix for a whole run.
-
-    Rows 0..n_base_paths-1 come straight from _draw_rows; with
-    antithetic sampling row n_base_paths + i is the negation of row i.
-    Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
+    """(n_paths, n_steps) increment matrix for a whole run: row i is path
+    i's Philox draw and, with antithetic sampling, row n_base_paths + i its
+    negation. Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
     """
     _require_fits(cfg.n_paths * cfg.n_steps * 8, "increment matrix")
-    return next(_increment_blocks(cfg, cfg.n_steps))
+    return next(_increment_blocks(cfg, 0, cfg.n_base_paths, cfg.n_steps))
 
 
 def _step_major(blocks):
-    """Yield each path-major (m, B) block of `blocks` as a C-contiguous
-    step-major (B, m) copy, made by strip transposes of _BLOCK_STEPS paths
-    into one buffer that the next block overwrites."""
-    buf = None
-    for b in blocks:
-        m, n = b.shape
-        if buf is None or len(buf) < n:
-            buf = np.empty((n, m))
-        out = buf[:n]
-        for i in range(0, m, _BLOCK_STEPS):
-            out[:, i:i + _BLOCK_STEPS] = b[i:i + _BLOCK_STEPS].T
-        yield out
-
-
-def _increment_chunk(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Step-major (n_steps, m) increments of base paths lo..hi-1: column c
-    is path lo + c and, with antithetic sampling, column hi - lo + c its
-    negation. Row k, step k's increments, is contiguous."""
-    nb = hi - lo
-    m = nb * (cfg.n_paths // cfg.n_base_paths)
-    _require_fits(m * cfg.n_steps * 8, "increment chunk")
-    dw = np.empty((cfg.n_steps, m))
-    for c, row in enumerate(_draw_rows(cfg, lo, hi, cfg.n_steps)):
-        dw[:, c] = row
-    if cfg.antithetic:
-        np.negative(dw[:, :nb], out=dw[:, nb:])
-    return dw
+    """Yield each path-major (m, B) block of `blocks` as C-contiguous
+    step-major (b, m) pieces of at most _BLOCK_STEPS steps, made by strip
+    transposes of _BLOCK_STEPS paths into one buffer that the next piece
+    overwrites."""
+    buf = np.empty((0, 0))
+    for blk in blocks:
+        for k0 in range(0, blk.shape[1], _BLOCK_STEPS):
+            b = blk[:, k0:k0 + _BLOCK_STEPS]
+            if len(buf) < b.shape[1]:
+                buf = np.empty(b.shape[::-1])
+            out = buf[:b.shape[1]]
+            for i in range(0, len(b), _BLOCK_STEPS):
+                out[:, i:i + _BLOCK_STEPS] = b[i:i + _BLOCK_STEPS].T
+            yield out
 
 
 # -- steppers (the schemes) -------------------------------------------------
@@ -377,7 +350,7 @@ class PathBatch:
     """Dense simulated paths: one row per path on the shared time grid."""
 
     time_grid: np.ndarray
-    values: np.ndarray  # (n_paths, n_steps + 1)
+    values: np.ndarray  # (n_paths, n_steps + 1), a view of step-major storage
     model_label: str
     config: SimConfig
     breach_counts: np.ndarray  # per-path floor clamps
@@ -400,7 +373,8 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
 
     Always kept: "terminal" (n_models, m) and the per-path positivity-floor
     breach counts of each model ("breaches"). PATHS adds each model's states
-    at every stride-th grid point, x0 first ("values"); STATS adds per-path
+    at every stride-th grid point, x0 first, as the transposed view of
+    step-major storage ("values", (n_models, m, n_rec)); STATS adds per-path
     sups and sup-diffs against model 0, the extrema of X and x^p(x) over the
     visited states and path 0's states, all from x0 on, so that chunks merge
     by extrema, sums and concatenation alone. Step-outer, model-inner: model
@@ -413,21 +387,17 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     stepper = _log_stepper if log_space else _direct_stepper
     steps = [stepper(model, dt, milstein, m) for model in models]
     # Each model's state is one buffer that its step overwrites: y for log
-    # schemes, whose x = exp(y) goes into xbuf or a recording row, and x for
-    # direct ones, which step into xbuf or a recording row. Log schemes start
+    # schemes, whose x = exp(y) goes into xbuf or a row of values, and x for
+    # direct ones, which step into xbuf or a row of values. Log schemes start
     # from exp(log(x0)), which differs from x0 in the last ulp unless
     # x0 == 1; outputs depend on it.
     ys = [np.full(m, math.log(cfg.x0)) for _ in models]
     xbuf = [np.exp(y) for y in ys] if log_space else [np.full(m, cfg.x0) for _ in models]
     xs, breaches = list(xbuf), [np.zeros(m, dtype=int) for _ in models]
     dt0, dw2, scratch = np.array(dt), np.empty(m), np.empty(m)
-    if keep == PATHS:
-        values = np.empty((n, m, n_steps // stride + 1))
-        values[:, :, 0] = cfg.x0
-        # step-major rows of about _BLOCK_STEPS steps, flushed into values
-        # when full and after the last
-        rows = min(-(-_BLOCK_STEPS // stride), n_steps // stride)
-        rec, flushed, r = np.empty((n, rows, m)), 1, 0
+    if keep == PATHS:  # step-major: each recorded state is one row
+        values = np.empty((n, n_steps // stride + 1, m))
+        values[:, 0] = cfg.x0
     elif keep == STATS:
         # from x0 itself, as the PATHS grid, not from exp(log(x0))
         path_sup, sup_diff = np.full((n, m), cfg.x0), np.zeros((n, m))
@@ -440,7 +410,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
             np.subtract(np.multiply(dwk, dwk, out=dw2), dt0, out=dw2)
         record = keep == PATHS and (k + 1) % stride == 0
         for j, step in enumerate(steps):
-            x = rec[j, r] if record else xbuf[j]
+            x = values[j, (k + 1) // stride] if record else xbuf[j]
             if log_space:
                 step(ys[j], xs[j], dwk, dw2)
                 _check_log_range(ys[j], scratch, k, labels[j])
@@ -459,14 +429,9 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                     diff = np.abs(np.subtract(x, xs[0], out=scratch), out=scratch)
                     np.maximum(sup_diff[j], diff, out=sup_diff[j])
                 path0[j, k + 1] = x[0]
-        if record:
-            r += 1
-            if r == rec.shape[1] or k + 1 + stride > n_steps:
-                values[:, :, flushed:flushed + r] = rec[:, :r].transpose(0, 2, 1)
-                flushed, r = flushed + r, 0
     out = {"terminal": np.array(xs), "breaches": breaches}
     if keep == PATHS:
-        out["values"] = values
+        out["values"] = values.transpose(0, 2, 1)
     elif keep == STATS:
         out.update(path_sup=path_sup, sup_diff=sup_diff, x_min=x_min,
                    phi_min=phi_min, phi_max=phi_max, path0=path0)
@@ -480,8 +445,7 @@ def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
     dw = np.asarray(dw, dtype=float)
     if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
         raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
-    blocks = (dw[:, k0:k0 + _BLOCK_STEPS] for k0 in range(0, cfg.n_steps, _BLOCK_STEPS))
-    out = _advance([m], cfg, [label], _step_major(blocks), len(dw), PATHS)
+    out = _advance([m], cfg, [label], _step_major([dw]), len(dw), PATHS)
     return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
                      model_label=label, config=cfg, breach_counts=out["breaches"][0])
 
@@ -580,8 +544,10 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
     blow-up names global path indices.
     """
     try:
-        dw = _increment_chunk(cfg, lo, hi)
-        out = _advance(models, cfg, labels, [dw], dw.shape[1], keep)
+        m = (hi - lo) * (cfg.n_paths // cfg.n_base_paths)
+        _require_fits(m * cfg.n_steps * 8, "increment chunk")
+        dw = next(_increment_blocks(cfg, lo, hi, cfg.n_steps))
+        out = _advance(models, cfg, labels, _step_major([dw]), m, keep)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,28 @@ def _dense_refinement(m, coarse_dts, ref_dt, n_base_paths, seed, x0, scheme, ant
         sample = 0.5 * (per_path[:n] + per_path[n:]) if antithetic else per_path
         out.append((dtc, float(sample.mean())))
     return out
+
+
+class TestValuesLayout:
+    """Dense values are a transposed view of step-major storage: the
+    analysis layer reads the same bits from it as from a C-ordered copy."""
+
+    @staticmethod
+    def _bits(a, b):
+        rep, ts = strong_error(a, b), terminal_stats(b)
+        floats = (rep.strong_error, rep.ci_half_width, rep.lambda_obs, rep.r_obs,
+                  sup_second_moment(b), ts.mean, ts.variance, ts.min, ts.max)
+        return [v.hex() for v in floats] + [ts.bin_edges.tobytes(), ts.counts.tobytes()]
+
+    @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, EULER])
+    def test_view_and_copy_give_the_same_bits(self, gbm_model, p1_model, scheme):
+        cfg = SimConfig(t_horizon=1.0, dt=0.01, n_base_paths=300, seed=29, scheme=scheme)
+        view = simulate_coupled([gbm_model, p1_model], cfg, ["gbm", "p1"])
+        copy = [replace(b, values=np.ascontiguousarray(b.values)) for b in view]
+        assert view[1].values.flags.f_contiguous and not view[1].values.flags.c_contiguous
+        assert view[1].terminal.flags.c_contiguous
+        for a, b in ((0, 1), (1, 0)):
+            assert self._bits(view[a], view[b]) == self._bits(copy[a], copy[b])
 
 
 class TestRefinementErrors:

@@ -76,6 +76,19 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="n_base_paths must be <= 2\\*\\*64"):
             SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=2**64 + 1, seed=0)
 
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("field", ["seed", "n_base_paths"])
+    def test_non_integral_counts_rejected(self, field, value):
+        # seed 1.5 would key Philox as seed 1; n_base_paths 2.5 would fail in the engine
+        params = {"t_horizon": 1.0, "dt": 0.1, "n_base_paths": 3, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**params)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=np.int64(3), seed=np.uint64(1))
+        assert increment_matrix(cfg).tobytes() == increment_matrix(
+            SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=3, seed=1)).tobytes()
+
 
 def _philox_row(seed: int, i: int, n: int, dt: float) -> np.ndarray:
     """Base path i's n increments, drawn by a new generator keyed (seed, i)."""
@@ -113,11 +126,15 @@ class TestIncrements:
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     @pytest.mark.parametrize("block", [1, 7, 10, 30])
     def test_blocks_side_by_side_are_the_matrix(self, block, antithetic):
-        # each path's Philox state is carried from block to block
+        # each path's Philox state is carried from block to block, and a
+        # range of paths draws that range's rows, then its partners'
         cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=4, seed=3, antithetic=antithetic)
-        blocks = [b.copy() for b in engine._increment_blocks(cfg, block)]
-        assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-        assert np.hstack(blocks).tobytes() == increment_matrix(cfg).tobytes()
+        dw = increment_matrix(cfg)
+        for lo, hi in [(0, 4), (1, 3), (3, 4)]:
+            blocks = [b.copy() for b in engine._increment_blocks(cfg, lo, hi, block)]
+            assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+            rows = list(range(lo, hi)) + (list(range(4 + lo, 4 + hi)) if antithetic else [])
+            assert np.hstack(blocks).tobytes() == dw[rows].tobytes(), (lo, hi)
 
 
 class TestSteps:
@@ -504,9 +521,8 @@ class TestFusedDirectStep:
 
 class TestStepBuffers:
     """Each model steps in buffers of its own, in place, and a recorded
-    state goes straight into its recording row: models stepped together at
-    any stride give the bytes of each model's own run, also when one
-    recording row is reused at every recorded step (blocks of one step)."""
+    state goes straight into its row of values: models stepped together at
+    any stride give the bytes of each model's own run."""
 
     MODELS = {**ORACLE_MODELS, "wild": gbm(0.0, 3.0)}  # wild breaches the floor
 
