@@ -28,7 +28,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
@@ -293,6 +292,7 @@ def main(argv=None) -> int:
                 data = text.encode()
                 (out / name).write_bytes(data)
                 written[name] = hashlib.sha256(data).hexdigest()
+        import scipy  # only for its version; scipy is not on the package's import path
         manifest = {
             "command": args.command,
             "config_sha256": _config_sha256(cfg),

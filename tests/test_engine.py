@@ -535,7 +535,7 @@ class TestStepBuffers:
         full = [run_with_increments(m, cfg, dw, name) for name, m in self.MODELS.items()]
         monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
         out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
-                              [np.ascontiguousarray(dw.T)], len(dw), engine.PATHS, stride)
+                              engine._step_major([dw]), len(dw), engine.PATHS, stride)
         for j, (name, b) in enumerate(zip(self.MODELS, full)):
             assert out["values"][j].tobytes() == b.values[:, ::stride].tobytes(), name
             assert out["terminal"][j].tobytes() == b.terminal.tobytes(), name

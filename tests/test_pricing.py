@@ -165,19 +165,144 @@ class TestBrentq:
         assert type(_brentq(lambda x: np.float64(x) - 0.25, 0, 1, self.XTOL, self.RTOL)) is float
 
 
+def _hex(x) -> str:
+    return "nan" if math.isnan(x) else float(x).hex()
+
+
+def _around(a0: float, width: int = 4) -> list[float]:
+    """a0, its `width` float neighbours on either side, and their negatives."""
+    pts, lo, hi = [a0], a0, a0
+    for _ in range(width):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        pts += [lo, hi]
+    return pts + [-a for a in pts]
+
+
+class TestNdtr:
+    """_ndtr against scipy.special.ndtr, compared bit for bit."""
+
+    def _assert_equals_scipy(self, points):
+        from scipy.special import ndtr
+        want = [_hex(w) for w in ndtr(np.asarray(points, dtype=float)).tolist()]
+        got = []
+        for a in points:
+            y = pricing._ndtr(a)
+            assert type(y) is float
+            got.append(_hex(y))
+        mismatched = [(a, g, w) for a, g, w in zip(points, got, want) if g != w]
+        assert not mismatched, mismatched[:5]
+
+    def test_sample_equals_scipy(self):
+        rng = np.random.default_rng(20151018)
+        points = np.concatenate([rng.normal(0.0, scale, 30000)
+                                 for scale in (0.3, 1.0, 3.0, 10.0, 40.0)]
+                                + [rng.uniform(-40.0, 40.0, 50000)])
+        assert len(points) >= 200000
+        self._assert_equals_scipy(points.tolist())
+
+    # z = |a| / sqrt(2): ndtr takes erf below sqrt(1/2); erfc takes 1 - erf
+    # below 1, the P/Q tables below 8, the R/S tables above, and returns 0
+    # where -z*z < -MAXLOG
+    @pytest.mark.parametrize("a0, below", [
+        (1.0, lambda z: z < pricing._SQRT1_2),
+        (1.0 / pricing._SQRT1_2, lambda z: z < 1.0),
+        (8.0 / pricing._SQRT1_2, lambda z: z < 8.0),
+        (math.sqrt(pricing._MAXLOG) / pricing._SQRT1_2,
+         lambda z: -z * z >= -pricing._MAXLOG),
+    ], ids=["erf-erfc", "one-minus-erf", "PQ-RS", "maxlog"])
+    def test_branch_boundaries_equal_scipy(self, a0, below):
+        points = _around(a0)
+        sides = {below(abs(a * pricing._SQRT1_2)) for a in points}
+        assert sides == {True, False}  # both sides of the boundary, both signs
+        self._assert_equals_scipy(points)
+
+    def test_special_values_equal_scipy(self):
+        tiny = math.ulp(0.0)  # the smallest subnormal
+        points = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny,
+                  1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0), 11.31, -11.31,
+                  37.5, -37.5, 38.6, -38.6]
+        self._assert_equals_scipy(points)
+        assert pricing._ndtr(math.inf) == 1.0 and pricing._ndtr(-math.inf) == 0.0
+        assert math.isnan(pricing._ndtr(math.nan))
+
+    def test_underflow(self):
+        # Cephes erfc returns 0 past the MAXLOG cutoff and wherever
+        # (z * p) / q is 0. From ndtr only the cutoff is reached: on its
+        # near side ndtr is still a nonzero subnormal, on its far side 0.
+        points = sorted(a for a in _around(math.sqrt(pricing._MAXLOG) / pricing._SQRT1_2)
+                        if a < 0)
+        values = [pricing._ndtr(a) for a in points]
+        zero = [a for a, y in zip(points, values) if y == 0.0]
+        nonzero = [y for y in values if y != 0.0]
+        assert zero and nonzero
+        assert 0.0 < min(nonzero) < sys.float_info.min
+        assert max(zero) < min(a for a, y in zip(points, values) if y != 0.0)
+        self._assert_equals_scipy(points)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite argument is a ValueError that names it."""
+
+    CALL = {"spot": 1.0, "strike": 1.1, "rate": 0.05, "vol": 0.2, "maturity": 1.0}
+    INVERSE = {"price": 0.08, "spot": 1.0, "strike": 1.1, "rate": 0.05, "maturity": 1.0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(CALL))
+    @pytest.mark.parametrize("fn", [bs_call, bs_vega])
+    def test_pricing_names_the_argument(self, fn, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as exc:
+            fn(**{**self.CALL, name: bad})
+        assert type(exc.value) is ValueError
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(INVERSE))
+    def test_implied_vol_names_the_argument(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as exc:
+            implied_vol(**{**self.INVERSE, name: bad})
+        assert type(exc.value) is ValueError
+
+    def test_finite_arguments_with_an_overflowing_sum_pass(self):
+        # the checks add the arguments first; an overflow there is no error
+        at_the_money = 0.2 * 1e308 / math.sqrt(2 * math.pi)
+        assert bs_call(1e308, 1e308, 0.0, 0.2, 1.0) == pytest.approx(at_the_money, rel=1e-2)
+        assert math.isfinite(bs_vega(1e308, 1e308, 0.0, 0.2, 1.0))
+
+
 class TestImportPath:
-    def test_loads_neither_optimize_nor_stats(self, tmp_path):
-        # a fresh interpreter: this one has loaded scipy.stats for other tests
+    """What a fresh interpreter loads: this one has loaded scipy for other tests."""
+
+    def _fresh(self, code: str, cwd: Path) -> str:
         src = Path(varexp.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.strip()
+
+    def test_loads_neither_optimize_nor_stats(self, tmp_path):
         code = ("import sys, varexp, varexp.cli\n"
                 "from varexp.config import load_config\n"
                 "load_config('paper.json')\n"
                 "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert self._fresh(code, tmp_path) == "[]"
+
+    def test_loads_no_scipy(self, tmp_path):
+        code = ("import sys, varexp, varexp.cli\n"
+                "from varexp.config import load_config\n"
+                "load_config('paper.json')\n"
+                "varexp.implied_vol(0.08, 1.0, 1.1, 0.05, 1.0)\n"
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert self._fresh(code, tmp_path) == "[]"
+
+    def test_cli_loads_scipy_only_for_the_manifest(self, tmp_path):
+        code = ("import json, sys\n"
+                "from varexp import cli\n"
+                "assert cli.main(['bound-table', '--config', 'paper.json', '--out', 'out']) == 0\n"
+                "print(json.load(open('out/run_manifest.json'))['versions']['scipy'])\n"
+                "print([m for m in sys.modules if m.startswith('scipy.special')])")
+        version, special = self._fresh(code, tmp_path).splitlines()[-2:]
+        assert version == __import__("scipy").__version__
+        assert special == "[]"
 
 
 class TestImpliedVol:
