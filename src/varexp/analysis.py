@@ -67,10 +67,13 @@ def strong_error(a: PathBatch, b: PathBatch) -> ErrorReport:
 
 def strong_error_from_stats(stats: CoupledStats, model_index: int) -> ErrorReport:
     """Strong error of model `model_index` vs the reference (index 0),
-    computed from streaming accumulators instead of dense batches."""
+    computed from streaming accumulators instead of dense batches: the
+    sup-diffs and the extrema, which the run must have computed."""
     if not (0 < model_index < len(stats.models)):
         raise ValueError("model_index must point past the reference model")
     ref, other = stats.models[0], stats.models[model_index]
+    if stats.sup_abs_diff is None or ref.min_value is None:
+        raise ValueError("strong_error_from_stats needs the sup_diffs and extrema reductions")
     return _report(stats.sup_abs_diff[model_index], stats.config.antithetic,
                    min(ref.min_value, other.min_value), max(ref.max_value, other.max_value))
 

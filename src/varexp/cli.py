@@ -33,8 +33,8 @@ from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
 from .config import ConfigError, RunConfig, _check_formats, load_config
-from .engine import (BlowUpError, SimConfig, _plan, simulate_coupled_stats,
-                     simulate_coupled_terminals)
+from .engine import (EXTREMA, PATH0, PHI_RANGE, SUP_DIFFS, BlowUpError, SimConfig, _plan,
+                     simulate_coupled_stats, simulate_coupled_terminals)
 from .exponent import CONSTANT, check_admissibility, sup_deviation
 from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
@@ -144,7 +144,8 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     if len(cfg.models) < 2:
         raise ValueError("strong-error needs at least two models (first is the reference)")
     _require_gbm_reference(cfg)
-    stats = simulate_coupled_stats(cfg.models, cfg.sim, cfg.labels)
+    stats = simulate_coupled_stats(cfg.models, cfg.sim, cfg.labels,
+                                   {EXTREMA, PHI_RANGE, SUP_DIFFS})
     rows = []
     for i in range(1, len(cfg.models)):
         rep = _attach_bound(strong_error_from_stats(stats, i), cfg, i)
@@ -176,7 +177,7 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
 
 def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     sim = cfg.sim
-    stats = simulate_coupled_stats(cfg.models, sim, cfg.labels).models
+    stats = simulate_coupled_stats(cfg.models, sim, cfg.labels, {EXTREMA, PATH0}).models
     grid = sim.time_grid
     hists = [terminal_stats(ms) for ms in stats]
     files = {"sample_paths.csv": _csv(["t", *cfg.labels],

@@ -5,8 +5,11 @@ Brownian increments come from counter-based Philox streams keyed by
 how paths are partitioned across workers. One private runner, `_advance`,
 steps every model over step-major increments with a stepper built once per
 run and keeps what its caller asks for: the states on a grid (PATHS), the
-terminal values only (TERMINAL), or the streaming reductions (STATS),
-computed right after each model's step. Coupled runs step contiguous
+terminal values only (TERMINAL), or a set of the streaming reductions
+(STATS being all of them), computed after every model has taken the step.
+What a run keeps, and its scheme, are decided once per run, so the step
+loop only calls each model's stepper and the reductions asked for.
+Coupled runs step contiguous
 ranges of base paths (with their antithetic partners) as chunks of bounded
 memory: a dense run is one in-process chunk; streaming runs use a pool of
 forked workers when there are several chunks and CPUs, and merge the
@@ -28,14 +31,15 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 
 Each step gives that formula's floats with the least arithmetic: p, p',
 phi and phi' from one unvalidated evaluation sharing p, log x and x^p
-(one exp for exp_decay's p), nothing for GBM; dW^2 - dt once per step for
-all models. A step allocates nothing: each model's stepper is built once
-per run with buffers of the run's width and its constants as 0-d arrays,
-overwrites its state in place and writes every intermediate into those
-buffers, in the formula's operation and operand order. Inputs are checked
-once, by SimConfig and ModelSpec; no step re-validates its state. The
-check after each step reads the new state with reductions alone, and looks
-for the paths out of range only when a reduction fails.
+(one exp for exp_decay's p), nothing for GBM; dW^2 - dt for all models
+at once, a few steps of a piece at a time. A step allocates nothing: each
+model's stepper is built once per run with buffers of the run's width,
+its constants as 0-d arrays and its ufuncs bound, overwrites its state in
+place and writes every intermediate into those buffers, passed as
+positional outputs, in the formula's operation and operand order. Inputs
+are checked once, by SimConfig and ModelSpec; no step re-validates its
+state. The check that ends each step reads the new state with reductions
+alone, and looks for the paths out of range only when a reduction fails.
 
 Increments are drawn one way, path-major, by _increment_blocks: a chunk's
 (or the whole run's) steps as one block, or the refinement study's fine
@@ -55,7 +59,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -214,9 +218,11 @@ def _increment_blocks(cfg: SimConfig, lo: int, hi: int, block: int):
             if gens is None:
                 fresh["state"]["key"][1] = i
                 bitgen.state = fresh
-            dw[c] = (rng if gens is None else gens[c]).normal(0.0, scale, dw.shape[1])
+            (rng if gens is None else gens[c]).standard_normal(out=dw[c])
+        # normal(0.0, scale) draws these z and returns 0.0 + scale * z
+        np.add(0.0, np.multiply(scale, dw[:nb], dw[:nb]), dw[:nb])
         if cfg.antithetic:
-            np.negative(dw[:nb], out=dw[nb:])
+            np.negative(dw[:nb], dw[nb:])
         yield dw
 
 
@@ -248,99 +254,109 @@ def _step_major(blocks):
 
 # -- steppers (the schemes) -------------------------------------------------
 #
-# Built once per model and run: buffers of length m, operands as 0-d arrays
-# (numpy reads them more cheaply than Python floats).
+# Built once per model and run: each owns its state and buffers of the run's
+# width, takes its operands as 0-d arrays (numpy reads them more cheaply
+# than Python floats) and its ufuncs as closure names, and passes every
+# output positionally (cheaper than out=). A step f(dw, dw2, out), with
+# dw2 = dw*dw - dt, writes the model's next state X into out, which is the
+# state the following step reads, and raises _OutOfRange with the paths
+# that left the representable range; _advance names the step and model.
 
-def _log_stepper(model: ModelSpec, dt: float, milstein: bool, m: int):
-    """Model's log-space step f(y, x, dw, dw2), which overwrites y with y'
-    for x = exp(y) and dw2 = dw*dw - dt. x is not re-validated:
-    |y| <= LOG_OVERFLOW_LIMIT keeps it positive and finite. Every variant
-    gives the generic formula's floats.
+class _OutOfRange(Exception):
+    """A step's new states left the representable range; args[0] holds
+    the paths, in the stepped array's order."""
+
+
+def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.ndarray):
+    """Model's log-space step, from y = log(x0) and x = exp(y), which it
+    writes into x. Each step overwrites y with y', tests that every
+    |y'| <= LOG_OVERFLOW_LIMIT with one reduction (NaN fails it), looking
+    for the paths out of range only when it fails, and writes exp(y') into
+    out. x is not re-validated: the range keeps it positive and finite.
+    Every variant gives the generic formula's floats.
     """
-    spec = model.exponent
-    mu, sigma, dt0, half, one = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5, 1.0))
-    t = np.empty(m)
-    if spec.kind == CONSTANT and spec.gamma == 1.0:
-        drift_dt = np.array((model.mu - 0.5 * model.sigma * model.sigma) * dt)
-
-        def gbm_step(y, x, dw, dw2):  # y + (drift_dt + sigma dw)
-            np.add(y, np.add(drift_dt, np.multiply(sigma, dw, out=t), out=t), out=y)
-        return gbm_step
-
+    spec, m = model.exponent, len(x)
+    gbm = spec.kind == CONSTANT and spec.gamma == 1.0
     constant = spec.kind == CONSTANT
+    mul, add, sub, exp, absolute, top = (np.multiply, np.add, np.subtract, np.exp,
+                                         np.absolute, np.maximum.reduce)
+    limit = LOG_OVERFLOW_LIMIT
+    mu, sigma, dt0, half, one = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5, 1.0))
+    drift_dt = np.array((model.mu - 0.5 * model.sigma * model.sigma) * dt)
     # p - 1 is constant and p' = 0 adds nothing to b' for a constant kind
     gamma_m1 = np.array(spec.gamma - 1.0) if constant else None
     p_dp = None if constant else _p_dp_kernel(spec, m, milstein)
-    b, half_b, incr = np.empty(m), np.empty(m), np.empty(m)
+    b, half_b, incr, t = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    y = np.full(m, math.log(x0))
+    exp(y, x)
 
-    def step(y, x, dw, dw2):
-        if constant:
-            pm1 = gamma_m1
+    def step(dw, dw2, out):
+        nonlocal x
+        if gbm:  # y + (drift_dt + sigma dw)
+            add(y, add(drift_dt, mul(sigma, dw, t), t), y)
         else:
-            pm1, dp = p_dp(x)
-            np.subtract(pm1, one, out=pm1)
-        np.multiply(sigma, np.exp(np.multiply(pm1, y, out=b), out=b), out=b)  # sigma x^(p-1)
-        np.multiply(half, b, out=half_b)
-        np.multiply(np.subtract(mu, np.multiply(half_b, b, out=incr), out=incr), dt0, out=incr)
-        np.add(incr, np.multiply(b, dw, out=t), out=incr)  # (mu - b^2/2) dt + b dw
-        if milstein:  # b' = b ((p-1) + x p' y)
             if constant:
-                np.multiply(b, pm1, out=t)
+                pm1 = gamma_m1
             else:
-                np.multiply(np.multiply(x, dp, out=t), y, out=t)
-                np.multiply(b, np.add(pm1, t, out=t), out=t)
-            np.multiply(np.multiply(half_b, t, out=t), dw2, out=t)
-            np.add(incr, t, out=incr)
-        np.add(incr, y, out=y)
+                pm1, dp = p_dp(x)
+                sub(pm1, one, pm1)
+            mul(sigma, exp(mul(pm1, y, b), b), b)  # sigma x^(p-1)
+            mul(half, b, half_b)
+            mul(sub(mu, mul(half_b, b, incr), incr), dt0, incr)
+            add(incr, mul(b, dw, t), incr)  # (mu - b^2/2) dt + b dw
+            if milstein:  # b' = b ((p-1) + x p' y)
+                if constant:
+                    mul(b, pm1, t)
+                else:
+                    mul(mul(x, dp, t), y, t)
+                    mul(b, add(pm1, t, t), t)
+                mul(mul(half_b, t, t), dw2, t)
+                add(incr, t, incr)
+            add(incr, y, y)
+        if not top(absolute(y, t), 0, None, None, False, 0.0) <= limit:
+            raise _OutOfRange(np.nonzero(~(np.abs(y) <= limit))[0])
+        x = exp(y, out)
 
     return step
 
 
-def _check_log_range(y, scratch, step_index: int, label: str = "") -> None:
-    """Raise BlowUpError unless every |y| <= LOG_OVERFLOW_LIMIT (NaN fails);
-    one reduction of |y|, written into scratch, when every path is in range."""
-    if not np.maximum.reduce(np.abs(y, out=scratch), initial=0.0) <= LOG_OVERFLOW_LIMIT:
-        bad = ~(np.abs(y) <= LOG_OVERFLOW_LIMIT)
-        raise BlowUpError(np.nonzero(bad)[0], step_index, label)
-
-
-def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, m: int):
-    """Model's direct-space step f(x, dw, dw2, out), which writes x' into
-    out (which may be x) for dw2 = dw*dw - dt. x is not re-validated:
-    _advance keeps it finite and >= POSITIVITY_FLOOR. Every variant gives
-    the generic formula's floats."""
-    spec = model.exponent
+def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.ndarray,
+                    breaches: np.ndarray):
+    """Model's direct-space step, from x = x0, which it writes into x. Each
+    step writes x' into out, then tests it with two reductions: when some
+    x' is below POSITIVITY_FLOOR or not finite, it clamps the low ones to
+    the floor, counting each clamp in breaches, and fails on a non-finite
+    one. x is not re-validated. Every variant gives the generic formula's
+    floats."""
+    spec, m = model.exponent, len(x)
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0  # phi = x, phi' = 1 exactly
     phi_dphi = None if gbm else _phi_dphi_kernel(spec, m, milstein)
+    mul, add, bottom, top = np.multiply, np.add, np.minimum.reduce, np.maximum.reduce
+    floor, inf = POSITIVITY_FLOOR, np.inf
     mu, sigma, dt0, half = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5))
     g, t = np.empty(m), np.empty(m)
+    x.fill(x0)
 
-    def step(x, dw, dw2, out):
+    def step(dw, dw2, out):
+        nonlocal x
         phi, dphi = (x, None) if gbm else phi_dphi(x)
-        np.multiply(sigma, phi, out=g)
-        np.add(x, np.multiply(np.multiply(mu, x, out=t), dt0, out=t), out=out)
-        np.add(out, np.multiply(g, dw, out=t), out=out)  # x + mu x dt + g dw
+        mul(sigma, phi, g)
+        add(x, mul(mul(mu, x, t), dt0, t), out)
+        add(out, mul(g, dw, t), out)  # x + mu x dt + g dw
         if milstein:  # 0.5 g (sigma phi') dw2, with sigma phi' = sigma for GBM
-            np.multiply(half, g, out=g)
-            np.multiply(g, sigma if gbm else np.multiply(sigma, dphi, out=dphi), out=g)
-            np.add(out, np.multiply(g, dw2, out=g), out=out)
+            mul(half, g, g)
+            mul(g, sigma if gbm else mul(sigma, dphi, dphi), g)
+            add(out, mul(g, dw2, g), out)
+        if not (bottom(out, 0, None, None, False, inf) >= floor
+                and top(out, 0, None, None, False, -inf) < inf):  # NaN fails both
+            low = out < floor
+            add(breaches, low, breaches)
+            out[low] = floor
+            if not np.all(np.isfinite(out)):
+                raise _OutOfRange(np.nonzero(~np.isfinite(out))[0])
+        x = out
 
     return step
-
-
-def _check_direct(x, breaches, step_index: int, label: str = "") -> None:
-    """Clamp x below POSITIVITY_FLOOR to the floor in place, counting each
-    clamp in breaches, then raise BlowUpError unless every x is finite; two
-    reductions when every x is finite and at or above the floor."""
-    if np.minimum.reduce(x, initial=np.inf) >= POSITIVITY_FLOOR \
-            and np.maximum.reduce(x, initial=-np.inf) < np.inf:  # NaN fails both
-        return
-    low = x < POSITIVITY_FLOOR
-    if low.any():
-        breaches += low
-        x[low] = POSITIVITY_FLOOR
-    if not np.all(np.isfinite(x)):
-        raise BlowUpError(np.nonzero(~np.isfinite(x))[0], step_index, label)
 
 
 # -- batches ----------------------------------------------------------------
@@ -360,13 +376,81 @@ class PathBatch:
         return self.values[:, -1]
 
 
-# What _advance keeps besides terminals and breaches: the states on a grid,
-# nothing more, or the streaming reductions of simulate_coupled_stats.
-PATHS, TERMINAL, STATS = "paths", "terminal", "stats"
+# What _advance keeps besides terminals and breaches: the states on a grid
+# (PATHS), or a set of the streaming reductions of simulate_coupled_stats,
+# from none of them (TERMINAL) to all of them (STATS).
+PATHS = "paths"
+EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0 = "extrema", "phi_range", "sup_diffs", "path0"
+TERMINAL, STATS = frozenset(), frozenset((EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0))
+
+# dW^2 - dt is computed for this many steps of a step-major piece at a
+# time, in one small buffer: two ufunc calls per group instead of per step
+# (chosen by timing the refinement study's 256-path steps on a 2-core host).
+_DW2_ROWS = 8
+
+
+def _grid_targets(xrows: list, records, stride: int):
+    """Each step's output rows: the next of records at every stride-th
+    step, xrows at the others (and after the last record)."""
+    for rec in records:
+        yield from repeat(xrows, stride - 1)
+        yield rec
+    yield from repeat(xrows)
+
+
+def _reductions(keep: frozenset, models: Sequence[ModelSpec], x0: float, n_steps: int,
+                xbuf: np.ndarray) -> tuple[list, dict]:
+    """The reductions in keep, as functions run after every model has
+    stepped into xbuf, and their accumulators, all from x0 itself (as the
+    PATHS grid, not exp(log(x0))): state extrema ("x_min", "x_max") and
+    phi = x^p(x) range ("phi_min", "phi_max") per model, per-path sup-diffs
+    against model 0 ("sup_diff", row 0 zeros) and path 0's states ("path0").
+    Chunks merge them by extrema and concatenation alone."""
+    n, m = xbuf.shape
+    steps, acc = [], {}
+    if EXTREMA in keep:
+        x_min, x_max, t = np.full(n, x0), np.full(n, x0), np.empty(n)
+        acc.update(x_min=x_min, x_max=x_max)
+
+        def extrema():
+            np.minimum(x_min, np.minimum.reduce(xbuf, axis=1, out=t), out=x_min)
+            np.maximum(x_max, np.maximum.reduce(xbuf, axis=1, out=t), out=x_max)
+        steps.append(extrema)
+    if PHI_RANGE in keep:  # x > 0: clamped or exp(y)
+        phi_min = [float(_phi_dphi(model.exponent, np.array(x0), False)[0]) for model in models]
+        phi_max = list(phi_min)
+        kernels = [(j, _phi_dphi_kernel(model.exponent, m, False), x)
+                   for j, (model, x) in enumerate(zip(models, xbuf))]
+        acc.update(phi_min=phi_min, phi_max=phi_max)
+
+        def phi_range():
+            for j, phi_of, x in kernels:
+                phi = phi_of(x)[0]
+                phi_min[j] = min(phi_min[j], float(np.minimum.reduce(phi)))
+                phi_max[j] = max(phi_max[j], float(np.maximum.reduce(phi)))
+        steps.append(phi_range)
+    if SUP_DIFFS in keep:
+        sup_diff = np.zeros((n, m))
+        rest, first, sup_rest, d = xbuf[1:], xbuf[0], sup_diff[1:], np.empty((n - 1, m))
+        acc.update(sup_diff=sup_diff)
+
+        def sup_diffs():
+            np.maximum(sup_rest, np.absolute(np.subtract(rest, first, d), d), out=sup_rest)
+        if n > 1:
+            steps.append(sup_diffs)
+    if PATH0 in keep:
+        path0 = np.full((n, n_steps + 1), x0)
+        columns, first_paths = iter(path0.T[1:]), xbuf[:, 0]
+        acc.update(path0=path0)
+
+        def record_path0():
+            np.copyto(next(columns), first_paths)
+        steps.append(record_path0)
+    return steps, acc
 
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-             blocks: Iterable[np.ndarray], m: int, keep: str, stride: int = 1) -> dict:
+             blocks: Iterable[np.ndarray], m: int, keep, stride: int = 1) -> dict:
     """Step every model over m paths' shared increments, read as C-contiguous
     step-major blocks (B, m) that hold cfg.n_steps steps in all, and keep
     what `keep` asks for. Each block is read before the next is taken.
@@ -374,67 +458,53 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     Always kept: "terminal" (n_models, m) and the per-path positivity-floor
     breach counts of each model ("breaches"). PATHS adds each model's states
     at every stride-th grid point, x0 first, as the transposed view of
-    step-major storage ("values", (n_models, m, n_rec)); STATS adds per-path
-    sups and sup-diffs against model 0, the extrema of X and x^p(x) over the
-    visited states and path 0's states, all from x0 on, so that chunks merge
-    by extrema, sums and concatenation alone. Step-outer, model-inner: model
-    0 steps first, so its state is current when a later model's sup-diff
-    reads it, and a blow-up names the earliest step, then the first model.
+    step-major storage ("values", (n_models, m, n_rec)); a set of
+    reductions adds their accumulators (see _reductions). Step-outer,
+    model-inner, so a blow-up names the earliest step, then the first model.
+
+    Everything the run keeps is decided here, once: the step loop runs each
+    model's stepper into the step's output rows and then the reductions
+    asked for, with no test of the scheme or of what is kept.
     """
-    n_steps, dt, n = cfg.n_steps, cfg.dt, len(models)
-    log_space = cfg.scheme in (LOG_EULER, LOG_MILSTEIN)
+    n_steps, n = cfg.n_steps, len(models)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
-    stepper = _log_stepper if log_space else _direct_stepper
-    steps = [stepper(model, dt, milstein, m) for model in models]
-    # Each model's state is one buffer that its step overwrites: y for log
-    # schemes, whose x = exp(y) goes into xbuf or a row of values, and x for
-    # direct ones, which step into xbuf or a row of values. Log schemes start
-    # from exp(log(x0)), which differs from x0 in the last ulp unless
-    # x0 == 1; outputs depend on it.
-    ys = [np.full(m, math.log(cfg.x0)) for _ in models]
-    xbuf = [np.exp(y) for y in ys] if log_space else [np.full(m, cfg.x0) for _ in models]
-    xs, breaches = list(xbuf), [np.zeros(m, dtype=int) for _ in models]
-    dt0, dw2, scratch = np.array(dt), np.empty(m), np.empty(m)
+    # Each model's state starts in its row of xbuf; its step writes the next
+    # state into a row of values at a recorded step and into that row of
+    # xbuf otherwise. Log schemes start from exp(log(x0)), which differs
+    # from x0 in the last ulp unless x0 == 1; outputs depend on it.
+    xbuf, breaches = np.empty((n, m)), [np.zeros(m, dtype=int) for _ in models]
+    if cfg.scheme in (LOG_EULER, LOG_MILSTEIN):
+        steps = [_log_stepper(model, cfg.dt, milstein, cfg.x0, x)
+                 for model, x in zip(models, xbuf)]
+    else:
+        steps = [_direct_stepper(model, cfg.dt, milstein, cfg.x0, x, b)
+                 for model, x, b in zip(models, xbuf, breaches)]
+    xrows = list(xbuf)
     if keep == PATHS:  # step-major: each recorded state is one row
         values = np.empty((n, n_steps // stride + 1, m))
         values[:, 0] = cfg.x0
-    elif keep == STATS:
-        # from x0 itself, as the PATHS grid, not from exp(log(x0))
-        path_sup, sup_diff = np.full((n, m), cfg.x0), np.zeros((n, m))
-        phi0 = [float(_phi_dphi(model.exponent, np.array(cfg.x0), False)[0]) for model in models]
-        x_min, phi_min, phi_max = [cfg.x0] * n, phi0, list(phi0)
-        path0 = np.full((n, n_steps + 1), cfg.x0)
-        phis = [_phi_dphi_kernel(model.exponent, m, False) for model in models]
-    for k, dwk in enumerate(chain.from_iterable(blocks)):  # one row per step
-        if milstein:
-            np.subtract(np.multiply(dwk, dwk, out=dw2), dt0, out=dw2)
-        record = keep == PATHS and (k + 1) % stride == 0
-        for j, step in enumerate(steps):
-            x = values[j, (k + 1) // stride] if record else xbuf[j]
-            if log_space:
-                step(ys[j], xs[j], dwk, dw2)
-                _check_log_range(ys[j], scratch, k, labels[j])
-                np.exp(ys[j], out=x)
-            else:
-                step(xs[j], dwk, dw2, x)
-                _check_direct(x, breaches[j], k, labels[j])
-            xs[j] = x
-            if keep == STATS:
-                np.maximum(path_sup[j], x, out=path_sup[j])
-                x_min[j] = min(x_min[j], float(np.minimum.reduce(x)))
-                phi = phis[j](x)[0]  # x > 0: clamped or exp(y)
-                phi_min[j] = min(phi_min[j], float(np.minimum.reduce(phi)))
-                phi_max[j] = max(phi_max[j], float(np.maximum.reduce(phi)))
-                if j > 0:
-                    diff = np.abs(np.subtract(x, xs[0], out=scratch), out=scratch)
-                    np.maximum(sup_diff[j], diff, out=sup_diff[j])
-                path0[j, k + 1] = x[0]
-    out = {"terminal": np.array(xs), "breaches": breaches}
-    if keep == PATHS:
-        out["values"] = values.transpose(0, 2, 1)
-    elif keep == STATS:
-        out.update(path_sup=path_sup, sup_diff=sup_diff, x_min=x_min,
-                   phi_min=phi_min, phi_max=phi_max, path0=path0)
+        targets = _grid_targets(xrows, zip(*values[:, 1:]), stride)
+        reductions, out = [], {"values": values.transpose(0, 2, 1)}
+    else:
+        targets = repeat(xrows)
+        reductions, out = _reductions(keep, models, cfg.x0, n_steps, xbuf)
+    dt0, squares, k, rows = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0, xrows
+    try:
+        for piece in blocks:
+            for r0 in range(0, len(piece), _DW2_ROWS):
+                dws = piece[r0:r0 + _DW2_ROWS]
+                dw2s = squares[:len(dws)]
+                if milstein:
+                    np.subtract(np.multiply(dws, dws, dw2s), dt0, dw2s)
+                for dw, dw2, rows in zip(dws, dw2s, targets):
+                    for step, x in zip(steps, rows):
+                        step(dw, dw2, x)
+                    for reduce in reductions:
+                        reduce()
+                    k += 1
+    except _OutOfRange as exc:
+        raise BlowUpError(exc.args[0], k, labels[steps.index(step)]) from None
+    out.update(terminal=np.array(rows), breaches=breaches)
     return out
 
 
@@ -460,6 +530,8 @@ def _labels_for(models: Sequence[ModelSpec], labels: Optional[Sequence[str]]) ->
         labels = [f"model_{i}" for i in range(len(models))]
     if len(labels) != len(models):
         raise ValueError("labels must match models")
+    if len(set(labels)) != len(labels):  # a blow-up names its model by label
+        raise ValueError(f"duplicate model labels in {list(labels)!r}")
     return list(labels)
 
 
@@ -483,17 +555,17 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
 
 @dataclass
 class ModelPathStats:
-    """Per-model accumulators kept when dense paths are not stored."""
+    """Per-model accumulators kept when dense paths are not stored; a
+    reduction the run did not compute is None."""
 
     label: str
     terminal: np.ndarray   # (n_paths,)
-    path_sup: np.ndarray   # per-path running sup of X
-    min_value: float
-    max_value: float
-    phi_min: float         # range of x^p(x) over visited states
-    phi_max: float
-    positivity_breaches: int  # floor clamps over all paths and steps
-    sample_path: np.ndarray   # X of path 0 on the time grid
+    min_value: Optional[float]  # extrema of X over visited states
+    max_value: Optional[float]
+    phi_min: Optional[float]    # range of x^p(x) over visited states
+    phi_max: Optional[float]
+    positivity_breaches: int    # floor clamps over all paths and steps
+    sample_path: Optional[np.ndarray]  # X of path 0 on the time grid
 
 
 @dataclass
@@ -501,12 +573,12 @@ class CoupledStats:
     """Streaming reduction of a coupled run: model stats + pathwise sup-diffs.
 
     sup_abs_diff[j] holds, per path, sup_t |X_j(t) - X_0(t)| against the
-    first (reference) model.
+    first (reference) model; None when the run did not compute it.
     """
 
     config: SimConfig
     models: list[ModelPathStats]
-    sup_abs_diff: np.ndarray  # (n_models, n_paths); row 0 is zeros
+    sup_abs_diff: Optional[np.ndarray]  # (n_models, n_paths); row 0 is zeros
 
 
 def _cpu_count() -> int:
@@ -536,7 +608,7 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 
 
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-               lo: int, hi: int, keep: str) -> dict:
+               lo: int, hi: int, keep) -> dict:
     """_advance over base paths [lo, hi) and their antithetic partners.
 
     Per-path arrays come back in the chunk's column order (base paths, then
@@ -566,7 +638,7 @@ def _outcome(call, *args):
 
 
 def _run_chunked(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-                 keep: str) -> tuple[list[dict], list[tuple[int, int]]]:
+                 keep) -> tuple[list[dict], list[tuple[int, int]]]:
     """_run_chunk over every chunk of _plan(cfg), on a fork pool when it has
     more than one worker (spawn and forkserver cost 1-1.5 s more per call).
 
@@ -620,28 +692,39 @@ def simulate_coupled_terminals(models: Sequence[ModelSpec], cfg: SimConfig,
 
 
 def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
-                           labels: Optional[Sequence[str]] = None) -> CoupledStats:
+                           labels: Optional[Sequence[str]] = None,
+                           reductions: Iterable[str] = STATS) -> CoupledStats:
     """Coupled simulation keeping only reductions, never the dense paths.
 
-    Produces exactly the statistics the analysis layer needs (terminal
-    values, per-path sups, state extrema, diffusion-factor range,
-    sup-differences vs the first model, breach totals and path 0's states)
-    for every scheme. Base paths run in chunks of bounded increment memory,
-    on a pool of min(CPUs, chunks) forked workers; the merged results are
-    the same bytes however the paths are split.
+    Always kept: terminal values and breach totals. `reductions` names the
+    others to compute, each paid for on every step, all of them (STATS) by
+    default: EXTREMA ("extrema": min_value, max_value), PHI_RANGE
+    ("phi_range": the range of x^p(x), phi_min and phi_max), SUP_DIFFS
+    ("sup_diffs": sup_abs_diff against the first model) and PATH0
+    ("path0": sample_path, path 0's states). One not asked for is None.
+    Every scheme; the extrema and ranges include x0. Base paths run in
+    chunks of bounded increment memory, on a pool of min(CPUs, chunks)
+    forked workers; the merged results are the same bytes however the paths
+    are split and whichever other reductions are computed.
     """
     labels = _labels_for(models, labels)
-    parts, bounds = _run_chunked(models, cfg, labels, STATS)
-    terminal, path_sup, sup_diff = (_in_path_order([p[key] for p in parts], bounds)
-                                    for key in ("terminal", "path_sup", "sup_diff"))
-    stats = []
-    for j in range(len(models)):
-        stats.append(ModelPathStats(
-            label=labels[j], terminal=terminal[j], path_sup=path_sup[j],
-            min_value=float(min(p["x_min"][j] for p in parts)),
-            max_value=float(path_sup[j].max()),
-            phi_min=min(p["phi_min"][j] for p in parts),
-            phi_max=max(p["phi_max"][j] for p in parts),
-            positivity_breaches=sum(p["breaches"][j] for p in parts),
-            sample_path=parts[0]["path0"][j]))
+    keep = frozenset(reductions)
+    if not keep <= STATS:
+        raise ValueError(f"unknown reductions {sorted(keep - STATS)}; "
+                         f"choose from {sorted(STATS)}")
+    parts, bounds = _run_chunked(models, cfg, labels, keep)
+
+    def merged(key, pick, j):
+        return float(pick(p[key][j] for p in parts)) if key in parts[0] else None
+
+    terminal = _in_path_order([p["terminal"] for p in parts], bounds)
+    stats = [ModelPathStats(
+        label=labels[j], terminal=terminal[j],
+        min_value=merged("x_min", min, j), max_value=merged("x_max", max, j),
+        phi_min=merged("phi_min", min, j), phi_max=merged("phi_max", max, j),
+        positivity_breaches=sum(p["breaches"][j] for p in parts),
+        sample_path=parts[0]["path0"][j] if PATH0 in keep else None)
+        for j in range(len(models))]
+    sup_diff = (_in_path_order([p["sup_diff"] for p in parts], bounds)
+                if SUP_DIFFS in keep else None)
     return CoupledStats(config=cfg, models=stats, sup_abs_diff=sup_diff)

@@ -190,12 +190,14 @@ def _p_dp_kernel(spec: ExponentSpec, shape, deriv: bool):
     known to lie in (0, inf), with no check; p'(xs) is None unless deriv.
     Each call writes into two arrays made here and returns them, so the
     next call overwrites them; the operands are 0-d arrays made here too,
-    which numpy reads more cheaply than Python floats. The one place each
-    formula is written: exp_decay shares exp(-b x), the rational kinds
-    share 1 + x.
+    which numpy reads more cheaply than Python floats, and the ufuncs are
+    bound here and given their outputs positionally, which numpy also
+    parses faster than out=. The one place each formula is written:
+    exp_decay shares exp(-b x), the rational kinds share 1 + x.
     """
     p, dp = np.empty(shape), np.empty(shape) if deriv else None
     one = np.array(1.0)
+    mul, add, div, exp, square = np.multiply, np.add, np.divide, np.exp, np.square
     if spec.kind == CONSTANT:
         def f(xs):
             p.fill(spec.gamma)
@@ -206,28 +208,28 @@ def _p_dp_kernel(spec: ExponentSpec, shape, deriv: bool):
         neg_b, a, neg_ab = np.array(-spec.b), np.array(spec.a), np.array(-spec.a * spec.b)
 
         def f(xs):
-            e = np.exp(np.multiply(neg_b, xs, out=p), out=p)  # exp(-b x)
+            e = exp(mul(neg_b, xs, p), p)  # exp(-b x)
             if deriv:
-                np.multiply(neg_ab, e, out=dp)
-            np.add(one, np.multiply(a, e, out=p), out=p)
+                mul(neg_ab, e, dp)
+            add(one, mul(a, e, p), p)
             return p, dp
     elif spec.kind == INVERSE_SQUARE:
-        a, neg_2a, three = np.array(spec.a), np.array(-2.0 * spec.a), np.array(3.0)
+        a, neg_2a, three, power = np.array(spec.a), np.array(-2.0 * spec.a), np.array(3.0), np.power
 
         def f(xs):
-            u = np.add(one, xs, out=p)
+            u = add(one, xs, p)
             if deriv:
-                np.divide(neg_2a, np.power(u, three, out=dp), out=dp)
-            np.add(one, np.divide(a, np.square(u, out=p), out=p), out=p)
+                div(neg_2a, power(u, three, dp), dp)
+            add(one, div(a, square(u, p), p), p)
             return p, dp
     else:
         c, neg_c = np.array(spec.c), np.array(-spec.c)
 
         def f(xs):
-            u = np.add(one, xs, out=p)
+            u = add(one, xs, p)
             if deriv:
-                np.divide(neg_c, np.square(u, out=dp), out=dp)
-            np.add(one, np.divide(c, u, out=p), out=p)
+                div(neg_c, square(u, dp), dp)
+            add(one, div(c, u, p), p)
             return p, dp
     return f
 
@@ -247,29 +249,31 @@ def _phi_dphi_kernel(spec: ExponentSpec, shape, deriv: bool):
     """A function f(xs) -> (phi(xs), phi'(xs)) for phi = x^p(x) and float
     arrays xs of `shape` known to lie in (0, inf), with no check; phi' is
     None unless deriv. Like _p_dp_kernel, each call overwrites arrays made
-    here once. The one place both are written: constant kinds use np.power
-    (p == 1 returns x exactly), the others share p, log x and
-    x^p = exp(p log x)."""
+    here once, with positional outputs. The one place both are written:
+    constant kinds use np.power (p == 1 returns x exactly), the others
+    share p, log x and x^p = exp(p log x)."""
     phi, dphi = np.empty(shape), np.empty(shape) if deriv else None
+    mul, add, sub, exp, log, power = (np.multiply, np.add, np.subtract, np.exp, np.log,
+                                      np.power)
     if spec.kind == CONSTANT:
         g, gm1 = np.array(spec.gamma), np.array(spec.gamma - 1.0)
 
         def f(xs):
-            np.power(xs, g, out=phi)
+            power(xs, g, phi)
             if deriv:
-                np.multiply(g, np.power(xs, gm1, out=dphi), out=dphi)
+                mul(g, power(xs, gm1, dphi), dphi)
             return phi, dphi
         return f
     p_dp, lnx, one = _p_dp_kernel(spec, shape, deriv), np.empty(shape), np.array(1.0)
 
     def f(xs):
         p, dp = p_dp(xs)
-        np.log(xs, out=lnx)
-        np.exp(np.multiply(p, lnx, out=phi), out=phi)
+        log(xs, lnx)
+        exp(mul(p, lnx, phi), phi)
         if deriv:  # p x^(p-1) + p' x^p log x
-            np.exp(np.multiply(np.subtract(p, one, out=dphi), lnx, out=dphi), out=dphi)
-            np.multiply(p, dphi, out=dphi)
-            np.add(dphi, np.multiply(np.multiply(dp, phi, out=dp), lnx, out=dp), out=dphi)
+            exp(mul(sub(p, one, dphi), lnx, dphi), dphi)
+            mul(p, dphi, dphi)
+            add(dphi, mul(mul(dp, phi, dp), lnx, dp), dphi)
         return phi, dphi
     return f
 

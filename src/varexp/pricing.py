@@ -37,56 +37,29 @@ FLAG_NEAR_BOUND = "near_bound"
 #
 # A line-for-line port of Cephes ndtr.c (S. L. Moshier, "Methods and
 # Programs for Mathematical Functions", 1989), the code that scipy.special
-# compiles for ndtr: the same tables and floating-point operations in the
-# same order, so it returns scipy.special.ndtr's float bit for bit. Only
+# compiles for ndtr: the same coefficients and floating-point operations in
+# the same order, so it returns scipy.special.ndtr's float bit for bit. Only
 # the branches that ndtr reaches are ported: erf sees |x| < sqrt(1/2) and
-# erfc sees x >= sqrt(1/2).
+# erfc sees x >= sqrt(1/2). Cephes' polevl(x, C, n) (C[0] x^n + ... + C[n])
+# and p1evl (the same with an implicit leading 1) are written out as
+# fixed-degree Horner expressions of their tables T, U, P, Q, R and S, with
+# polevl's multiplications and additions in its order.
 
-_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-      7.46321056442269912687E0, 4.86371970985681366614E1,
-      1.96520832956077098242E2, 5.26445194995477358631E2,
-      9.34528527171957607540E2, 1.02755188689515710272E3,
-      5.57535335369399327526E2)
-_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-      3.54937778887819891062E2, 9.75708501743205489753E2,
-      1.82390916687909736289E3, 2.24633760818710981792E3,
-      1.65666309194161350182E3, 5.57535340817727675546E2)
-_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-      5.01905042251180477414E0, 6.16021097993053585195E0,
-      7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-      1.20489539808096656605E1, 1.70814450747565897222E1,
-      9.60896809063285878198E0, 3.36907645100081516050E0)
-_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-      2.23200534594684319226E3, 7.00332514112805075473E3,
-      5.55923013010394962768E4)
-_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-      4.59432382970980127987E3, 2.26290000613890934246E4,
-      4.92673942608635921086E4)
 _MAXLOG = 7.09782712893383996843E2
 _SQRT1_2 = 7.07106781186547524401E-1
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: tuple) -> float:
-    """_polevl with an implicit leading coefficient of 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
 
 
 def _erf(x: float) -> float:
     if x < 0.0:
         return -_erf(-x)
     z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    t = ((((9.60497373987051638749E0 * z + 9.00260197203842689217E1) * z
+           + 2.23200534594684319226E3) * z + 7.00332514112805075473E3) * z
+         + 5.55923013010394962768E4)  # polevl(z, T, 4)
+    u = (((((z + 3.35617141647503099647E1) * z + 5.21357949780152679795E2) * z
+           + 4.59432382970980127987E3) * z + 2.26290000613890934246E4) * z
+         + 4.92673942608635921086E4)  # p1evl(z, U, 5)
+    return x * t / u
 
 
 def _erfc(a: float) -> float:
@@ -97,9 +70,22 @@ def _erfc(a: float) -> float:
         return 0.0
     z = math.exp(z)
     if a < 8.0:
-        p, q = _polevl(a, _P), _p1evl(a, _Q)
+        p = ((((((((2.46196981473530512524E-10 * a + 5.64189564831068821977E-1) * a
+                   + 7.46321056442269912687E0) * a + 4.86371970985681366614E1) * a
+                 + 1.96520832956077098242E2) * a + 5.26445194995477358631E2) * a
+               + 9.34528527171957607540E2) * a + 1.02755188689515710272E3) * a
+             + 5.57535335369399327526E2)  # polevl(a, P, 8)
+        q = ((((((((a + 1.32281951154744992508E1) * a + 8.67072140885989742329E1) * a
+                  + 3.54937778887819891062E2) * a + 9.75708501743205489753E2) * a
+                + 1.82390916687909736289E3) * a + 2.24633760818710981792E3) * a
+              + 1.65666309194161350182E3) * a + 5.57535340817727675546E2)  # p1evl(a, Q, 8)
     else:
-        p, q = _polevl(a, _R), _p1evl(a, _S)
+        p = (((((5.64189583547755073984E-1 * a + 1.27536670759978104416E0) * a
+                + 5.01905042251180477414E0) * a + 6.16021097993053585195E0) * a
+              + 7.40974269950448939160E0) * a + 2.97886665372100240670E0)  # polevl(a, R, 5)
+        q = ((((((a + 2.26052863220117276590E0) * a + 9.39603524938001434673E0) * a
+                + 1.20489539808096656605E1) * a + 1.70814450747565897222E1) * a
+              + 9.60896809063285878198E0) * a + 3.36907645100081516050E0)  # p1evl(a, S, 6)
     return (z * p) / q  # 0.0 where it underflows, as Cephes returns
 
 
@@ -160,6 +146,8 @@ def bs_vega(spot: float, strike: float, rate: float, vol: float,
             maturity: float) -> float:
     if not math.isfinite(spot + strike + rate + vol + maturity):
         _require_finite(spot=spot, strike=strike, rate=rate, vol=vol, maturity=maturity)
+    if min(spot, strike, vol, maturity) <= 0:
+        raise ValueError("spot, strike, vol and maturity must be positive")
     sqt = math.sqrt(maturity)
     d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * maturity) / (vol * sqt)
     return spot * math.exp(-0.5 * d1 * d1) / math.sqrt(2 * math.pi) * sqt

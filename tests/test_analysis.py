@@ -61,6 +61,19 @@ class TestStrongError:
         assert r1.lambda_obs == r2.lambda_obs
         assert r1.r_obs == r2.r_obs
 
+    @pytest.mark.parametrize("reductions", [{"extrema", "phi_range", "path0"},
+                                            {"sup_diffs", "phi_range", "path0"}],
+                             ids=["no_sup_diffs", "no_extrema"])
+    def test_stats_without_its_reductions_rejected(self, gbm_model, p1_model, reductions):
+        cfg = SimConfig(t_horizon=0.5, dt=0.01, n_base_paths=10, seed=13)
+        stats = simulate_coupled_stats([gbm_model, p1_model], cfg, reductions=reductions)
+        with pytest.raises(ValueError, match="needs the sup_diffs and extrema reductions"):
+            strong_error_from_stats(stats, 1)
+        both = simulate_coupled_stats([gbm_model, p1_model], cfg,
+                                      reductions={"sup_diffs", "extrema"})
+        assert strong_error_from_stats(both, 1) == strong_error_from_stats(
+            simulate_coupled_stats([gbm_model, p1_model], cfg), 1)
+
     def test_error_shrinks_with_deviation(self, gbm_model):
         # scaling the rational-decay coefficient down shrinks the coupled
         # error monotonically on matched seeds

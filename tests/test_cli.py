@@ -182,6 +182,23 @@ class TestStrongError:
         assert a != b
 
 
+class TestStreamingReductions:
+    @pytest.mark.parametrize("command,reads", [
+        ("simulate", {"extrema", "path0"}),
+        ("strong-error", {"extrema", "phi_range", "sup_diffs"}),
+    ], ids=["simulate", "strong-error"])
+    def test_computes_only_what_it_writes(self, tmp_path, monkeypatch, command, reads):
+        import varexp.cli as cli
+        asked, run = [], cli.simulate_coupled_stats
+
+        def spy(models, cfg, labels, reductions):
+            asked.append(set(reductions))
+            return run(models, cfg, labels, reductions)
+        monkeypatch.setattr(cli, "simulate_coupled_stats", spy)
+        assert main([command, "--config", str(_write_config(tmp_path))]) == 0
+        assert asked == [reads]
+
+
 class TestSimulate:
     def test_outputs(self, tmp_path):
         cfg = _write_config(tmp_path)

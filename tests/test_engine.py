@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -17,17 +18,24 @@ from conftest import one_step
 # 4M paths x 100k steps: far beyond every memory cap.
 OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
 
+# Every set of reductions simulate_coupled_stats can be asked for.
+REDUCTION_SETS = [frozenset(c) for r in range(len(engine.STATS) + 1)
+                  for c in itertools.combinations(sorted(engine.STATS), r)]
 
-def _result_bytes(result) -> list:
+
+def _result_bytes(result, reductions=engine.STATS) -> list:
     """Every float and count of a simulate_coupled_stats or
-    simulate_coupled_terminals result, as bytes."""
+    simulate_coupled_terminals result, as bytes: for stats, the ones that
+    are always kept and those of `reductions`."""
     if isinstance(result, list):
         return [t.tobytes() for t in result]
-    out = [result.sup_abs_diff.tobytes()]
+    fields = {engine.EXTREMA: lambda ms: np.array([ms.min_value, ms.max_value]).tobytes(),
+              engine.PHI_RANGE: lambda ms: np.array([ms.phi_min, ms.phi_max]).tobytes(),
+              engine.PATH0: lambda ms: ms.sample_path.tobytes()}
+    out = [result.sup_abs_diff.tobytes()] if engine.SUP_DIFFS in reductions else []
     for ms in result.models:
-        out += [ms.label, ms.terminal.tobytes(), ms.path_sup.tobytes(), ms.sample_path.tobytes(),
-                np.array([ms.min_value, ms.max_value, ms.phi_min, ms.phi_max]).tobytes(),
-                ms.positivity_breaches]
+        out += [ms.label, ms.terminal.tobytes(), ms.positivity_breaches]
+        out += [field(ms) for name, field in fields.items() if name in reductions]
     return out
 
 
@@ -264,16 +272,28 @@ class TestSimulateBatch:
         assert exc.value.model_label == "explosive"
         assert len(exc.value.path_indices) >= 1
 
-    @pytest.mark.parametrize("scheme,n_base_paths,antithetic", [
-        (LOG_EULER, 2, False), (LOG_MILSTEIN, 4, True),
-    ], ids=["log_euler", "log_milstein_antithetic"])
-    def test_nan_states_blow_up(self, scheme, n_base_paths, antithetic):
-        # every path's first step is NaN (inf - inf); each must be reported
+    @pytest.mark.parametrize("scheme,n_base_paths,antithetic,paths", [
+        (LOG_EULER, 2, False, [0, 1]), (LOG_MILSTEIN, 4, True, list(range(8))),
+        (EULER, 2, False, [0, 1]), (MILSTEIN, 4, True, [0, 1, 4, 6, 7]),
+    ], ids=["log_euler", "log_milstein_antithetic", "euler", "milstein_antithetic"])
+    def test_nan_states_blow_up(self, scheme, n_base_paths, antithetic, paths):
+        # in log space every path's first step is NaN (inf - inf); in direct
+        # space some turn +inf or NaN and the others are clamped. Each is
+        # reported at step 0, whatever the run keeps.
         cfg = SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=n_base_paths, seed=1,
                         antithetic=antithetic, scheme=scheme, x0=math.exp(400))
-        with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
-            simulate_coupled_terminals([cev(0.0, 1.0, 3.0)], cfg)
-        assert exc.value.path_indices == list(range(cfg.n_paths))
+        models = [cev(0.0, 1.0, 3.0)]
+        runs = [lambda: simulate_coupled_terminals(models, cfg),
+                lambda: simulate_coupled(models, cfg),
+                lambda: engine._advance(models, cfg, ["model_0"],
+                                        engine._step_major([increment_matrix(cfg)]),
+                                        cfg.n_paths, engine.PATHS, 2)]
+        runs += [lambda r=r: simulate_coupled_stats(models, cfg, reductions=r)
+                 for r in REDUCTION_SETS]
+        for run in runs:
+            with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+                run()
+            assert (exc.value.path_indices, exc.value.step_index) == (paths, 0)
 
     # direct schemes: a state that turns +inf or NaN blows up, one that
     # turns -inf is clamped to the floor; the path indices and steps are
@@ -495,7 +515,6 @@ class TestFusedDirectStep:
             assert terminals[j].tobytes() == oracle[:, -1].tobytes(), name
             ms = stats.models[j]
             assert ms.terminal.tobytes() == oracle[:, -1].tobytes(), name
-            assert ms.path_sup.tobytes() == oracle.max(axis=1).tobytes(), name
             assert ms.sample_path.tobytes() == oracle[0].tobytes(), name
             assert (ms.min_value, ms.max_value) == (oracle.min(), oracle.max()), name
             phi = eval_phi(m.exponent, oracle)
@@ -557,7 +576,8 @@ class TestCoupled:
         assert np.array_equal(solo.values, coupled.values)
 
     def test_stats_match_dense(self, gbm_model, p1_model, small_cfg):
-        # gbm(0, 3) breaches the positivity floor under euler
+        # gbm(0, 3) breaches the positivity floor under euler; a run asked
+        # for some of the reductions gives their bytes and None for the others
         models = [gbm_model, p1_model, gbm(0.0, 3.0)]
         labels = ["gbm", "p1", "wild"]
         for scheme in SCHEMES:
@@ -565,10 +585,18 @@ class TestCoupled:
                 cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme, "x0": x0})
                 dense = simulate_coupled(models, cfg, labels)
                 stats = simulate_coupled_stats(models, cfg, labels)
+                for reductions in REDUCTION_SETS:
+                    some = simulate_coupled_stats(models, cfg, labels, reductions)
+                    assert _result_bytes(some, reductions) == _result_bytes(stats, reductions)
+                    assert (some.sup_abs_diff is None) == (engine.SUP_DIFFS not in reductions)
+                    for ms in some.models:
+                        for name, fields in [(engine.EXTREMA, (ms.min_value, ms.max_value)),
+                                             (engine.PHI_RANGE, (ms.phi_min, ms.phi_max)),
+                                             (engine.PATH0, (ms.sample_path,))]:
+                            assert all(f is None for f in fields) == (name not in reductions)
                 for j, b in enumerate(dense):
                     ms = stats.models[j]
                     assert np.array_equal(ms.terminal, b.terminal)
-                    assert np.array_equal(ms.path_sup, b.values.max(axis=1))
                     assert ms.min_value == b.values.min()
                     assert ms.max_value == b.values.max()
                     phi = eval_phi(models[j].exponent, b.values.ravel())
@@ -612,6 +640,18 @@ class TestCoupled:
             assert b.breach_counts.tobytes() == want.breach_counts.tobytes(), name
         if scheme == EULER:
             assert dense[-1].breach_counts.sum() > 0
+
+    @pytest.mark.parametrize("run", [simulate_coupled, simulate_coupled_stats,
+                                     simulate_coupled_terminals],
+                             ids=["dense", "stats", "terminals"])
+    def test_duplicate_labels_rejected(self, gbm_model, p1_model, small_cfg, run):
+        # a chunk's blow-up is ranked by its model's label
+        with pytest.raises(ValueError, match="duplicate model labels"):
+            run([gbm_model, p1_model], small_cfg, ["x", "x"])
+
+    def test_unknown_reduction_rejected(self, gbm_model, small_cfg):
+        with pytest.raises(ValueError, match=r"unknown reductions \['path_sup'\]"):
+            simulate_coupled_stats([gbm_model], small_cfg, reductions={"path_sup", engine.EXTREMA})
 
     def test_blow_up_same_as_streaming(self):
         # CEV exponent 0 runs away to 0 in log space; every run stops at the
@@ -677,37 +717,59 @@ class TestChunkedRuns:
         assert _result_bytes(split) == _result_bytes(stats)
         assert _result_bytes(simulate_coupled_terminals(models, cfg)) == _result_bytes(terminals)
 
+    # CEV exponent 0 runs away to 0 in log space, path by path; a GBM with
+    # sigma 1e150 overflows to inf under euler after a few rising steps and
+    # is clamped to the floor by a falling one. Each: models, paths, step.
+    BLOW_UPS = {
+        LOG_MILSTEIN: ([gbm(0.05, 0.2), cev(0.0, 1.0, 0.0), cev(0.0, 1.3, 0.0)], [3, 4], 6),
+        EULER: ([gbm(0.05, 0.2), gbm(0.0, 1e150), gbm(0.0, 1.3e150)], [19, 20], 2),
+    }
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 5])
     def test_blow_up_same_as_serial(self, monkeypatch, chunk, workers):
-        # CEV exponent 0 runs away to 0 in log space, path by path
-        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=2)
-        models = [gbm(0.05, 0.2), cev(0.0, 1.0, 0.0), cev(0.0, 1.3, 0.0)]
         labels = ["model_0", "model_1", "model_2"]
-        with np.errstate(all="ignore"):
-            with pytest.raises(BlowUpError) as serial:
-                simulate_coupled_terminals(models, cfg)
-            # two single-path chunks fail at this step; the union is reported
-            assert (serial.value.path_indices, serial.value.step_index) == ([3, 4], 6)
-            steps, paths = set(), set()
-            for lo in range(0, 16, chunk):
-                hi = min(lo + chunk, 16)
-                outcome = engine._outcome(engine._run_chunk, models, cfg, labels, lo, hi,
-                                         engine.TERMINAL)
-                if isinstance(outcome, BlowUpError):
-                    # global indices: the chunk's base paths and their partners
-                    assert set(outcome.path_indices) <= {*range(lo, hi), *range(16 + lo, 16 + hi)}
-                    steps.add(outcome.step_index)
-                    paths.update(outcome.path_indices)
-            assert len(steps) > 1  # chunks blow up at different steps
-            assert max(paths) >= 16  # and some at an antithetic partner
-            _force_plan(monkeypatch, chunk, workers)
-            for run in (lambda: simulate_coupled_terminals(models, cfg),
-                        lambda: simulate_coupled_stats(models, cfg)):
-                with pytest.raises(BlowUpError) as pooled:
-                    run()
-                assert str(pooled.value) == str(serial.value)
-                assert pooled.value.path_indices == serial.value.path_indices
+        for scheme, (models, want_paths, want_step) in self.BLOW_UPS.items():
+            cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=2, scheme=scheme)
+            with np.errstate(all="ignore"):
+                with pytest.raises(BlowUpError) as serial:
+                    simulate_coupled_terminals(models, cfg)
+                # two single-path chunks fail at this step; the union is reported
+                assert (serial.value.path_indices, serial.value.step_index) == \
+                    (want_paths, want_step), scheme
+                steps, paths = set(), set()
+                for lo in range(0, 16, chunk):
+                    hi = min(lo + chunk, 16)
+                    outcome = engine._outcome(engine._run_chunk, models, cfg, labels, lo, hi,
+                                             engine.TERMINAL)
+                    if isinstance(outcome, BlowUpError):
+                        # global indices: the chunk's base paths and their partners
+                        assert set(outcome.path_indices) <= {*range(lo, hi),
+                                                             *range(16 + lo, 16 + hi)}
+                        steps.add(outcome.step_index)
+                        paths.update(outcome.path_indices)
+                assert len(steps) > 1  # chunks blow up at different steps
+                assert max(paths) >= 16  # and some at an antithetic partner
+                # dense runs, recording every step or every third
+                runs = [lambda: simulate_coupled(models, cfg)] + [
+                    lambda stride=stride: engine._advance(
+                        models, cfg, labels, engine._step_major([increment_matrix(cfg)]),
+                        cfg.n_paths, engine.PATHS, stride) for stride in (1, 3)]
+                for run in runs:
+                    with pytest.raises(BlowUpError) as dense:
+                        run()
+                    assert str(dense.value) == str(serial.value), scheme
+                    assert dense.value.path_indices == serial.value.path_indices
+                _force_plan(monkeypatch, chunk, workers)
+                runs = [lambda: simulate_coupled_terminals(models, cfg)]
+                runs += [lambda r=r: simulate_coupled_stats(models, cfg, reductions=r)
+                         for r in REDUCTION_SETS]
+                for run in runs:
+                    with pytest.raises(BlowUpError) as pooled:
+                        run()
+                    assert str(pooled.value) == str(serial.value), scheme
+                    assert pooled.value.path_indices == serial.value.path_indices
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_earliest_step_then_first_model(self, monkeypatch, gbm_model, workers):

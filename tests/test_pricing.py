@@ -261,6 +261,16 @@ class TestNonFiniteInputs:
             implied_vol(**{**self.INVERSE, name: bad})
         assert type(exc.value) is ValueError
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["spot", "strike", "vol", "maturity"])
+    @pytest.mark.parametrize("fn", [bs_call, bs_vega])
+    def test_non_positive_arguments_rejected(self, fn, name, bad):
+        # bs_vega divided by zero or took the log of a negative number
+        with pytest.raises(ValueError, match="spot, strike, vol and maturity must be positive") \
+                as exc:
+            fn(**{**self.CALL, name: bad})
+        assert type(exc.value) is ValueError
+
     def test_finite_arguments_with_an_overflowing_sum_pass(self):
         # the checks add the arguments first; an overflow there is no error
         at_the_money = 0.2 * 1e308 / math.sqrt(2 * math.pi)
