@@ -14,7 +14,7 @@ ranges of base paths (with their antithetic partners) as chunks of bounded
 memory: a dense run is one in-process chunk; streaming runs use a pool of
 forked workers when there are several chunks and CPUs, and merge the
 chunks' results exactly, in global path order. run_with_increments steps a
-caller's path-major matrix through the same runner; there is no other way
+caller's increment matrix through the same runner; there is no other way
 to take a step.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
@@ -38,19 +38,24 @@ its constants as 0-d arrays and its ufuncs bound, overwrites its state in
 place and writes every intermediate into those buffers, passed as
 positional outputs, in the formula's operation and operand order. Inputs
 are checked once, by SimConfig and ModelSpec; no step re-validates its
-state. The check that ends each step reads the new state with reductions
-alone, and looks for the paths out of range only when a reduction fails.
+state. The check that ends each step reads the new state's extremes at
+their argmin and argmax alone, and looks for the paths out of range only
+when that check fails.
 
 Increments are drawn one way, path-major, by _increment_blocks: a chunk's
 (or the whole run's) steps as one block, or the refinement study's fine
 steps a block at a time, each path keeping its own Philox generator from
-block to block. They reach the runner one way too: _step_major cuts every
-path-major block, the caller's matrix of run_with_increments included,
-into C-contiguous step-major pieces (B, m) of at most _BLOCK_STEPS steps
-by strip transposes, so each step reads one contiguous row. Dense states
-are written once, step-major, where they are stepped; PathBatch.values is
-the transposed view. The outputs are the same bytes however the paths are
-partitioned and however the steps are blocked.
+block to block. increment_matrix transposes its strips into step-major
+storage and returns the transposed (Fortran-ordered) view, as
+PathBatch.values is of the dense states. Increments reach the runner one
+way: _step_major hands it C-contiguous step-major pieces (B, m), so each
+step reads one contiguous row. A block that is step-major in memory (a
+matrix from increment_matrix) is read in place; a path-major one (a
+coupled-run chunk, a refinement fine block, a caller's C-ordered matrix)
+is cut into pieces of at most _BLOCK_STEPS steps by strip transposes.
+Dense states are written once, step-major, where they are stepped. The
+outputs are the same bytes however the paths are partitioned, however the
+steps are blocked and whatever the increment matrix's memory order.
 """
 
 from __future__ import annotations
@@ -230,18 +235,36 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
     """(n_paths, n_steps) increment matrix for a whole run: row i is path
     i's Philox draw and, with antithetic sampling, row n_base_paths + i its
     negation. Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
+
+    The matrix is the transposed (Fortran-ordered) view of step-major
+    storage, filled a strip of _BLOCK_STEPS base paths at a time: each strip
+    is drawn path-major and transposed into its base and partner columns.
+    So run_with_increments reads it in place, and a reduction along axis 1
+    may differ from a C-ordered copy's in the last bit.
     """
     _require_fits(cfg.n_paths * cfg.n_steps * 8, "increment matrix")
-    return next(_increment_blocks(cfg, 0, cfg.n_base_paths, cfg.n_steps))
+    n = cfg.n_base_paths
+    dw = np.empty((cfg.n_steps, cfg.n_paths))
+    for lo in range(0, n, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, n)
+        strip = next(_increment_blocks(cfg, lo, hi, cfg.n_steps))
+        dw[:, lo:hi] = strip[:hi - lo].T
+        dw[:, n + lo:n + hi] = strip[hi - lo:].T  # no columns without partners
+    return dw.T
 
 
 def _step_major(blocks):
-    """Yield each path-major (m, B) block of `blocks` as C-contiguous
-    step-major (b, m) pieces of at most _BLOCK_STEPS steps, made by strip
-    transposes of _BLOCK_STEPS paths into one buffer that the next piece
-    overwrites."""
+    """Yield each (m, B) block of `blocks` as C-contiguous step-major
+    pieces (b, m). A block that is step-major in memory already
+    (Fortran-ordered, as increment_matrix's is) is one piece, its transpose,
+    read in place. Any other (a path-major block) is cut into pieces of at
+    most _BLOCK_STEPS steps, made by strip transposes of _BLOCK_STEPS paths
+    into one buffer that the next piece overwrites."""
     buf = np.empty((0, 0))
     for blk in blocks:
+        if blk.flags.f_contiguous:
+            yield blk.T
+            continue
         for k0 in range(0, blk.shape[1], _BLOCK_STEPS):
             b = blk[:, k0:k0 + _BLOCK_STEPS]
             if len(buf) < b.shape[1]:
@@ -270,16 +293,16 @@ class _OutOfRange(Exception):
 def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.ndarray):
     """Model's log-space step, from y = log(x0) and x = exp(y), which it
     writes into x. Each step overwrites y with y', tests that every
-    |y'| <= LOG_OVERFLOW_LIMIT with one reduction (NaN fails it), looking
-    for the paths out of range only when it fails, and writes exp(y') into
-    out. x is not re-validated: the range keeps it positive and finite.
-    Every variant gives the generic formula's floats.
+    |y'| <= LOG_OVERFLOW_LIMIT by reading the largest |y'| at its argmax
+    (argmax finds the first NaN, which fails), looking for the paths out of
+    range only when that fails, and writes exp(y') into out. x is not
+    re-validated: the range keeps it positive and finite. Every variant
+    gives the generic formula's floats.
     """
     spec, m = model.exponent, len(x)
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0
     constant = spec.kind == CONSTANT
-    mul, add, sub, exp, absolute, top = (np.multiply, np.add, np.subtract, np.exp,
-                                         np.absolute, np.maximum.reduce)
+    mul, add, sub, exp, absolute = np.multiply, np.add, np.subtract, np.exp, np.absolute
     limit = LOG_OVERFLOW_LIMIT
     mu, sigma, dt0, half, one = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5, 1.0))
     drift_dt = np.array((model.mu - 0.5 * model.sigma * model.sigma) * dt)
@@ -289,6 +312,7 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     b, half_b, incr, t = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     y = np.full(m, math.log(x0))
     exp(y, x)
+    peak = t.argmax
 
     def step(dw, dw2, out):
         nonlocal x
@@ -313,7 +337,8 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
                 mul(mul(half_b, t, t), dw2, t)
                 add(incr, t, incr)
             add(incr, y, y)
-        if not top(absolute(y, t), 0, None, None, False, 0.0) <= limit:
+        absolute(y, t)
+        if not t[peak()] <= limit:
             raise _OutOfRange(np.nonzero(~(np.abs(y) <= limit))[0])
         x = exp(y, out)
 
@@ -323,15 +348,16 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
 def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.ndarray,
                     breaches: np.ndarray):
     """Model's direct-space step, from x = x0, which it writes into x. Each
-    step writes x' into out, then tests it with two reductions: when some
-    x' is below POSITIVITY_FLOOR or not finite, it clamps the low ones to
-    the floor, counting each clamp in breaches, and fails on a non-finite
-    one. x is not re-validated. Every variant gives the generic formula's
-    floats."""
+    step writes x' into out, then reads its smallest and largest x' at
+    their argmin and argmax (which find the first NaN, and a NaN fails
+    both tests): when some x' is below POSITIVITY_FLOOR or not finite, it
+    clamps the low ones to the floor, counting each clamp in breaches, and
+    fails on a non-finite one. x is not re-validated. Every variant gives
+    the generic formula's floats."""
     spec, m = model.exponent, len(x)
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0  # phi = x, phi' = 1 exactly
     phi_dphi = None if gbm else _phi_dphi_kernel(spec, m, milstein)
-    mul, add, bottom, top = np.multiply, np.add, np.minimum.reduce, np.maximum.reduce
+    mul, add = np.multiply, np.add
     floor, inf = POSITIVITY_FLOOR, np.inf
     mu, sigma, dt0, half = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5))
     g, t = np.empty(m), np.empty(m)
@@ -347,8 +373,7 @@ def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: n
             mul(half, g, g)
             mul(g, sigma if gbm else mul(sigma, dphi, dphi), g)
             add(out, mul(g, dw2, g), out)
-        if not (bottom(out, 0, None, None, False, inf) >= floor
-                and top(out, 0, None, None, False, -inf) < inf):  # NaN fails both
+        if not (out[out.argmin()] >= floor and out[out.argmax()] < inf):
             low = out < floor
             add(breaches, low, breaches)
             out[low] = floor
@@ -489,6 +514,8 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
         targets = repeat(xrows)
         reductions, out = _reductions(keep, models, cfg.x0, n_steps, xbuf)
     dt0, squares, k, rows = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0, xrows
+    if not m:  # no paths: nothing to step (and an empty argmax has no answer)
+        blocks = ()
     try:
         for piece in blocks:
             for r0 in range(0, len(piece), _DW2_ROWS):
@@ -511,7 +538,9 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
 def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
                         label: str = "model") -> PathBatch:
     """Advance all paths of one model over a caller-supplied increment
-    matrix of shape (n_paths, n_steps) with cfg's step size."""
+    matrix of shape (n_paths, n_steps) with cfg's step size. A matrix that
+    is step-major in memory (Fortran-ordered, as increment_matrix returns)
+    is read in place; any other is read through strip transposes."""
     dw = np.asarray(dw, dtype=float)
     if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
         raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")

@@ -152,7 +152,10 @@ def _dense_refinement(m, coarse_dts, ref_dt, n_base_paths, seed, x0, scheme, ant
     sim = dict(t_horizon=1.0, n_base_paths=n_base_paths, seed=seed,
                antithetic=antithetic, x0=x0)
     fine_cfg = SimConfig(dt=ref_dt, scheme=LOG_MILSTEIN, **sim)
-    dw_fine = increment_matrix(fine_cfg)
+    # C order: the block sums below reduce contiguous rows, as the engine's
+    # path-major fine blocks do (on the Fortran-ordered matrix numpy would
+    # sum in another order, and the oracle's own last bits would change)
+    dw_fine = np.ascontiguousarray(increment_matrix(fine_cfg))
     ref = run_with_increments(m, fine_cfg, dw_fine, "reference")
     shared_n = round(1.0 / max(coarse_dts))
     out = []
@@ -210,6 +213,7 @@ class TestRefinementErrors:
         # in blocks, and the coarse increments (0.175 of the fine bytes here)
         # and the coarsest grid's points are what the peak holds
         fine_bytes = 2 * 16 * 10_000 * 8
+        np.random.Philox(0)  # imports numpy.random outside the traced region
         tracemalloc.start()
         try:
             refinement_errors(p1_model, self.DTS, ref_dt=1e-4, n_base_paths=16, seed=3)

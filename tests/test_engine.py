@@ -132,6 +132,20 @@ class TestIncrements:
             assert np.array_equal(dw[4 + i], -dw[i])
 
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("strip", [1, 3, 128])
+    def test_step_major_strips(self, monkeypatch, strip, antithetic):
+        # filled a strip of base paths at a time into step-major storage:
+        # the same elements however the strips are cut
+        cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=4, seed=3, antithetic=antithetic)
+        monkeypatch.setattr(engine, "_BLOCK_STEPS", strip)
+        dw = increment_matrix(cfg)
+        assert dw.shape == (cfg.n_paths, 10) and dw.T.flags.c_contiguous
+        for i in range(4):
+            assert dw[i].tobytes() == _philox_row(3, i, 10, 0.01).tobytes()
+            if antithetic:
+                assert dw[4 + i].tobytes() == (-dw[i]).tobytes()
+
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     @pytest.mark.parametrize("block", [1, 7, 10, 30])
     def test_blocks_side_by_side_are_the_matrix(self, block, antithetic):
         # each path's Philox state is carried from block to block, and a
@@ -209,6 +223,80 @@ def _bprime(m, x):
     b = m.sigma * x ** (p - 1.0)
     dp = float(_p_dp(m.exponent, np.asarray(x, dtype=float))[1])
     return b * ((p - 1.0) + x * dp * math.log(x))
+
+
+class TestRangeChecks:
+    """The checks that end each step, at their boundaries: the first NaN is
+    found, and the paths out of range are the ones the mask names."""
+
+    @pytest.mark.parametrize("scheme", [LOG_EULER, LOG_MILSTEIN])
+    def test_log_limit_is_inclusive(self, scheme):
+        # gbm(0.5, 1) has zero log drift, so y' = dw exactly
+        m, limit = gbm(0.5, 1.0), engine.LOG_OVERFLOW_LIMIT
+        b = one_step(m, 1.0, 1.0, [limit, -limit, 0.0], scheme)
+        assert b.terminal.tolist() == [math.exp(limit), math.exp(-limit), 1.0]
+        above = np.nextafter(limit, np.inf)
+        for dw, paths in (([0.1, limit, -limit, above, 0.2], [3]),
+                          ([0.1, -above, 0.2], [1]),
+                          ([0.1, np.nan, 0.2], [1])):
+            with pytest.raises(BlowUpError) as exc:
+                one_step(m, 1.0, 1.0, dw, scheme)
+            assert (exc.value.path_indices, exc.value.step_index) == (paths, 0)
+
+    @pytest.mark.parametrize("scheme", [EULER, MILSTEIN])
+    def test_floor_is_kept(self, scheme):
+        # sigma = 0 and mu = 0: x' = x exactly
+        m = gbm(0.0, 0.0)
+        b = one_step(m, POSITIVITY_FLOOR, 0.5, [0.0, 0.3], scheme)
+        assert b.terminal.tolist() == [POSITIVITY_FLOOR] * 2
+        assert b.breach_counts.tolist() == [0, 0]
+        b = one_step(m, np.nextafter(POSITIVITY_FLOOR, 0.0), 0.5, [0.0, 0.3], scheme)
+        assert b.terminal.tolist() == [POSITIVITY_FLOOR] * 2
+        assert b.breach_counts.tolist() == [1, 1]
+
+    def test_infinite_states(self):
+        # x' = 1 + dw under euler: +inf blows up, -inf is clamped and counted
+        m = gbm(0.0, 1.0)
+        with pytest.raises(BlowUpError) as exc:
+            one_step(m, 1.0, 0.5, [0.0, np.inf, -np.inf, 0.0], EULER)
+        assert (exc.value.path_indices, exc.value.step_index) == ([1], 0)
+        b = one_step(m, 1.0, 0.5, [0.0, -np.inf, 0.0], EULER)
+        assert b.terminal.tolist() == [1.0, POSITIVITY_FLOOR, 1.0]
+        assert b.breach_counts.tolist() == [0, 1, 0]
+
+
+class TestInPlaceIncrements:
+    """increment_matrix returns step-major storage, and run_with_increments
+    reads it in place: no copy of it and no piece buffer."""
+
+    CFG = SimConfig(t_horizon=1.0, dt=0.005, n_base_paths=1000, seed=4)  # 2000 x 200
+
+    def test_pieces_are_views(self):
+        dw = increment_matrix(self.CFG)
+        assert dw.T.flags.c_contiguous
+        pieces = list(engine._step_major([dw]))
+        assert sum(map(len, pieces)) == self.CFG.n_steps
+        assert all(p.flags.c_contiguous and np.shares_memory(p, dw) for p in pieces)
+
+    @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, MILSTEIN])
+    def test_run_holds_only_the_values(self, p1_model, scheme):
+        cfg = SimConfig(**{**self.CFG.to_dict(), "scheme": scheme})
+        dw = increment_matrix(cfg)
+        values_bytes = cfg.n_paths * (cfg.n_steps + 1) * 8
+        piece_bytes = engine._BLOCK_STEPS * cfg.n_paths * 8
+        tracemalloc.start()
+        try:
+            run_with_increments(p1_model, cfg, dw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values_bytes + piece_bytes // 2
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_no_paths(self, p1_model, scheme):
+        cfg = SimConfig(t_horizon=1.0, dt=0.25, n_base_paths=1, seed=0, scheme=scheme)
+        b = run_with_increments(p1_model, cfg, np.empty((0, 4)))
+        assert b.values.shape == (0, 5) and b.breach_counts.shape == (0,)
 
 
 class TestSimulateBatch:
@@ -383,7 +471,7 @@ class TestStepBlocks:
         dw = increment_matrix(cfg)
         want = run_with_increments(p1_model, cfg, dw).values.tobytes()
         monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
-        for layout in (dw, np.asfortranarray(dw)):
+        for layout in (np.ascontiguousarray(dw), dw):
             assert run_with_increments(p1_model, cfg, layout).values.tobytes() == want
 
     @pytest.mark.parametrize("block", BLOCKS)
@@ -444,7 +532,7 @@ class TestFusedLogStep:
         for (name, m), terminal in zip(ORACLE_MODELS.items(), terminals):
             oracle = _oracle_paths(m, cfg, dw)
             assert terminal.tobytes() == oracle[:, -1].tobytes(), name
-            for layout in (dw, np.asfortranarray(dw)):
+            for layout in (np.ascontiguousarray(dw), dw):
                 values = run_with_increments(m, cfg, layout, name).values
                 assert values.tobytes() == oracle.tobytes(), name
 
@@ -508,7 +596,7 @@ class TestFusedDirectStep:
         oracles = [_oracle_direct_paths(m, cfg, dw) for m in models]
         for j, (name, m) in enumerate(self.MODELS.items()):
             oracle, breaches = oracles[j]
-            for layout in (dw, np.asfortranarray(dw)):
+            for layout in (np.ascontiguousarray(dw), dw):
                 b = run_with_increments(m, cfg, layout, name)
                 assert b.values.tobytes() == oracle.tobytes(), name
                 assert b.breach_counts.tobytes() == breaches.tobytes(), name
