@@ -11,7 +11,7 @@ from .bounds import (BoundInputs, BoundTable, bound_table, coefficient,
                      error_bound, lambda_factor, moment_bound)
 from .engine import (BlowUpError, PathBatch, SimConfig, increment_matrix,
                      run_with_increments, simulate_batch, simulate_coupled,
-                     simulate_coupled_stats, simulate_coupled_terminals)
+                     simulate_coupled_stats)
 from .exponent import (CheckReport, ExponentSpec, GrowthConstants,
                        check_admissibility, estimate_constants, eval_dphi,
                        eval_phi, sup_deviation)

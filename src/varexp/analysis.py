@@ -133,11 +133,13 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
     grid would bias the coarse errors downward (fewer points, smaller sup)
     and flatten the fitted order.
     """
+    if not coarse_dts:
+        raise ValueError("coarse_dts is empty: give at least one coarse step size")
     coarsest = max(coarse_dts)
-    for dtc in coarse_dts:
+    for dtc in coarse_dts:  # both relative, so the checks hold at any time scale
         if abs(round(dtc / ref_dt) * ref_dt - dtc) > 1e-9 * dtc:
             raise ValueError("each coarse dt must be an integer multiple of ref_dt")
-        if abs(round(coarsest / dtc) * dtc - coarsest) > 1e-9:
+        if abs(round(coarsest / dtc) * dtc - coarsest) > 1e-9 * coarsest:
             raise ValueError("the coarsest dt must be a multiple of every level")
 
     fine_cfg = engine_mod.SimConfig(
@@ -179,7 +181,12 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
 
 
 def loglog_slope(pairs: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log(error) against log(dt)."""
-    xs = np.log([p[0] for p in pairs])
-    ys = np.log([p[1] for p in pairs])
-    return float(np.polyfit(xs, ys, 1)[0])
+    """Least-squares slope of log(error) against log(dt), over at least two
+    distinct step sizes; every step and error must be positive and finite."""
+    dts, errs = (np.array([p[k] for p in pairs], dtype=float) for k in (0, 1))
+    for name, v in (("step sizes", dts), ("errors", errs)):
+        if not np.all((v > 0) & (v < np.inf)):
+            raise ValueError(f"{name} must be positive and finite, not {v.tolist()}")
+    if len(np.unique(dts)) < 2:
+        raise ValueError(f"a slope needs at least two distinct step sizes, not {dts.tolist()}")
+    return float(np.polyfit(np.log(dts), np.log(errs), 1)[0])

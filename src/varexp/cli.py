@@ -34,7 +34,7 @@ from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
 from .config import ConfigError, RunConfig, _check_formats, load_config
 from .engine import (EXTREMA, PATH0, PHI_RANGE, SUP_DIFFS, BlowUpError, SimConfig, _plan,
-                     simulate_coupled_stats, simulate_coupled_terminals)
+                     simulate_coupled_stats)
 from .exponent import CONSTANT, check_admissibility, sup_deviation
 from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
@@ -208,7 +208,8 @@ def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     _require_gbm_reference(cfg)
     req = cfg.smile
     sim = cfg.smile_sim()
-    terminals = simulate_coupled_terminals(cfg.models, sim, cfg.labels)
+    terminals = [ms.terminal for ms in
+                 simulate_coupled_stats(cfg.models, sim, cfg.labels, reductions=()).models]
 
     files = {}
     all_series = []

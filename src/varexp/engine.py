@@ -42,20 +42,20 @@ state. The check that ends each step reads the new state's extremes at
 their argmin and argmax alone, and looks for the paths out of range only
 when that check fails.
 
-Increments are drawn one way, path-major, by _increment_blocks: a chunk's
-(or the whole run's) steps as one block, or the refinement study's fine
-steps a block at a time, each path keeping its own Philox generator from
-block to block. increment_matrix transposes its strips into step-major
-storage and returns the transposed (Fortran-ordered) view, as
-PathBatch.values is of the dense states. Increments reach the runner one
-way: _step_major hands it C-contiguous step-major pieces (B, m), so each
-step reads one contiguous row. A block that is step-major in memory (a
-matrix from increment_matrix) is read in place; a path-major one (a
-coupled-run chunk, a refinement fine block, a caller's C-ordered matrix)
-is cut into pieces of at most _BLOCK_STEPS steps by strip transposes.
-Dense states are written once, step-major, where they are stepped. The
-outputs are the same bytes however the paths are partitioned, however the
-steps are blocked and whatever the increment matrix's memory order.
+Increments are drawn one way, path-major, by _increment_blocks, and the
+runner reads them as C-contiguous step-major blocks (B, m), one contiguous
+row per step. _increments fills step-major storage for a range of base
+paths and their partners a strip at a time: a coupled run's chunk is that
+storage, read in place as one block, and increment_matrix is its transposed
+(Fortran-ordered) view over all paths, as PathBatch.values is of the dense
+states. _step_major hands over the rest: a caller's matrix, in place when
+it is step-major in memory, and otherwise (a C-ordered matrix, or the
+refinement study's fine blocks, each path keeping its own Philox generator
+from block to block) as pieces of at most _BLOCK_STEPS steps made by strip
+transposes. Dense states are written once, step-major, where they are
+stepped. The outputs are the same bytes however the paths are partitioned,
+however the steps are blocked and whatever the increment matrix's memory
+order.
 """
 
 from __future__ import annotations
@@ -231,26 +231,35 @@ def _increment_blocks(cfg: SimConfig, lo: int, hi: int, block: int):
         yield dw
 
 
+def _increments(cfg: SimConfig, lo: int, hi: int, what: str) -> np.ndarray:
+    """C-contiguous step-major (n_steps, m) increments of base paths
+    lo..hi-1, then their antithetic partners, filled a strip of _BLOCK_STEPS
+    base paths at a time: each strip is drawn path-major by _increment_blocks
+    and transposed into its columns. Raises MemoryError, naming `what`,
+    before allocating above MEMORY_CAP_BYTES."""
+    nb = hi - lo
+    m = nb * (cfg.n_paths // cfg.n_base_paths)
+    _require_fits(m * cfg.n_steps * 8, what)
+    dw = np.empty((cfg.n_steps, m))
+    for s in range(lo, hi, _BLOCK_STEPS):
+        e = min(s + _BLOCK_STEPS, hi)
+        strip = next(_increment_blocks(cfg, s, e, cfg.n_steps))
+        dw[:, s - lo:e - lo] = strip[:e - s].T
+        dw[:, nb + s - lo:nb + e - lo] = strip[e - s:].T  # no columns without partners
+    return dw
+
+
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
     """(n_paths, n_steps) increment matrix for a whole run: row i is path
     i's Philox draw and, with antithetic sampling, row n_base_paths + i its
     negation. Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
 
-    The matrix is the transposed (Fortran-ordered) view of step-major
-    storage, filled a strip of _BLOCK_STEPS base paths at a time: each strip
-    is drawn path-major and transposed into its base and partner columns.
-    So run_with_increments reads it in place, and a reduction along axis 1
-    may differ from a C-ordered copy's in the last bit.
+    The matrix is the transposed (Fortran-ordered) view of the step-major
+    increments of all base paths, the storage a coupled run's chunk steps
+    over. So run_with_increments reads it in place, and a reduction along
+    axis 1 may differ from a C-ordered copy's in the last bit.
     """
-    _require_fits(cfg.n_paths * cfg.n_steps * 8, "increment matrix")
-    n = cfg.n_base_paths
-    dw = np.empty((cfg.n_steps, cfg.n_paths))
-    for lo in range(0, n, _BLOCK_STEPS):
-        hi = min(lo + _BLOCK_STEPS, n)
-        strip = next(_increment_blocks(cfg, lo, hi, cfg.n_steps))
-        dw[:, lo:hi] = strip[:hi - lo].T
-        dw[:, n + lo:n + hi] = strip[hi - lo:].T  # no columns without partners
-    return dw.T
+    return _increments(cfg, 0, cfg.n_base_paths, "increment matrix").T
 
 
 def _step_major(blocks):
@@ -638,17 +647,16 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                lo: int, hi: int, keep) -> dict:
-    """_advance over base paths [lo, hi) and their antithetic partners.
+    """_advance over base paths [lo, hi) and their antithetic partners,
+    reading their _increments in place as one block (and no other copy).
 
     Per-path arrays come back in the chunk's column order (base paths, then
     partners); breaches are per path for PATHS and totals otherwise. A
     blow-up names global path indices.
     """
     try:
-        m = (hi - lo) * (cfg.n_paths // cfg.n_base_paths)
-        _require_fits(m * cfg.n_steps * 8, "increment chunk")
-        dw = next(_increment_blocks(cfg, lo, hi, cfg.n_steps))
-        out = _advance(models, cfg, labels, _step_major([dw]), m, keep)
+        dw = _increments(cfg, lo, hi, "increment chunk")
+        out = _advance(models, cfg, labels, [dw], dw.shape[1], keep)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)
@@ -708,29 +716,18 @@ def _in_path_order(parts: list[np.ndarray], bounds: list[tuple[int, int]]) -> np
                           + [p[..., c:] for p, c in zip(parts, cuts)], axis=-1)
 
 
-def simulate_coupled_terminals(models: Sequence[ModelSpec], cfg: SimConfig,
-                               labels: Optional[Sequence[str]] = None) -> list[np.ndarray]:
-    """Coupled simulation keeping only the terminal values.
-
-    Lean variant for pricing workloads: identical increments and stepping
-    as simulate_coupled, no per-path accumulators, any scheme, in path
-    chunks like simulate_coupled_stats.
-    """
-    parts, bounds = _run_chunked(models, cfg, _labels_for(models, labels), TERMINAL)
-    return list(_in_path_order([p["terminal"] for p in parts], bounds))
-
-
 def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
                            labels: Optional[Sequence[str]] = None,
                            reductions: Iterable[str] = STATS) -> CoupledStats:
     """Coupled simulation keeping only reductions, never the dense paths.
 
-    Always kept: terminal values and breach totals. `reductions` names the
-    others to compute, each paid for on every step, all of them (STATS) by
-    default: EXTREMA ("extrema": min_value, max_value), PHI_RANGE
-    ("phi_range": the range of x^p(x), phi_min and phi_max), SUP_DIFFS
-    ("sup_diffs": sup_abs_diff against the first model) and PATH0
-    ("path0": sample_path, path 0's states). One not asked for is None.
+    Always kept: terminal values and breach totals, all that a run with no
+    reductions (a smile's) keeps. `reductions` names the others to compute,
+    each paid for on every step, all of them (STATS) by default: EXTREMA
+    ("extrema": min_value, max_value), PHI_RANGE ("phi_range": the range
+    of x^p(x), phi_min and phi_max), SUP_DIFFS ("sup_diffs": sup_abs_diff
+    against the first model) and PATH0 ("path0": sample_path, path 0's
+    states). One not asked for is None.
     Every scheme; the extrema and ranges include x0. Base paths run in
     chunks of bounded increment memory, on a pool of min(CPUs, chunks)
     forked workers; the merged results are the same bytes however the paths

@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from varexp import ExponentSpec, ModelSpec, SimConfig, gbm, run_with_increments
+from varexp import (ExponentSpec, ModelSpec, SimConfig, gbm, run_with_increments,
+                    simulate_coupled_stats)
 from varexp.engine import LOG_MILSTEIN
 
 
@@ -64,6 +65,12 @@ def one_step(m, x, dt, dw, scheme=LOG_MILSTEIN):
     cfg = SimConfig(t_horizon=dt, dt=dt, n_base_paths=dw.size, seed=0,
                     antithetic=False, scheme=scheme, x0=x)
     return run_with_increments(m, cfg, dw[:, None])
+
+
+def coupled_terminals(models, cfg, labels=None):
+    """Each model's terminal values from a coupled run that computes no
+    reductions: simulate_coupled_stats with reductions=()."""
+    return [ms.terminal for ms in simulate_coupled_stats(models, cfg, labels, reductions=()).models]
 
 
 def replaced(raw, path, value):

@@ -8,7 +8,8 @@ import pytest
 from varexp import (ExponentSpec, ModelSpec, SimConfig, eval_phi, simulate_batch,
                     simulate_coupled, simulate_coupled_stats, strong_error,
                     strong_error_from_stats, sup_second_moment, terminal_stats)
-from varexp import engine, increment_matrix, refinement_errors, run_with_increments
+from varexp import (engine, gbm, increment_matrix, loglog_slope, refinement_errors,
+                    run_with_increments)
 from varexp.engine import EULER, LOG_MILSTEIN, MILSTEIN
 
 
@@ -242,3 +243,32 @@ class TestRefinementErrors:
         monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 4)
         with pytest.raises(MemoryError, match="coarse increments"):
             refinement_errors(*args)
+
+    # 0.3 is no multiple of 0.2, at a horizon of 6 or of 6e-9: the check is
+    # relative, so it holds before any stepping at either scale
+    @pytest.mark.parametrize("dts,ref_dt,t_horizon", [
+        ([0.3, 0.2], 0.1, 6.0), ([3e-10, 2e-10], 1e-10, 6e-9)], ids=["unit", "nano"])
+    def test_coarsest_not_a_multiple_rejected(self, dts, ref_dt, t_horizon):
+        with pytest.raises(ValueError, match="coarsest dt must be a multiple of every level"):
+            refinement_errors(gbm(0.05, 0.2), dts, ref_dt=ref_dt, n_base_paths=2, seed=1,
+                              t_horizon=t_horizon)
+
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="coarse_dts is empty"):
+            refinement_errors(gbm(0.05, 0.2), [], ref_dt=0.1, n_base_paths=2, seed=1)
+
+
+class TestLoglogSlope:
+    @pytest.mark.parametrize("pairs", [[], [(0.1, 0.01)], [(0.1, 0.01), (0.1, 0.02)]],
+                             ids=["none", "one", "repeated"])
+    def test_fewer_than_two_step_sizes_rejected(self, pairs):
+        with pytest.raises(ValueError, match="at least two distinct step sizes"):
+            loglog_slope(pairs)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("column,name", [(0, "step sizes"), (1, "errors")], ids=["dt", "error"])
+    def test_non_positive_or_non_finite_rejected(self, column, name, bad):
+        pairs = [[0.1, 0.01], [0.2, 0.04]]
+        pairs[0][column] = bad
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            loglog_slope(pairs)

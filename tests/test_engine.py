@@ -8,12 +8,12 @@ import pytest
 
 from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
                     run_with_increments, simulate_batch, simulate_coupled,
-                    simulate_coupled_stats, simulate_coupled_terminals)
+                    simulate_coupled_stats)
 from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
 from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
                            SCHEMES)
 from varexp.exponent import _p_dp, eval_p
-from conftest import one_step
+from conftest import coupled_terminals, one_step
 
 # 4M paths x 100k steps: far beyond every memory cap.
 OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
@@ -24,9 +24,9 @@ REDUCTION_SETS = [frozenset(c) for r in range(len(engine.STATS) + 1)
 
 
 def _result_bytes(result, reductions=engine.STATS) -> list:
-    """Every float and count of a simulate_coupled_stats or
-    simulate_coupled_terminals result, as bytes: for stats, the ones that
-    are always kept and those of `reductions`."""
+    """Every float and count of a simulate_coupled_stats result, or of a
+    list of terminals (coupled_terminals), as bytes: for stats, the ones
+    that are always kept and those of `reductions`."""
     if isinstance(result, list):
         return [t.tobytes() for t in result]
     fields = {engine.EXTREMA: lambda ms: np.array([ms.min_value, ms.max_value]).tobytes(),
@@ -158,6 +158,19 @@ class TestIncrements:
             rows = list(range(lo, hi)) + (list(range(4 + lo, 4 + hi)) if antithetic else [])
             assert np.hstack(blocks).tobytes() == dw[rows].tobytes(), (lo, hi)
 
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    def test_range_fill_is_the_matrix_columns(self, antithetic):
+        # a chunk's step-major increments are the columns of increment_matrix's
+        # storage for its base paths, then their partners; 100..260 crosses
+        # the matrix's strips at 128 and 256 and is cut at 228 itself
+        cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=300, seed=3, antithetic=antithetic)
+        storage = increment_matrix(cfg).T
+        for lo, hi in [(0, 4), (1, 3), (3, 4), (100, 260)]:
+            dw = engine._increments(cfg, lo, hi, "increment chunk")
+            cols = list(range(lo, hi)) + (list(range(300 + lo, 300 + hi)) if antithetic else [])
+            assert dw.flags.c_contiguous and dw.shape == (10, len(cols)), (lo, hi)
+            assert dw.tobytes() == storage[:, cols].tobytes(), (lo, hi)
+
 
 class TestSteps:
     def test_log_milstein_gbm_exact_step(self):
@@ -267,7 +280,8 @@ class TestRangeChecks:
 
 class TestInPlaceIncrements:
     """increment_matrix returns step-major storage, and run_with_increments
-    reads it in place: no copy of it and no piece buffer."""
+    reads it in place: no copy of it and no piece buffer. A coupled run's
+    chunk steps over the same storage, with no piece buffer either."""
 
     CFG = SimConfig(t_horizon=1.0, dt=0.005, n_base_paths=1000, seed=4)  # 2000 x 200
 
@@ -291,6 +305,22 @@ class TestInPlaceIncrements:
         finally:
             tracemalloc.stop()
         assert peak < values_bytes + piece_bytes // 2
+
+    @pytest.mark.parametrize("keep", [engine.TERMINAL, engine.STATS], ids=["terminal", "stats"])
+    def test_chunk_holds_only_its_increments(self, gbm_model, keep):
+        # one chunk's increments, the strips they are drawn in and O(m)
+        # state: no (128, m) piece buffer, which is half of them here
+        cfg = SimConfig(t_horizon=1.0, dt=1 / 256, n_base_paths=2000, seed=5)
+        increment_bytes = cfg.n_paths * cfg.n_steps * 8
+        piece_bytes = engine._BLOCK_STEPS * cfg.n_paths * 8
+        np.random.Philox(0)  # imports numpy.random outside the traced region
+        tracemalloc.start()
+        try:
+            engine._run_chunk([gbm_model], cfg, ["gbm"], 0, cfg.n_base_paths, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < increment_bytes + piece_bytes // 2
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_no_paths(self, p1_model, scheme):
@@ -371,7 +401,7 @@ class TestSimulateBatch:
         cfg = SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=n_base_paths, seed=1,
                         antithetic=antithetic, scheme=scheme, x0=math.exp(400))
         models = [cev(0.0, 1.0, 3.0)]
-        runs = [lambda: simulate_coupled_terminals(models, cfg),
+        runs = [lambda: coupled_terminals(models, cfg),
                 lambda: simulate_coupled(models, cfg),
                 lambda: engine._advance(models, cfg, ["model_0"],
                                         engine._step_major([increment_matrix(cfg)]),
@@ -397,7 +427,7 @@ class TestSimulateBatch:
         cfg = SimConfig(t_horizon=1.0, dt=dt, n_base_paths=n_base_paths, seed=1,
                         antithetic=antithetic, scheme=scheme, x0=x0)
         model = cev(0.0, 1.0, 3.0)
-        for run in (lambda: simulate_coupled_terminals([model], cfg, ["cev3"]),
+        for run in (lambda: coupled_terminals([model], cfg, ["cev3"]),
                     lambda: run_with_increments(model, cfg, increment_matrix(cfg), "cev3")):
             with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
                 run()
@@ -426,7 +456,7 @@ class TestSimulateBatch:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("run", [simulate_coupled_stats, simulate_coupled_terminals],
+    @pytest.mark.parametrize("run", [simulate_coupled_stats, coupled_terminals],
                              ids=["stats", "terminals"])
     def test_streaming_runs_ignore_increment_cap(self, monkeypatch, gbm_model, p1_model, run):
         # streaming runs hold one chunk of increments at a time, never the matrix
@@ -528,7 +558,7 @@ class TestFusedLogStep:
         cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=64, seed=8,
                         antithetic=antithetic, scheme=scheme, x0=x0)
         dw = increment_matrix(cfg)
-        terminals = simulate_coupled_terminals(list(ORACLE_MODELS.values()), cfg)
+        terminals = coupled_terminals(list(ORACLE_MODELS.values()), cfg)
         for (name, m), terminal in zip(ORACLE_MODELS.items(), terminals):
             oracle = _oracle_paths(m, cfg, dw)
             assert terminal.tobytes() == oracle[:, -1].tobytes(), name
@@ -591,7 +621,7 @@ class TestFusedDirectStep:
                         antithetic=antithetic, scheme=scheme, x0=x0)
         dw = increment_matrix(cfg)
         models, names = list(self.MODELS.values()), list(self.MODELS)
-        terminals = simulate_coupled_terminals(models, cfg)
+        terminals = coupled_terminals(models, cfg)
         stats = simulate_coupled_stats(models, cfg, names)
         oracles = [_oracle_direct_paths(m, cfg, dw) for m in models]
         for j, (name, m) in enumerate(self.MODELS.items()):
@@ -730,7 +760,7 @@ class TestCoupled:
             assert dense[-1].breach_counts.sum() > 0
 
     @pytest.mark.parametrize("run", [simulate_coupled, simulate_coupled_stats,
-                                     simulate_coupled_terminals],
+                                     coupled_terminals],
                              ids=["dense", "stats", "terminals"])
     def test_duplicate_labels_rejected(self, gbm_model, p1_model, small_cfg, run):
         # a chunk's blow-up is ranked by its model's label
@@ -748,7 +778,7 @@ class TestCoupled:
         models, labels = [gbm(0.05, 0.2), cev(0.0, 1.0, 0.0), cev(0.0, 1.3, 0.0)], ["gbm", "a", "b"]
         raised = []
         with np.errstate(all="ignore"):
-            for run in (simulate_coupled, simulate_coupled_stats, simulate_coupled_terminals):
+            for run in (simulate_coupled, simulate_coupled_stats, coupled_terminals):
                 with pytest.raises(BlowUpError) as exc:
                     run(models, cfg, labels)
                 raised.append((exc.value.model_label, exc.value.step_index, exc.value.path_indices))
@@ -758,7 +788,7 @@ class TestCoupled:
         for scheme in SCHEMES:
             cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme})
             dense = simulate_coupled([gbm_model, p1_model], cfg)
-            terms = simulate_coupled_terminals([gbm_model, p1_model], cfg)
+            terms = coupled_terminals([gbm_model, p1_model], cfg)
             for b, t in zip(dense, terms):
                 assert np.array_equal(b.terminal, t), scheme
 
@@ -795,7 +825,7 @@ class TestChunkedRuns:
         models = [gbm_model, p1_model, gbm(0.0, 3.0)]  # the last breaches the floor under euler
         assert engine._plan(cfg) == ([(0, 20)], 1)
         stats = simulate_coupled_stats(models, cfg, ["gbm", "p1", "wild"])
-        terminals = simulate_coupled_terminals(models, cfg)
+        terminals = coupled_terminals(models, cfg)
         if scheme == EULER:
             assert stats.models[2].positivity_breaches > 0
         _force_plan(monkeypatch, chunk, workers)
@@ -803,7 +833,7 @@ class TestChunkedRuns:
         assert len(bounds) == -(-20 // chunk) and n_workers == min(workers, len(bounds))
         split = simulate_coupled_stats(models, cfg, ["gbm", "p1", "wild"])
         assert _result_bytes(split) == _result_bytes(stats)
-        assert _result_bytes(simulate_coupled_terminals(models, cfg)) == _result_bytes(terminals)
+        assert _result_bytes(coupled_terminals(models, cfg)) == _result_bytes(terminals)
 
     # CEV exponent 0 runs away to 0 in log space, path by path; a GBM with
     # sigma 1e150 overflows to inf under euler after a few rising steps and
@@ -821,7 +851,7 @@ class TestChunkedRuns:
             cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=2, scheme=scheme)
             with np.errstate(all="ignore"):
                 with pytest.raises(BlowUpError) as serial:
-                    simulate_coupled_terminals(models, cfg)
+                    coupled_terminals(models, cfg)
                 # two single-path chunks fail at this step; the union is reported
                 assert (serial.value.path_indices, serial.value.step_index) == \
                     (want_paths, want_step), scheme
@@ -849,7 +879,7 @@ class TestChunkedRuns:
                     assert str(dense.value) == str(serial.value), scheme
                     assert dense.value.path_indices == serial.value.path_indices
                 _force_plan(monkeypatch, chunk, workers)
-                runs = [lambda: simulate_coupled_terminals(models, cfg)]
+                runs = [lambda: coupled_terminals(models, cfg)]
                 runs += [lambda r=r: simulate_coupled_stats(models, cfg, reductions=r)
                          for r in REDUCTION_SETS]
                 for run in runs:

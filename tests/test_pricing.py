@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import varexp
 from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call, bs_vega,
                     coupled_smile, implied_vol, mc_call_price, simulate_batch,
-                    simulate_coupled_terminals, smile_from_terminal)
+                    smile_from_terminal)
 from varexp import pricing
 from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR, _brentq
+from conftest import coupled_terminals
 
 
 class TestBsCall:
@@ -453,7 +454,7 @@ class TestSmile:
 class TestCoupledSmile:
     def test_reference_vs_itself_exactly_flat(self, gbm_model):
         cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=200, seed=9)
-        (term,) = simulate_coupled_terminals([gbm_model], cfg)
+        (term,) = coupled_terminals([gbm_model], cfg)
         req = SmileRequest.default_grid()
         pts = coupled_smile(term, term, req, reference_vol=0.2, antithetic=True)
         for p in pts:
@@ -462,7 +463,7 @@ class TestCoupledSmile:
 
     def test_near_gbm_model_bands_shrink(self, gbm_model, p2_model):
         cfg = SimConfig(t_horizon=1.0, dt=0.01, n_base_paths=2000, seed=303)
-        term_g, term_2 = simulate_coupled_terminals([gbm_model, p2_model], cfg)
+        term_g, term_2 = coupled_terminals([gbm_model, p2_model], cfg)
         req = SmileRequest.default_grid()
         plain = smile_from_terminal(term_2, req, antithetic=True)
         coupled = coupled_smile(term_2, term_g, req, 0.2, antithetic=True)
