@@ -35,8 +35,12 @@ class ErrorReport:
 
 
 def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
-    """Mean and 95% half-width, averaging antithetic pairs first."""
+    """Mean and 95% half-width, averaging antithetic pairs first (so an
+    antithetic sample must have an even length: base paths, then partners)."""
     if antithetic:
+        if per_path.size % 2:
+            raise ValueError(f"an antithetic sample pairs its halves, so its length must "
+                             f"be even, not {per_path.size}")
         n = per_path.size // 2
         sample = 0.5 * (per_path[:n] + per_path[n:])
     else:
@@ -126,15 +130,19 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
     increments are drawn a block of steps at a time (a multiple of the
     coarsest level's multiple of ref_dt), each path's Philox state carried
     from block to block; each coarse level's sums are taken from the
-    path-major block before it is transposed for the reference run, so no
-    O(paths x fine steps) array is ever held, and the errors are the same
-    bytes however the steps are blocked. The sup runs over the grid of the
+    path-major block, whose transposed view the reference run steps in
+    place, so no O(paths x fine steps) array is ever held, and the errors
+    are the same bytes however the steps are blocked. The sup runs over the grid of the
     coarsest level at every refinement - measuring each level on its own
     grid would bias the coarse errors downward (fewer points, smaller sup)
     and flatten the fitted order.
     """
     if not coarse_dts:
         raise ValueError("coarse_dts is empty: give at least one coarse step size")
+    dts = np.array([ref_dt, *coarse_dts], dtype=float)
+    if not np.all((dts > 0) & (dts < np.inf)):
+        raise ValueError(f"ref_dt and coarse_dts must be positive and finite, not "
+                         f"{ref_dt!r} and {list(coarse_dts)!r}")
     coarsest = max(coarse_dts)
     for dtc in coarse_dts:  # both relative, so the checks hold at any time scale
         if abs(round(dtc / ref_dt) * ref_dt - dtc) > 1e-9 * dtc:
@@ -168,7 +176,7 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
     # only the shared_n + 1 points of the coarsest grid are kept, not paths
     shared_n = round(t_horizon / coarsest)
     ref = engine_mod._advance([m], fine_cfg, ["reference"],
-                              engine_mod._step_major(fine_blocks()), m_paths,
+                              (dw.T for dw in fine_blocks()), m_paths,
                               engine_mod.PATHS, cm)["values"][0]
     out = []
     for cfg_c in levels:  # each level's increments are freed once stepped

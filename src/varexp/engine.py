@@ -32,7 +32,7 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 Each step gives that formula's floats with the least arithmetic: p, p',
 phi and phi' from one unvalidated evaluation sharing p, log x and x^p
 (one exp for exp_decay's p), nothing for GBM; dW^2 - dt for all models
-at once, a few steps of a piece at a time. A step allocates nothing: each
+at once, a few steps of a block at a time. A step allocates nothing: each
 model's stepper is built once per run with buffers of the run's width,
 its constants as 0-d arrays and its ufuncs bound, overwrites its state in
 place and writes every intermediate into those buffers, passed as
@@ -43,19 +43,17 @@ their argmin and argmax alone, and looks for the paths out of range only
 when that check fails.
 
 Increments are drawn one way, path-major, by _increment_blocks, and the
-runner reads them as C-contiguous step-major blocks (B, m), one contiguous
-row per step. _increments fills step-major storage for a range of base
-paths and their partners a strip at a time: a coupled run's chunk is that
-storage, read in place as one block, and increment_matrix is its transposed
-(Fortran-ordered) view over all paths, as PathBatch.values is of the dense
-states. _step_major hands over the rest: a caller's matrix, in place when
-it is step-major in memory, and otherwise (a C-ordered matrix, or the
-refinement study's fine blocks, each path keeping its own Philox generator
-from block to block) as pieces of at most _BLOCK_STEPS steps made by strip
-transposes. Dense states are written once, step-major, where they are
-stepped. The outputs are the same bytes however the paths are partitioned,
-however the steps are blocked and whatever the increment matrix's memory
-order.
+runner reads them in place as step-major views (B, m), one row per step,
+whatever their strides. _increments fills C-contiguous step-major storage
+for a range of base paths and their partners a strip at a time: a coupled
+run's chunk is that storage, read as one block, and increment_matrix is its
+transposed (Fortran-ordered) view over all paths, as PathBatch.values is of
+the dense states. Every other caller hands over transposed views: a
+caller's matrix of either memory order, and the refinement study's fine
+blocks (each path keeping its own Philox generator from block to block).
+Dense states are written once, step-major, where they are stepped. The
+outputs are the same bytes however the paths are partitioned, however the
+steps are blocked and whatever the increment matrix's memory order.
 """
 
 from __future__ import annotations
@@ -96,10 +94,10 @@ MEMORY_CAP_BYTES = 2 << 30
 # overhead more often, larger ones hold more memory per worker.
 _CHUNK_BYTES = 96 << 20
 
-# Most steps per step-major piece cut from a path-major block; pieces are
-# transposed this many paths at a time, in 128 KiB tiles that stay in cache
-# (chosen by timing the transposes of 8000 x 1000 and 512 x 100000 matrices
-# on a 2-core host).
+# Base paths per strip that _increments draws and transposes, in 128 KiB
+# tiles that stay in cache (chosen by timing the transposes of 8000 x 1000
+# and 512 x 100000 matrices on a 2-core host); a refinement fine block is
+# the most coarsest steps (at least one) that fit in this many fine steps.
 _BLOCK_STEPS = 128
 
 
@@ -256,32 +254,11 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
 
     The matrix is the transposed (Fortran-ordered) view of the step-major
     increments of all base paths, the storage a coupled run's chunk steps
-    over. So run_with_increments reads it in place, and a reduction along
-    axis 1 may differ from a C-ordered copy's in the last bit.
+    over. So run_with_increments steps it over contiguous rows, and a
+    reduction along axis 1 may differ from a C-ordered copy's in the last
+    bit.
     """
     return _increments(cfg, 0, cfg.n_base_paths, "increment matrix").T
-
-
-def _step_major(blocks):
-    """Yield each (m, B) block of `blocks` as C-contiguous step-major
-    pieces (b, m). A block that is step-major in memory already
-    (Fortran-ordered, as increment_matrix's is) is one piece, its transpose,
-    read in place. Any other (a path-major block) is cut into pieces of at
-    most _BLOCK_STEPS steps, made by strip transposes of _BLOCK_STEPS paths
-    into one buffer that the next piece overwrites."""
-    buf = np.empty((0, 0))
-    for blk in blocks:
-        if blk.flags.f_contiguous:
-            yield blk.T
-            continue
-        for k0 in range(0, blk.shape[1], _BLOCK_STEPS):
-            b = blk[:, k0:k0 + _BLOCK_STEPS]
-            if len(buf) < b.shape[1]:
-                buf = np.empty(b.shape[::-1])
-            out = buf[:b.shape[1]]
-            for i in range(0, len(b), _BLOCK_STEPS):
-                out[:, i:i + _BLOCK_STEPS] = b[i:i + _BLOCK_STEPS].T
-            yield out
 
 
 # -- steppers (the schemes) -------------------------------------------------
@@ -417,7 +394,7 @@ PATHS = "paths"
 EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0 = "extrema", "phi_range", "sup_diffs", "path0"
 TERMINAL, STATS = frozenset(), frozenset((EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0))
 
-# dW^2 - dt is computed for this many steps of a step-major piece at a
+# dW^2 - dt is computed for this many steps of a step-major block at a
 # time, in one small buffer: two ufunc calls per group instead of per step
 # (chosen by timing the refinement study's 256-path steps on a 2-core host).
 _DW2_ROWS = 8
@@ -485,9 +462,10 @@ def _reductions(keep: frozenset, models: Sequence[ModelSpec], x0: float, n_steps
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
              blocks: Iterable[np.ndarray], m: int, keep, stride: int = 1) -> dict:
-    """Step every model over m paths' shared increments, read as C-contiguous
-    step-major blocks (B, m) that hold cfg.n_steps steps in all, and keep
-    what `keep` asks for. Each block is read before the next is taken.
+    """Step every model over m paths' shared increments, read in place as
+    step-major views (B, m) of any strides that hold cfg.n_steps steps in
+    all, and keep what `keep` asks for. Each block is read before the next
+    is taken.
 
     Always kept: "terminal" (n_models, m) and the per-path positivity-floor
     breach counts of each model ("breaches"). PATHS adds each model's states
@@ -526,9 +504,9 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     if not m:  # no paths: nothing to step (and an empty argmax has no answer)
         blocks = ()
     try:
-        for piece in blocks:
-            for r0 in range(0, len(piece), _DW2_ROWS):
-                dws = piece[r0:r0 + _DW2_ROWS]
+        for blk in blocks:
+            for r0 in range(0, len(blk), _DW2_ROWS):
+                dws = blk[r0:r0 + _DW2_ROWS]
                 dw2s = squares[:len(dws)]
                 if milstein:
                     np.subtract(np.multiply(dws, dws, dw2s), dt0, dw2s)
@@ -547,13 +525,14 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
 def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
                         label: str = "model") -> PathBatch:
     """Advance all paths of one model over a caller-supplied increment
-    matrix of shape (n_paths, n_steps) with cfg's step size. A matrix that
-    is step-major in memory (Fortran-ordered, as increment_matrix returns)
-    is read in place; any other is read through strip transposes."""
+    matrix of shape (n_paths, n_steps) with cfg's step size, read in place
+    through its transpose, whatever its memory order. A Fortran-ordered
+    matrix (as increment_matrix returns) gives one contiguous row per step;
+    a C-ordered one is stepped over strided rows, with no copy of it."""
     dw = np.asarray(dw, dtype=float)
     if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
         raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
-    out = _advance([m], cfg, [label], _step_major([dw]), len(dw), PATHS)
+    out = _advance([m], cfg, [label], [dw.T], len(dw), PATHS)
     return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
                      model_label=label, config=cfg, breach_counts=out["breaches"][0])
 

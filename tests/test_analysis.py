@@ -257,6 +257,15 @@ class TestRefinementErrors:
         with pytest.raises(ValueError, match="coarse_dts is empty"):
             refinement_errors(gbm(0.05, 0.2), [], ref_dt=0.1, n_base_paths=2, seed=1)
 
+    @pytest.mark.parametrize("dts,ref_dt", [
+        ([0.1], 0.0), ([0.0, 0.1], 0.05), ([math.inf], 0.1), ([0.1], -0.05),
+        ([math.nan], 0.1), ([0.1], math.nan)],
+        ids=["zero_ref", "zero_level", "inf_level", "negative_ref", "nan_level", "nan_ref"])
+    def test_bad_step_sizes_rejected(self, dts, ref_dt):
+        with pytest.raises(ValueError, match=r"ref_dt and coarse_dts must be positive and "
+                                             r"finite, not .* and \["):
+            refinement_errors(gbm(0.05, 0.2), dts, ref_dt=ref_dt, n_base_paths=2, seed=1)
+
 
 class TestLoglogSlope:
     @pytest.mark.parametrize("pairs", [[], [(0.1, 0.01)], [(0.1, 0.01), (0.1, 0.02)]],

@@ -279,32 +279,29 @@ class TestRangeChecks:
 
 
 class TestInPlaceIncrements:
-    """increment_matrix returns step-major storage, and run_with_increments
-    reads it in place: no copy of it and no piece buffer. A coupled run's
-    chunk steps over the same storage, with no piece buffer either."""
+    """run_with_increments reads a caller's matrix in place, whatever its
+    memory order: no copy of it and no piece buffer. A coupled run's chunk
+    steps over the storage increment_matrix is a view of, with no piece
+    buffer either."""
 
     CFG = SimConfig(t_horizon=1.0, dt=0.005, n_base_paths=1000, seed=4)  # 2000 x 200
 
-    def test_pieces_are_views(self):
-        dw = increment_matrix(self.CFG)
-        assert dw.T.flags.c_contiguous
-        pieces = list(engine._step_major([dw]))
-        assert sum(map(len, pieces)) == self.CFG.n_steps
-        assert all(p.flags.c_contiguous and np.shares_memory(p, dw) for p in pieces)
-
     @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, MILSTEIN])
     def test_run_holds_only_the_values(self, p1_model, scheme):
+        # the matrix as increment_matrix gives it (Fortran-ordered), and a
+        # C-ordered copy, stepped over strided rows
         cfg = SimConfig(**{**self.CFG.to_dict(), "scheme": scheme})
-        dw = increment_matrix(cfg)
         values_bytes = cfg.n_paths * (cfg.n_steps + 1) * 8
         piece_bytes = engine._BLOCK_STEPS * cfg.n_paths * 8
-        tracemalloc.start()
-        try:
-            run_with_increments(p1_model, cfg, dw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < values_bytes + piece_bytes // 2
+        for order in "FC":
+            dw = np.asarray(increment_matrix(cfg), order=order)
+            tracemalloc.start()
+            try:
+                run_with_increments(p1_model, cfg, dw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < values_bytes + piece_bytes // 2, order
 
     @pytest.mark.parametrize("keep", [engine.TERMINAL, engine.STATS], ids=["terminal", "stats"])
     def test_chunk_holds_only_its_increments(self, gbm_model, keep):
@@ -404,7 +401,7 @@ class TestSimulateBatch:
         runs = [lambda: coupled_terminals(models, cfg),
                 lambda: simulate_coupled(models, cfg),
                 lambda: engine._advance(models, cfg, ["model_0"],
-                                        engine._step_major([increment_matrix(cfg)]),
+                                        [increment_matrix(cfg).T],
                                         cfg.n_paths, engine.PATHS, 2)]
         runs += [lambda r=r: simulate_coupled_stats(models, cfg, reductions=r)
                  for r in REDUCTION_SETS]
@@ -487,9 +484,9 @@ class TestSimulateBatch:
 
 
 class TestStepBlocks:
-    """Dense outputs are the same bytes however the steps are blocked: one
-    step per block, a block length that divides no step count here, and one
-    longer than every run, against the default block length."""
+    """Dense outputs are the same bytes whatever _BLOCK_STEPS, the width of
+    the strips the increments are drawn in: one base path per strip, or all
+    40 in one strip, against the default."""
 
     BLOCKS = [1, 70, 5000]
     CFG = SimConfig(t_horizon=3.0, dt=0.01, n_base_paths=40, seed=5)  # 300 steps
@@ -498,9 +495,9 @@ class TestStepBlocks:
     @pytest.mark.parametrize("scheme", [LOG_MILSTEIN, MILSTEIN])
     def test_run_with_increments(self, monkeypatch, p1_model, scheme, block):
         cfg = SimConfig(**{**self.CFG.to_dict(), "scheme": scheme})
-        dw = increment_matrix(cfg)
-        want = run_with_increments(p1_model, cfg, dw).values.tobytes()
+        want = run_with_increments(p1_model, cfg, increment_matrix(cfg)).values.tobytes()
         monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        dw = increment_matrix(cfg)
         for layout in (np.ascontiguousarray(dw), dw):
             assert run_with_increments(p1_model, cfg, layout).values.tobytes() == want
 
@@ -663,20 +660,25 @@ class TestStepBuffers:
 
     MODELS = {**ORACLE_MODELS, "wild": gbm(0.0, 3.0)}  # wild breaches the floor
 
-    @pytest.mark.parametrize("block", [1, 128])
+    @pytest.mark.parametrize("block", [1, 7, 128])
     @pytest.mark.parametrize("stride", [1, 3, 20])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_strided_values_are_the_full_grid(self, monkeypatch, scheme, stride, block):
+    def test_strided_values_are_the_full_grid(self, scheme, stride, block):
+        # _advance reads the matrix's 20 steps as views of `block` steps
+        # (the last may be shorter), of the Fortran-ordered matrix and of a
+        # C-ordered copy
         cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=8, scheme=scheme)
         dw = increment_matrix(cfg)
         full = [run_with_increments(m, cfg, dw, name) for name, m in self.MODELS.items()]
-        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
-        out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
-                              engine._step_major([dw]), len(dw), engine.PATHS, stride)
-        for j, (name, b) in enumerate(zip(self.MODELS, full)):
-            assert out["values"][j].tobytes() == b.values[:, ::stride].tobytes(), name
-            assert out["terminal"][j].tobytes() == b.terminal.tobytes(), name
-            assert out["breaches"][j].tobytes() == b.breach_counts.tobytes(), name
+        for order in "FC":
+            steps = np.asarray(dw, order=order).T
+            blocks = [steps[k:k + block] for k in range(0, cfg.n_steps, block)]
+            out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
+                                  blocks, len(dw), engine.PATHS, stride)
+            for j, (name, b) in enumerate(zip(self.MODELS, full)):
+                assert out["values"][j].tobytes() == b.values[:, ::stride].tobytes(), name
+                assert out["terminal"][j].tobytes() == b.terminal.tobytes(), name
+                assert out["breaches"][j].tobytes() == b.breach_counts.tobytes(), name
         if scheme == EULER:
             assert full[-1].breach_counts.sum() > 0
 
@@ -871,7 +873,7 @@ class TestChunkedRuns:
                 # dense runs, recording every step or every third
                 runs = [lambda: simulate_coupled(models, cfg)] + [
                     lambda stride=stride: engine._advance(
-                        models, cfg, labels, engine._step_major([increment_matrix(cfg)]),
+                        models, cfg, labels, [increment_matrix(cfg).T],
                         cfg.n_paths, engine.PATHS, stride) for stride in (1, 3)]
                 for run in runs:
                     with pytest.raises(BlowUpError) as dense:

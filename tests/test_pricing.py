@@ -305,6 +305,14 @@ class TestImportPath:
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         assert self._fresh(code, tmp_path) == "[]"
 
+    def test_cold_start_loads_no_scipy_or_pool(self, tmp_path):
+        # the imports behind a CLI run's setup time: a pool's modules load
+        # only when a run has several workers
+        code = ("import sys, varexp, varexp.cli\n"
+                "print([m for m in sys.modules\n"
+                "       if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')])")
+        assert self._fresh(code, tmp_path) == "[]"
+
     def test_cli_loads_scipy_only_for_the_manifest(self, tmp_path):
         code = ("import json, sys\n"
                 "from varexp import cli\n"
@@ -402,6 +410,34 @@ class TestMcCallPrice:
         prices = [mc_call_price(term, k, 0.05, 1.0, True)[0]
                   for k in np.linspace(0.5, 2.0, 16)]
         assert all(a >= b for a, b in zip(prices, prices[1:]))
+
+
+class TestOddAntitheticSample:
+    """An antithetic sample is base paths, then their partners: pairing an
+    odd length is refused by name, not broadcast or misread."""
+
+    REQ = SmileRequest(strikes=(1.0,), rate=0.0, maturity=1.0, spot=1.0)
+    CALLS = {
+        "mc_call_price": lambda t: mc_call_price(t, 1.0, 0.0, 1.0, antithetic=True),
+        "smile_from_terminal": lambda t: smile_from_terminal(
+            t, TestOddAntitheticSample.REQ, antithetic=True),
+        "coupled_smile": lambda t: coupled_smile(
+            t, t, TestOddAntitheticSample.REQ, 0.2, antithetic=True),
+    }
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected(self, name, n):
+        with pytest.raises(ValueError, match=f"must be even, not {n}$"):
+            self.CALLS[name](np.linspace(1.0, 2.0, n))
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_even_accepted(self, name):
+        self.CALLS[name](np.linspace(1.0, 2.0, 4))
+
+    def test_plain_odd_accepted(self):
+        price, _ = mc_call_price(np.array([1.0, 2.0, 3.0]), 1.0, 0.0, 1.0, antithetic=False)
+        assert price == 1.0
 
 
 class TestSmileRequest:
