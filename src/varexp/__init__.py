@@ -3,6 +3,8 @@ variable-exponent diffusion dX = mu X dt + sigma X^p(X) dW."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .analysis import (ErrorReport, TerminalStats, loglog_slope,
                        refinement_errors, strong_error,
                        strong_error_from_stats, sup_second_moment,
@@ -20,4 +22,5 @@ from .pricing import (ImpliedVolError, SmilePoint, SmileRequest, bs_call,
                       bs_vega, coupled_smile, implied_vol, mc_call_price,
                       smile_from_terminal)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())  # not the submodules
+           if not name.startswith("_") and not isinstance(value, _Module)]

@@ -127,8 +127,11 @@ def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str], None]:
 
 
 def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> ErrorReport:
-    """Evaluate the closed-form bound on the observed path range."""
-    model = cfg.models[model_index]
+    """Evaluate the closed-form bound on the observed path range, for a
+    model with the reference's mu and sigma only (None for any other)."""
+    model, ref = cfg.models[model_index], cfg.models[0]
+    if (model.mu, model.sigma) != (ref.mu, ref.sigma):
+        return report
     lam = min(report.lambda_obs, 1.0 - 1e-9)  # bound needs lambda < 1 < R
     r = max(report.r_obs, 1.0 + 1e-9)
     b = BoundInputs(
@@ -161,9 +164,9 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
             "vol_range_hi": ms.phi_max,
             "n_paths": rep.n_paths,
         })
+        bound = "n/a" if rep.analytic_bound is None else f"{rep.analytic_bound:.6e}"
         print(f"{cfg.labels[i]} vs {cfg.labels[0]}: strong error "
-              f"{rep.strong_error:.6e} +- {rep.ci_half_width:.1e} "
-              f"(bound {rep.analytic_bound:.6e})")
+              f"{rep.strong_error:.6e} +- {rep.ci_half_width:.1e} (bound {bound})")
     return 0, {
         "strong_error.csv": _csv(list(rows[0]), (row.values() for row in rows)),
         "strong_error.json": _json({

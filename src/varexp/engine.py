@@ -4,18 +4,17 @@ Brownian increments come from counter-based Philox streams keyed by
 (seed, path_index), so every path's noise is reproducible regardless of
 how paths are partitioned across workers. One private runner, `_advance`,
 steps every model over step-major increments with a stepper built once per
-run and keeps what its caller asks for: the states on a grid (PATHS), the
-terminal values only (TERMINAL), or a set of the streaming reductions
-(STATS being all of them), computed after every model has taken the step.
-What a run keeps, and its scheme, are decided once per run, so the step
-loop only calls each model's stepper and the reductions asked for.
-Coupled runs step contiguous
-ranges of base paths (with their antithetic partners) as chunks of bounded
-memory: a dense run is one in-process chunk; streaming runs use a pool of
-forked workers when there are several chunks and CPUs, and merge the
-chunks' results exactly, in global path order. run_with_increments steps a
-caller's increment matrix through the same runner; there is no other way
-to take a step.
+run, which overwrites the model's row of states in place, and then runs
+the reductions its caller asks for: recorded copies of the states on a
+grid (PATHS), none (TERMINAL), or the streaming ones (STATS being all of
+them). What a run keeps, and its scheme, are decided once per run, so the
+step loop only calls each model's stepper and those reductions. Coupled
+runs step contiguous ranges of base paths (with their antithetic
+partners) as chunks of bounded memory: a dense run is one in-process
+chunk; streaming runs use a pool of forked workers when there are several
+chunks and CPUs, and merge the chunks' results exactly, in global path
+order. run_with_increments steps a caller's increment matrix through the
+same runner; there is no other way to take a step.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
 0.5 g g' (dW^2 - dt) for Milstein, with g = sigma x^p(x); states below
@@ -51,7 +50,7 @@ transposed (Fortran-ordered) view over all paths, as PathBatch.values is of
 the dense states. Every other caller hands over transposed views: a
 caller's matrix of either memory order, and the refinement study's fine
 blocks (each path keeping its own Philox generator from block to block).
-Dense states are written once, step-major, where they are stepped. The
+One recorder copies the dense states and path 0's, step-major. The
 outputs are the same bytes however the paths are partitioned, however the
 steps are blocked and whatever the increment matrix's memory order.
 """
@@ -62,7 +61,6 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -263,12 +261,12 @@ def increment_matrix(cfg: SimConfig) -> np.ndarray:
 
 # -- steppers (the schemes) -------------------------------------------------
 #
-# Built once per model and run: each owns its state and buffers of the run's
-# width, takes its operands as 0-d arrays (numpy reads them more cheaply
-# than Python floats) and its ufuncs as closure names, and passes every
-# output positionally (cheaper than out=). A step f(dw, dw2, out), with
-# dw2 = dw*dw - dt, writes the model's next state X into out, which is the
-# state the following step reads, and raises _OutOfRange with the paths
+# Built once per model and run: each owns its state, the model's row of the
+# run's states, and buffers of the run's width, takes its operands as 0-d
+# arrays (numpy reads them more cheaply than Python floats) and its ufuncs
+# as closure names, and passes every output positionally (cheaper than
+# out=). A step f(dw, dw2), with dw2 = dw*dw - dt, overwrites that row with
+# the model's next state X, in place, and raises _OutOfRange with the paths
 # that left the representable range; _advance names the step and model.
 
 class _OutOfRange(Exception):
@@ -281,7 +279,7 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     writes into x. Each step overwrites y with y', tests that every
     |y'| <= LOG_OVERFLOW_LIMIT by reading the largest |y'| at its argmax
     (argmax finds the first NaN, which fails), looking for the paths out of
-    range only when that fails, and writes exp(y') into out. x is not
+    range only when that fails, and writes exp(y') into x. x is not
     re-validated: the range keeps it positive and finite. Every variant
     gives the generic formula's floats.
     """
@@ -300,8 +298,7 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     exp(y, x)
     peak = t.argmax
 
-    def step(dw, dw2, out):
-        nonlocal x
+    def step(dw, dw2):
         if gbm:  # y + (drift_dt + sigma dw)
             add(y, add(drift_dt, mul(sigma, dw, t), t), y)
         else:
@@ -326,15 +323,15 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
         absolute(y, t)
         if not t[peak()] <= limit:
             raise _OutOfRange(np.nonzero(~(np.abs(y) <= limit))[0])
-        x = exp(y, out)
+        exp(y, x)
 
     return step
 
 
 def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.ndarray,
                     breaches: np.ndarray):
-    """Model's direct-space step, from x = x0, which it writes into x. Each
-    step writes x' into out, then reads its smallest and largest x' at
+    """Model's direct-space step, from x = x0, which it overwrites in x.
+    Each step writes x' into x, then reads its smallest and largest x' at
     their argmin and argmax (which find the first NaN, and a NaN fails
     both tests): when some x' is below POSITIVITY_FLOOR or not finite, it
     clamps the low ones to the floor, counting each clamp in breaches, and
@@ -349,23 +346,21 @@ def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: n
     g, t = np.empty(m), np.empty(m)
     x.fill(x0)
 
-    def step(dw, dw2, out):
-        nonlocal x
+    def step(dw, dw2):
         phi, dphi = (x, None) if gbm else phi_dphi(x)
         mul(sigma, phi, g)
-        add(x, mul(mul(mu, x, t), dt0, t), out)
-        add(out, mul(g, dw, t), out)  # x + mu x dt + g dw
+        add(x, mul(mul(mu, x, t), dt0, t), x)
+        add(x, mul(g, dw, t), x)  # x + mu x dt + g dw
         if milstein:  # 0.5 g (sigma phi') dw2, with sigma phi' = sigma for GBM
             mul(half, g, g)
             mul(g, sigma if gbm else mul(sigma, dphi, dphi), g)
-            add(out, mul(g, dw2, g), out)
-        if not (out[out.argmin()] >= floor and out[out.argmax()] < inf):
-            low = out < floor
+            add(x, mul(g, dw2, g), x)
+        if not (x[x.argmin()] >= floor and x[x.argmax()] < inf):
+            low = x < floor
             add(breaches, low, breaches)
-            out[low] = floor
-            if not np.all(np.isfinite(out)):
-                raise _OutOfRange(np.nonzero(~np.isfinite(out))[0])
-        x = out
+            x[low] = floor
+            if not np.all(np.isfinite(x)):
+                raise _OutOfRange(np.nonzero(~np.isfinite(x))[0])
 
     return step
 
@@ -387,12 +382,12 @@ class PathBatch:
         return self.values[:, -1]
 
 
-# What _advance keeps besides terminals and breaches: the states on a grid
-# (PATHS), or a set of the streaming reductions of simulate_coupled_stats,
-# from none of them (TERMINAL) to all of them (STATS).
-PATHS = "paths"
-EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0 = "extrema", "phi_range", "sup_diffs", "path0"
-TERMINAL, STATS = frozenset(), frozenset((EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0))
+# What _advance keeps besides terminals and breaches: a set of reductions,
+# the dense grid (PATHS) or those of simulate_coupled_stats, from none of
+# them (TERMINAL) to all of them (STATS).
+GRID, EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0 = "grid", "extrema", "phi_range", "sup_diffs", "path0"
+PATHS, TERMINAL = frozenset((GRID,)), frozenset()
+STATS = frozenset((EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0))
 
 # dW^2 - dt is computed for this many steps of a step-major block at a
 # time, in one small buffer: two ufunc calls per group instead of per step
@@ -400,25 +395,38 @@ TERMINAL, STATS = frozenset(), frozenset((EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0))
 _DW2_ROWS = 8
 
 
-def _grid_targets(xrows: list, records, stride: int):
-    """Each step's output rows: the next of records at every stride-th
-    step, xrows at the others (and after the last record)."""
-    for rec in records:
-        yield from repeat(xrows, stride - 1)
-        yield rec
-    yield from repeat(xrows)
+def _recorder(states: np.ndarray, x0: float, n_rec: int, stride: int):
+    """Step-major storage (n_models, n_rec, ...) of states, x0 first, and
+    the reduction that copies states into its next row at every stride-th
+    step (and does nothing after the last row)."""
+    rec = np.empty((len(states), n_rec) + states.shape[1:])
+    rec[:, 0] = x0
+
+    def copies():  # one resumption per step
+        for row in rec.swapaxes(0, 1)[1:]:
+            yield from range(stride - 1)
+            np.copyto(row, states)
+            yield
+        yield from range(stride - 1)  # the steps after the last row, if any
+    return rec, copies().__next__
 
 
 def _reductions(keep: frozenset, models: Sequence[ModelSpec], x0: float, n_steps: int,
-                xbuf: np.ndarray) -> tuple[list, dict]:
+                stride: int, xbuf: np.ndarray) -> tuple[list, dict]:
     """The reductions in keep, as functions run after every model has
-    stepped into xbuf, and their accumulators, all from x0 itself (as the
-    PATHS grid, not exp(log(x0))): state extrema ("x_min", "x_max") and
-    phi = x^p(x) range ("phi_min", "phi_max") per model, per-path sup-diffs
-    against model 0 ("sup_diff", row 0 zeros) and path 0's states ("path0").
-    Chunks merge them by extrema and concatenation alone."""
+    stepped its row of xbuf, and their accumulators, all from x0 itself
+    (not exp(log(x0))): the states at every stride-th step ("values", the
+    transposed view (n_models, m, n_rec) of a recorder's storage), state
+    extrema ("x_min", "x_max") and phi = x^p(x) range ("phi_min",
+    "phi_max") per model, per-path sup-diffs against model 0 ("sup_diff",
+    row 0 zeros) and path 0's states ("path0", recorded every step). Chunks
+    merge the streaming ones by extrema and concatenation alone."""
     n, m = xbuf.shape
     steps, acc = [], {}
+    if GRID in keep:
+        values, record = _recorder(xbuf, x0, n_steps // stride + 1, stride)
+        acc.update(values=values.transpose(0, 2, 1))
+        steps.append(record)
     if EXTREMA in keep:
         x_min, x_max, t = np.full(n, x0), np.full(n, x0), np.empty(n)
         acc.update(x_min=x_min, x_max=x_max)
@@ -450,57 +458,42 @@ def _reductions(keep: frozenset, models: Sequence[ModelSpec], x0: float, n_steps
         if n > 1:
             steps.append(sup_diffs)
     if PATH0 in keep:
-        path0 = np.full((n, n_steps + 1), x0)
-        columns, first_paths = iter(path0.T[1:]), xbuf[:, 0]
+        path0, record = _recorder(xbuf[:, 0], x0, n_steps + 1, 1)
         acc.update(path0=path0)
-
-        def record_path0():
-            np.copyto(next(columns), first_paths)
-        steps.append(record_path0)
+        steps.append(record)
     return steps, acc
 
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-             blocks: Iterable[np.ndarray], m: int, keep, stride: int = 1) -> dict:
+             blocks: Iterable[np.ndarray], m: int, keep: frozenset, stride: int = 1) -> dict:
     """Step every model over m paths' shared increments, read in place as
     step-major views (B, m) of any strides that hold cfg.n_steps steps in
     all, and keep what `keep` asks for. Each block is read before the next
     is taken.
 
-    Always kept: "terminal" (n_models, m) and the per-path positivity-floor
-    breach counts of each model ("breaches"). PATHS adds each model's states
-    at every stride-th grid point, x0 first, as the transposed view of
-    step-major storage ("values", (n_models, m, n_rec)); a set of
-    reductions adds their accumulators (see _reductions). Step-outer,
-    model-inner, so a blow-up names the earliest step, then the first model.
+    Always kept: "terminal" (n_models, m), the final states, and the
+    per-path positivity-floor breach counts of each model ("breaches"); the
+    reductions in keep add their accumulators (see _reductions), PATHS
+    with the states at every stride-th step. Step-outer, model-inner, so a
+    blow-up names the earliest step, then the first model.
 
     Everything the run keeps is decided here, once: the step loop runs each
-    model's stepper into the step's output rows and then the reductions
-    asked for, with no test of the scheme or of what is kept.
+    model's stepper, which overwrites the model's row of states in place,
+    and then the reductions, with no test of the scheme or of what is kept.
     """
-    n_steps, n = cfg.n_steps, len(models)
     milstein = cfg.scheme in (MILSTEIN, LOG_MILSTEIN)
-    # Each model's state starts in its row of xbuf; its step writes the next
-    # state into a row of values at a recorded step and into that row of
-    # xbuf otherwise. Log schemes start from exp(log(x0)), which differs
-    # from x0 in the last ulp unless x0 == 1; outputs depend on it.
-    xbuf, breaches = np.empty((n, m)), [np.zeros(m, dtype=int) for _ in models]
+    # Each model's state is its row of xbuf. Log schemes start from
+    # exp(log(x0)), which differs from x0 in the last ulp unless x0 == 1;
+    # outputs depend on it.
+    xbuf, breaches = np.empty((len(models), m)), [np.zeros(m, dtype=int) for _ in models]
     if cfg.scheme in (LOG_EULER, LOG_MILSTEIN):
         steps = [_log_stepper(model, cfg.dt, milstein, cfg.x0, x)
                  for model, x in zip(models, xbuf)]
     else:
         steps = [_direct_stepper(model, cfg.dt, milstein, cfg.x0, x, b)
                  for model, x, b in zip(models, xbuf, breaches)]
-    xrows = list(xbuf)
-    if keep == PATHS:  # step-major: each recorded state is one row
-        values = np.empty((n, n_steps // stride + 1, m))
-        values[:, 0] = cfg.x0
-        targets = _grid_targets(xrows, zip(*values[:, 1:]), stride)
-        reductions, out = [], {"values": values.transpose(0, 2, 1)}
-    else:
-        targets = repeat(xrows)
-        reductions, out = _reductions(keep, models, cfg.x0, n_steps, xbuf)
-    dt0, squares, k, rows = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0, xrows
+    reductions, out = _reductions(keep, models, cfg.x0, cfg.n_steps, stride, xbuf)
+    dt0, squares, k = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0
     if not m:  # no paths: nothing to step (and an empty argmax has no answer)
         blocks = ()
     try:
@@ -510,15 +503,15 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                 dw2s = squares[:len(dws)]
                 if milstein:
                     np.subtract(np.multiply(dws, dws, dw2s), dt0, dw2s)
-                for dw, dw2, rows in zip(dws, dw2s, targets):
-                    for step, x in zip(steps, rows):
-                        step(dw, dw2, x)
+                for dw, dw2 in zip(dws, dw2s):
+                    for step in steps:
+                        step(dw, dw2)
                     for reduce in reductions:
                         reduce()
                     k += 1
     except _OutOfRange as exc:
         raise BlowUpError(exc.args[0], k, labels[steps.index(step)]) from None
-    out.update(terminal=np.array(rows), breaches=breaches)
+    out.update(terminal=xbuf, breaches=breaches)
     return out
 
 
@@ -625,13 +618,13 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 
 
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-               lo: int, hi: int, keep) -> dict:
+               lo: int, hi: int, keep: frozenset) -> dict:
     """_advance over base paths [lo, hi) and their antithetic partners,
     reading their _increments in place as one block (and no other copy).
 
     Per-path arrays come back in the chunk's column order (base paths, then
-    partners); breaches are per path for PATHS and totals otherwise. A
-    blow-up names global path indices.
+    partners); breaches are per path for the dense grid (GRID) and totals
+    otherwise. A blow-up names global path indices.
     """
     try:
         dw = _increments(cfg, lo, hi, "increment chunk")
@@ -640,7 +633,7 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)
         raise BlowUpError(paths, exc.step_index, exc.model_label) from None
-    if keep != PATHS:
+    if GRID not in keep:
         out["breaches"] = [int(b.sum()) for b in out["breaches"]]
     return out
 

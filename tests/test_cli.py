@@ -141,6 +141,23 @@ class TestStrongError:
         csv = (tmp_path / "out" / "strong_error.csv").read_text().splitlines()
         assert csv[0].startswith("model,strong_error,ci_half_width")
 
+    @pytest.mark.parametrize("field,value", [("mu", 0.15), ("sigma", 0.3)])
+    def test_no_bound_for_another_mu_or_sigma(self, tmp_path, capsys, field, value):
+        # the paper's bound compares against a GBM of the model's own mu and
+        # sigma; a third model that shares them keeps its bound
+        raw = json.loads(_write_config(tmp_path).read_text())
+        other = {**raw["models"][1], "label": "p1_other", field: value}
+        cfg = _write_config(tmp_path, models=[*raw["models"], other])
+        assert main(["strong-error", "--config", str(cfg)]) == 0
+        rows = json.loads((tmp_path / "out" / "strong_error.json").read_text())["results"]
+        assert [r["model"] for r in rows] == ["p1", "p1_other"]
+        assert rows[0]["analytic_bound"] > 0 and rows[1]["analytic_bound"] is None
+        csv = (tmp_path / "out" / "strong_error.csv").read_text().splitlines()
+        bound = csv[0].split(",").index("analytic_bound")
+        assert csv[1].split(",")[bound] != "" and csv[2].split(",")[bound] == ""
+        out = capsys.readouterr().out.splitlines()
+        assert "(bound n/a)" not in out[0] and out[1].endswith("(bound n/a)")
+
     def test_single_model_exits_one(self, tmp_path):
         cfg = _write_config(tmp_path, models=[
             {"label": "gbm", "mu": 0.05, "sigma": 0.2,

@@ -654,9 +654,10 @@ class TestFusedDirectStep:
 
 
 class TestStepBuffers:
-    """Each model steps in buffers of its own, in place, and a recorded
-    state goes straight into its row of values: models stepped together at
-    any stride give the bytes of each model's own run."""
+    """Each model steps its own row of states in place, in buffers of its
+    own, and the grid is a recorded copy of those rows at every stride-th
+    step: models stepped together at any stride give the bytes of each
+    model's own run."""
 
     MODELS = {**ORACLE_MODELS, "wild": gbm(0.0, 3.0)}  # wild breaches the floor
 
@@ -770,8 +771,11 @@ class TestCoupled:
             run([gbm_model, p1_model], small_cfg, ["x", "x"])
 
     def test_unknown_reduction_rejected(self, gbm_model, small_cfg):
-        with pytest.raises(ValueError, match=r"unknown reductions \['path_sup'\]"):
-            simulate_coupled_stats([gbm_model], small_cfg, reductions={"path_sup", engine.EXTREMA})
+        # the dense grid is a reduction of _advance alone, not of the streaming API
+        for reductions, unknown in (({"path_sup", engine.EXTREMA}, "path_sup"),
+                                    ({engine.GRID}, "grid")):
+            with pytest.raises(ValueError, match=rf"unknown reductions \['{unknown}'\]"):
+                simulate_coupled_stats([gbm_model], small_cfg, reductions=reductions)
 
     def test_blow_up_same_as_streaming(self):
         # CEV exponent 0 runs away to 0 in log space; every run stops at the

@@ -324,6 +324,26 @@ class TestImportPath:
         assert special == "[]"
 
 
+class TestPublicNames:
+    # the package's entry points: adding or dropping one is an edit here
+    ENTRY_POINTS = [
+        "BlowUpError", "BoundInputs", "BoundTable", "CheckReport", "ErrorReport",
+        "ExponentSpec", "GrowthConstants", "ImpliedVolError", "ModelSpec", "PathBatch",
+        "SimConfig", "SmilePoint", "SmileRequest", "TerminalStats", "bound_table", "bs_call",
+        "bs_vega", "cev", "check_admissibility", "coefficient", "coupled_smile", "error_bound",
+        "estimate_constants", "eval_dphi", "eval_phi", "gbm", "implied_vol", "increment_matrix",
+        "lambda_factor", "loglog_slope", "mc_call_price", "moment_bound", "refinement_errors",
+        "run_with_increments", "simulate_batch", "simulate_coupled", "simulate_coupled_stats",
+        "smile_from_terminal", "strong_error", "strong_error_from_stats", "sup_deviation",
+        "sup_second_moment", "terminal_stats",
+    ]
+
+    def test_all_is_the_entry_points(self):
+        # no submodule (analysis, bounds, engine, ...) is listed
+        assert varexp.__all__ == self.ENTRY_POINTS
+        assert not [n for n in varexp.__all__ if isinstance(getattr(varexp, n), type(varexp))]
+
+
 class TestImpliedVol:
     def test_round_trip_reference(self):
         price = bs_call(1.0, 1.0, 0.05, 0.2, 1.0)
