@@ -7,7 +7,8 @@ The headline statistic is the strong (pathwise) error
 between two batches driven by identical Brownian increments. Antithetic
 pairs are averaged before the confidence interval is formed so the CI
 reflects the variance-reduced estimator. The sup over continuous time is
-approximated by the sup over the discrete grid.
+approximated by the sup over the discrete grid. Nothing here draws an
+increment or takes a step: each estimator reduces what the engine returns.
 """
 
 from __future__ import annotations
@@ -122,21 +123,7 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
                       n_base_paths: int, seed: int, t_horizon: float = 1.0,
                       x0: float = 1.0, scheme: str = engine_mod.LOG_MILSTEIN,
                       antithetic: bool = True) -> list[tuple[float, float]]:
-    """Self-refinement strong errors for a scheme, one per coarse step size.
-
-    One stream of fine increments at ref_dt drives everything: the
-    reference solution steps it directly and each coarse level consumes its
-    block sums, so differences isolate discretization error. The fine
-    increments are drawn a block of steps at a time (a multiple of the
-    coarsest level's multiple of ref_dt), each path's Philox state carried
-    from block to block; each coarse level's sums are taken from the
-    path-major block, whose transposed view the reference run steps in
-    place, so no O(paths x fine steps) array is ever held, and the errors
-    are the same bytes however the steps are blocked. The sup runs over the grid of the
-    coarsest level at every refinement - measuring each level on its own
-    grid would bias the coarse errors downward (fewer points, smaller sup)
-    and flatten the fitted order.
-    """
+    """Self-refinement strong errors (dt, mean sup-difference), one per coarse step size."""
     if not coarse_dts:
         raise ValueError("coarse_dts is empty: give at least one coarse step size")
     dts = np.array([ref_dt, *coarse_dts], dtype=float)
@@ -154,38 +141,9 @@ def refinement_errors(m: ModelSpec, coarse_dts: list[float], ref_dt: float,
         t_horizon=t_horizon, dt=ref_dt, n_base_paths=n_base_paths, seed=seed,
         antithetic=antithetic, scheme=engine_mod.LOG_MILSTEIN, x0=x0,
     )
-    m_paths = fine_cfg.n_paths
     levels = [replace(fine_cfg, dt=dtc, scheme=scheme) for dtc in coarse_dts]
-    engine_mod._require_fits(m_paths * sum(c.n_steps for c in levels) * 8,
-                             "coarse increments")
-    # step-major increments of each level, filled as the fine blocks stream
-    dwc = [np.empty((c.n_steps, m_paths)) for c in levels]
-    mults = [round(c.dt / ref_dt) for c in levels]
-    cm = round(coarsest / ref_dt)
-    block = max(1, engine_mod._BLOCK_STEPS // cm) * cm
-
-    def fine_blocks():
-        k0 = 0
-        for dw in engine_mod._increment_blocks(fine_cfg, 0, n_base_paths, block):
-            for mult, d in zip(mults, dwc):
-                sums = dw.reshape(m_paths, -1, mult).sum(axis=2)
-                d[k0 // mult:k0 // mult + sums.shape[1]] = sums.T
-            k0 += dw.shape[1]
-            yield dw
-
-    # only the shared_n + 1 points of the coarsest grid are kept, not paths
-    shared_n = round(t_horizon / coarsest)
-    ref = engine_mod._advance([m], fine_cfg, ["reference"],
-                              (dw.T for dw in fine_blocks()), m_paths,
-                              engine_mod.PATHS, cm)["values"][0]
-    out = []
-    for cfg_c in levels:  # each level's increments are freed once stepped
-        diff = engine_mod._advance([m], cfg_c, ["coarse"], [dwc.pop(0)], m_paths,
-                                   engine_mod.PATHS, cfg_c.n_steps // shared_n)["values"][0]
-        np.abs(np.subtract(diff, ref, out=diff), out=diff)
-        mean, _ = _pair_mean_ci(diff.max(axis=1), antithetic)
-        out.append((cfg_c.dt, mean))
-    return out
+    sups = engine_mod._refinement_sups(m, fine_cfg, levels)
+    return [(c.dt, _pair_mean_ci(s, antithetic)[0]) for c, s in zip(levels, sups)]
 
 
 def loglog_slope(pairs: list[tuple[float, float]]) -> float:

@@ -13,8 +13,9 @@ runs step contiguous ranges of base paths (with their antithetic
 partners) as chunks of bounded memory: a dense run is one in-process
 chunk; streaming runs use a pool of forked workers when there are several
 chunks and CPUs, and merge the chunks' results exactly, in global path
-order. run_with_increments steps a caller's increment matrix through the
-same runner; there is no other way to take a step.
+order. run_with_increments steps a caller's increment matrix, and
+_refinement_sups a self-refinement study's fine and coarse levels, through
+the same runner; no other module draws increments or takes a step.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
 0.5 g g' (dW^2 - dt) for Milstein, with g = sigma x^p(x); states below
@@ -47,9 +48,9 @@ whatever their strides. _increments fills C-contiguous step-major storage
 for a range of base paths and their partners a strip at a time: a coupled
 run's chunk is that storage, read as one block, and increment_matrix is its
 transposed (Fortran-ordered) view over all paths, as PathBatch.values is of
-the dense states. Every other caller hands over transposed views: a
-caller's matrix of either memory order, and the refinement study's fine
-blocks (each path keeping its own Philox generator from block to block).
+the dense states. Every other run steps transposed views: a caller's
+matrix of either memory order, and the refinement study's fine blocks
+(each path keeping its own Philox generator from block to block).
 One recorder copies the dense states and path 0's, step-major. The
 outputs are the same bytes however the paths are partitioned, however the
 steps are blocked and whatever the increment matrix's memory order.
@@ -84,7 +85,8 @@ POSITIVITY_FLOOR = 1e-12
 LOG_OVERFLOW_LIMIT = 700.0
 
 # Cap on each O(n_paths * n_steps) array: the increment matrix, and the
-# dense paths of a coupled run (larger runs use simulate_coupled_stats).
+# dense paths of a coupled run (larger runs use simulate_coupled_stats) or
+# of run_with_increments, with the float64 copy it makes of another dtype.
 MEMORY_CAP_BYTES = 2 << 30
 
 # Increment bytes per chunk of a streaming run, chosen with perfbench's
@@ -521,13 +523,61 @@ def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
     matrix of shape (n_paths, n_steps) with cfg's step size, read in place
     through its transpose, whatever its memory order. A Fortran-ordered
     matrix (as increment_matrix returns) gives one contiguous row per step;
-    a C-ordered one is stepped over strided rows, with no copy of it."""
-    dw = np.asarray(dw, dtype=float)
+    a C-ordered one is stepped over strided rows, with no copy of it.
+    Raises MemoryError, before allocating, if the dense paths and the
+    float64 copy of a matrix of another dtype exceed MEMORY_CAP_BYTES."""
+    dw = np.asarray(dw)
     if dw.ndim != 2 or dw.shape[1] != cfg.n_steps:
         raise ValueError("increment matrix must be (n_paths, cfg.n_steps)")
+    copy = dw.size if dw.dtype != np.float64 else 0
+    _require_fits((len(dw) * (cfg.n_steps + 1) + copy) * 8, "dense path storage")
+    dw = dw.astype(float, copy=False)
     out = _advance([m], cfg, [label], [dw.T], len(dw), PATHS)
     return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
                      model_label=label, config=cfg, breach_counts=out["breaches"][0])
+
+
+def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConfig]) -> np.ndarray:
+    """Per-path sup |coarse - reference| of each level, (len(levels), n_paths).
+
+    One stream of fine increments at fine_cfg.dt drives everything: the
+    reference solution steps it directly and each coarse level (fine_cfg at
+    a nested coarser dt) consumes its block sums, so differences isolate
+    discretization error. The fine increments are drawn a block of steps at
+    a time (a multiple of the coarsest level's multiple of fine_cfg.dt), each
+    path's Philox state carried from block to block; each level's sums are
+    taken from the path-major block, whose transposed view the reference
+    run steps in place, so no O(paths x fine steps) array is ever held, and
+    the sups are the same bytes however the steps are blocked. The sup runs
+    over the grid of the coarsest level at every refinement - measuring each
+    level on its own grid would bias the coarse errors downward (fewer
+    points, smaller sup) and flatten the fitted order.
+    """
+    m_paths = fine_cfg.n_paths
+    _require_fits(m_paths * sum(c.n_steps for c in levels) * 8, "coarse increments")
+    # step-major increments of each level, filled as the fine blocks stream
+    dwc = [np.empty((c.n_steps, m_paths)) for c in levels]
+    mults = [round(c.dt / fine_cfg.dt) for c in levels]
+    cm = max(mults)
+    block = max(1, _BLOCK_STEPS // cm) * cm
+
+    def fine_blocks():  # k0: the block's first step, as _increment_blocks cuts them
+        for k0, dw in zip(range(0, fine_cfg.n_steps, block),
+                          _increment_blocks(fine_cfg, 0, fine_cfg.n_base_paths, block)):
+            for mult, d in zip(mults, dwc):
+                sums = dw.reshape(m_paths, -1, mult).sum(axis=2)
+                d[k0 // mult:k0 // mult + sums.shape[1]] = sums.T
+            yield dw.T
+
+    # only the shared_n + 1 points of the coarsest grid are kept, not paths
+    shared_n = min(c.n_steps for c in levels)
+    ref = _advance([m], fine_cfg, ["reference"], fine_blocks(), m_paths, PATHS, cm)["values"][0]
+    sups = np.empty((len(levels), m_paths))
+    for cfg_c, row in zip(levels, sups):  # each level's increments are freed once stepped
+        diff = _advance([m], cfg_c, ["coarse"], [dwc.pop(0)], m_paths, PATHS,
+                        cfg_c.n_steps // shared_n)["values"][0]
+        np.abs(np.subtract(diff, ref, out=diff), out=diff).max(axis=1, out=row)
+    return sups
 
 
 def simulate_batch(m: ModelSpec, cfg: SimConfig, label: str = "model") -> PathBatch:

@@ -355,6 +355,8 @@ def coupled_smile(terminal: np.ndarray, reference_terminal: np.ndarray,
     ref = np.asarray(reference_terminal, dtype=float)
     if term.shape != ref.shape:
         raise ValueError("model and reference terminal samples must align")
+    if term.size == 0:
+        raise ValueError("terminal sample is empty")
     disc = math.exp(-req.rate * req.maturity)
     points = []
     for k in req.strikes:

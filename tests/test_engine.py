@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 import pickle
 import tracemalloc
 
@@ -452,6 +453,28 @@ class TestSimulateBatch:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    # at a 1 MiB cap: 1000 x 1000 doubles of dense paths are over it alone;
+    # 70 x 1000 are under it, but not with the float64 copy of a float32
+    # matrix (float64 70 x 1000 fits, and runs)
+    @pytest.mark.parametrize("n_paths,dtype", [(1000, np.float64), (70, np.float32)])
+    def test_caller_matrix_capped_before_allocating(self, monkeypatch, gbm_model,
+                                                    n_paths, dtype):
+        cfg = SimConfig(t_horizon=1.0, dt=1e-3, n_base_paths=n_paths, seed=0,
+                        antithetic=False)
+        dw = np.zeros((n_paths, cfg.n_steps), dtype=dtype)
+        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="dense path storage needs"):
+                run_with_increments(gbm_model, cfg, dw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10  # no O(paths x steps) array was allocated
+        if dtype == np.float32:
+            assert run_with_increments(gbm_model, cfg, dw.astype(float)).values.shape == \
+                (n_paths, cfg.n_steps + 1)
 
     @pytest.mark.parametrize("run", [simulate_coupled_stats, coupled_terminals],
                              ids=["stats", "terminals"])
@@ -925,6 +948,20 @@ class TestChunkedRuns:
         assert engine._plan(small) == ([(0, 10)], 1)
 
 
+# engine internals that draw Philox streams or take steps
+ENGINE_ONLY = ("np.random.Philox(", "_advance(", "_increment_blocks(", "_require_fits(",
+               "_BLOCK_STEPS")
+
+
+def test_only_the_engine_draws_and_steps():
+    # engine.py is the one module where Philox streams are keyed and steps
+    # are taken; every other module goes through its entry points
+    src = pathlib.Path(engine.__file__).parent
+    found = [(f.name, name) for f in sorted(src.glob("*.py")) if f.name != "engine.py"
+             for name in ENGINE_ONLY if name in f.read_text(encoding="utf-8")]
+    assert not found
+
+
 class TestStrongOrder:
     def test_refinement_slopes(self, p1_model):
         from varexp import loglog_slope, refinement_errors
@@ -933,3 +970,12 @@ class TestStrongOrder:
                                    seed=99, scheme=LOG_MILSTEIN)
         slope = loglog_slope(errs_m)
         assert 0.75 <= slope <= 1.25
+
+    def test_direct_milstein_slope(self, p1_model):
+        # the fine reference is log-Milstein, which shares no formula with the
+        # direct step, so this catches a wrong direct Milstein term (half of
+        # it gives a slope near 0.54) that the byte oracles would copy
+        from varexp import loglog_slope, refinement_errors
+        errs = refinement_errors(p1_model, [4e-3, 2e-3, 1e-3, 5e-4], ref_dt=1e-4,
+                                 n_base_paths=32, seed=99, scheme=MILSTEIN)
+        assert 0.75 <= loglog_slope(errs) <= 1.25

@@ -531,3 +531,13 @@ class TestCoupledSmile:
         req = SmileRequest.default_grid()
         with pytest.raises(ValueError):
             coupled_smile(np.ones(10), np.ones(12), req, 0.2, antithetic=False)
+
+    # an empty sample raises up front, as smile_from_terminal does, not a
+    # "Mean of empty slice" warning and a NaN price for implied_vol
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_empty_samples_rejected(self, antithetic):
+        req = SmileRequest.default_grid()
+        for smile in (lambda: coupled_smile(np.empty(0), np.empty(0), req, 0.2, antithetic),
+                      lambda: smile_from_terminal(np.empty(0), req, antithetic)):
+            with pytest.raises(ValueError, match="terminal sample is empty"):
+                smile()
