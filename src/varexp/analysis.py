@@ -23,6 +23,10 @@ from .engine import CoupledStats, ModelPathStats, PathBatch
 from .models import ModelSpec
 
 
+# the largest temporary strong_error builds for a block of rows of |a - b|
+_DIFF_BLOCK_BYTES = 1 << 20
+
+
 @dataclass
 class ErrorReport:
     """Strong-error estimate plus the observed path range it was measured on."""
@@ -66,7 +70,14 @@ def strong_error(a: PathBatch, b: PathBatch) -> ErrorReport:
         raise ValueError("batches must share time grid and path count")
     if a.config.seed != b.config.seed or a.config.antithetic != b.config.antithetic:
         raise ValueError("batches were not produced by a coupled run")
-    return _report(np.max(np.abs(a.values - b.values), axis=1), a.config.antithetic,
+    # per-path sups a block of rows at a time, so no temporary is the size
+    # of a batch; max is exact, so the blocking changes no bit
+    rows = max(1, _DIFF_BLOCK_BYTES // (8 * a.values.shape[1]))
+    sups = np.empty(a.values.shape[0])
+    for lo in range(0, sups.size, rows):
+        sups[lo:lo + rows] = np.max(np.abs(a.values[lo:lo + rows] - b.values[lo:lo + rows]),
+                                    axis=1)
+    return _report(sups, a.config.antithetic,
                    min(a.values.min(), b.values.min()), max(a.values.max(), b.values.max()))
 
 

@@ -13,8 +13,8 @@ precondition, 2 usage/config error. Commands return their files as text
 and the simulation they ran, if any; `main` is the only writer: it writes
 the files whose extension is listed in --format, then run_manifest.json
 with the sha256 of each, the run's path, step and worker counts and the
-library versions. All data files are byte-identical across reruns with
-the same config and seed; timestamps appear only in run_manifest.json.
+python and numpy versions. Data files are byte-identical across reruns
+with the same config and seed; timestamps appear only in run_manifest.json.
 """
 
 from __future__ import annotations
@@ -297,14 +297,12 @@ def main(argv=None) -> int:
                 data = text.encode()
                 (out / name).write_bytes(data)
                 written[name] = hashlib.sha256(data).hexdigest()
-        import scipy  # only for its version; scipy is not on the package's import path
         manifest = {
             "command": args.command,
             "config_sha256": _config_sha256(cfg),
             "seed": cfg.sim.seed,
             "tool_version": __version__,
-            "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                         "scipy": scipy.__version__},
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
             "n_paths": sim.n_paths if sim else None,
             "n_steps": sim.n_steps if sim else None,
             "workers": _plan(sim)[1] if sim else None,

@@ -756,6 +756,9 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     are split and whichever other reductions are computed.
     """
     labels = _labels_for(models, labels)
+    if isinstance(reductions, str):  # a set of names, not one name's characters
+        raise TypeError(f"reductions must be a collection of names, such as "
+                        f"{{{reductions!r}}}, not the string {reductions!r}")
     keep = frozenset(reductions)
     if not keep <= STATS:
         raise ValueError(f"unknown reductions {sorted(keep - STATS)}; "

@@ -111,17 +111,21 @@ def _require_finite(**args: float) -> None:
 
 
 class ImpliedVolError(ValueError):
-    """Price outside the no-arbitrage interval; carries the violated bound."""
+    """Price outside the no-arbitrage interval, or above the price at
+    VOL_CAP (then `upper` is that price); carries the violated bound."""
 
-    def __init__(self, price: float, lower: float, upper: float):
+    def __init__(self, price: float, lower: float, upper: float, vol_cap: bool = False):
         self.price = price
         self.lower = lower
         self.upper = upper
-        side = "lower" if price < lower else "upper"
-        super().__init__(
-            f"price {price:.6g} violates the {side} no-arbitrage bound "
-            f"[{lower:.6g}, {upper:.6g})"
-        )
+        if vol_cap:
+            msg = (f"price {price:.6g} is above {upper:.6g}, the Black-Scholes price at "
+                   f"the vol cap {VOL_CAP:g}")
+        else:
+            side = "lower" if price < lower else "upper"
+            msg = (f"price {price:.6g} violates the {side} no-arbitrage bound "
+                   f"[{lower:.6g}, {upper:.6g})")
+        super().__init__(msg)
 
 
 def bs_call(spot: float, strike: float, rate: float, vol: float,
@@ -248,7 +252,7 @@ def implied_vol(price: float, spot: float, strike: float, rate: float,
         return VOL_FLOOR
     cap_price = bs_call(spot, strike, rate, VOL_CAP, maturity)
     if cap_price < price:
-        raise ImpliedVolError(price, lower, cap_price)
+        raise ImpliedVolError(price, lower, cap_price, vol_cap=True)
     return _brentq(f, VOL_FLOOR, VOL_CAP, xtol=1e-14, rtol=4 * np.finfo(float).eps)
 
 

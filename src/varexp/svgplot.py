@@ -18,10 +18,8 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
+    """n evenly spaced ticks on [lo, hi]; line_chart passes hi > lo."""
+    return [float(v) for v in np.linspace(lo, hi, n)]
 
 
 def line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],

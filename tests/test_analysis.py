@@ -8,8 +8,8 @@ import pytest
 from varexp import (ExponentSpec, ModelSpec, SimConfig, eval_phi, simulate_batch,
                     simulate_coupled, simulate_coupled_stats, strong_error,
                     strong_error_from_stats, sup_second_moment, terminal_stats)
-from varexp import (engine, gbm, increment_matrix, loglog_slope, refinement_errors,
-                    run_with_increments)
+from varexp import (analysis, engine, gbm, increment_matrix, loglog_slope,
+                    refinement_errors, run_with_increments)
 from varexp.engine import EULER, LOG_MILSTEIN, MILSTEIN
 
 
@@ -74,6 +74,29 @@ class TestStrongError:
                                       reductions={"sup_diffs", "extrema"})
         assert strong_error_from_stats(both, 1) == strong_error_from_stats(
             simulate_coupled_stats([gbm_model, p1_model], cfg), 1)
+
+    def test_sups_stream_in_row_blocks(self, gbm_model, p1_model):
+        # the per-path sups take a block of rows at a time: no temporary the
+        # size of a batch's values (one pass over the batch peaked at 2.00x)
+        cfg = SimConfig(t_horizon=1.0, dt=1e-3, n_base_paths=2000, seed=5)
+        a, b = simulate_coupled([gbm_model, p1_model], cfg)
+        tracemalloc.start()
+        try:
+            rep = strong_error(b, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * a.values.nbytes
+        sups = np.max(np.abs(b.values - a.values), axis=1)
+        assert rep == analysis._report(sups, True, min(a.values.min(), b.values.min()),
+                                       max(a.values.max(), b.values.max()))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_same_report_however_blocked(self, monkeypatch, coupled_pair, rows):
+        a, b = coupled_pair
+        want = strong_error(b, a)
+        monkeypatch.setattr(analysis, "_DIFF_BLOCK_BYTES", rows * 8 * a.values.shape[1])
+        assert strong_error(b, a) == want
 
     def test_error_shrinks_with_deviation(self, gbm_model):
         # scaling the rational-decay coefficient down shrinks the coupled
@@ -252,6 +275,11 @@ class TestRefinementErrors:
         with pytest.raises(ValueError, match="coarsest dt must be a multiple of every level"):
             refinement_errors(gbm(0.05, 0.2), dts, ref_dt=ref_dt, n_base_paths=2, seed=1,
                               t_horizon=t_horizon)
+
+    def test_level_not_a_multiple_of_ref_dt_rejected(self):
+        with pytest.raises(ValueError, match="each coarse dt must be an integer multiple of "
+                                             "ref_dt"):
+            refinement_errors(gbm(0.05, 0.2), [0.25], ref_dt=0.1, n_base_paths=2, seed=1)
 
     def test_no_levels_rejected(self):
         with pytest.raises(ValueError, match="coarse_dts is empty"):

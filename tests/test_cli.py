@@ -1,14 +1,17 @@
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
+import varexp
 from varexp import SimConfig, gbm, simulate_coupled
-from varexp.cli import main
+from varexp.cli import COMMANDS, main
 from conftest import replaced
 
 
@@ -118,6 +121,15 @@ class TestBoundTable:
         cfg = _write_config(tmp_path, bound_cases=[[1.5, 2.0]])
         assert main(["bound-table", "--config", str(cfg)]) == 2
         assert "config error: bad bound case 0" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_different_mu_exits_one(self, tmp_path, capsys):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        raw["models"][1]["mu"] = 0.1
+        cfg = _write_config(tmp_path, models=raw["models"])
+        assert main(["bound-table", "--config", str(cfg)]) == 1
+        assert ("coupled comparisons require all models to share mu and sigma"
+                in capsys.readouterr().err)
         assert not list((tmp_path / "out").glob("*"))
 
     def test_deterministic(self, tmp_path):
@@ -339,6 +351,19 @@ class TestSmileCommand:
             assert main([command, "--config", str(cfg)]) == 1
         assert "blew up at step 0 for model 'wild'" in capsys.readouterr().err
 
+    def test_one_model_is_plain_monte_carlo(self, tmp_path):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        cfg = _write_config(tmp_path, models=raw["models"][1:])
+        for out in ("a", "b"):
+            assert main(["smile", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        summary = json.loads((tmp_path / "a" / "smile_summary.json").read_text())
+        assert summary["method"] == "plain Monte Carlo"
+        assert list(summary["series"]) == ["p1"]
+        lines = (tmp_path / "a" / "smile_p1.csv").read_text().splitlines()
+        assert lines[0] == "strike,iv,se_low,se_high,flag" and len(lines) == 4
+        for name in ("smile_p1.csv", "smile_summary.json", "smile.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path)
         main(["smile", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -418,6 +443,14 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_duplicate_label_exits_two(self, tmp_path, capsys):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        raw["models"][1]["label"] = "gbm"
+        cfg = _write_config(tmp_path, models=raw["models"])
+        assert main(["check-exponent", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_flag_out_of_range(self, tmp_path, capsys, seed):
         cfg = _write_config(tmp_path)
@@ -477,7 +510,7 @@ class TestManifest:
         assert manifest["tool_version"]
         assert "config_sha256" in manifest and "created_utc" in manifest
         assert manifest["versions"] == {"python": platform.python_version(),
-                                        "numpy": np.__version__, "scipy": scipy.__version__}
+                                        "numpy": np.__version__}
         assert (manifest["n_paths"], manifest["n_steps"], manifest["workers"]) == (None, None, None)
 
     @pytest.mark.parametrize("command,n_paths", [("strong-error", 400), ("simulate", 400),
@@ -524,3 +557,58 @@ class TestManifest:
         cfg = _write_config(tmp_path)
         assert self._hash(cfg, tmp_path / "a") != \
             self._hash(cfg, tmp_path / "b", "--seed", "123")
+
+
+# Runs each command named in argv[2:] (with its output directory) on the
+# config argv[1] in an interpreter that cannot import scipy, and prints the
+# exit codes as the last line.
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("scipy was importable")
+from varexp.cli import main
+runs = zip(sys.argv[2::2], sys.argv[3::2])
+codes = [main([c, "--config", sys.argv[1], "--out", out, "--format", "csv,json,svg"])
+         for c, out in runs]
+print(json.dumps(codes))
+"""
+
+
+class TestWithoutScipy:
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: a run neither imports it nor
+        # records its version, and writes the same files without it
+        cfg = str(_write_config(tmp_path))
+        plain, blocked = tmp_path / "plain", tmp_path / "blocked"
+        want = [main([c, "--config", cfg, "--out", str(plain / c), "--format", "csv,json,svg"])
+                for c in COMMANDS]
+        src = Path(varexp.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, cfg,
+             *(a for c in COMMANDS for a in (c, str(blocked / c)))],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == want
+        for c in COMMANDS:
+            manifest = json.loads((blocked / c / "run_manifest.json").read_text())
+            assert manifest["versions"] == {"python": platform.python_version(),
+                                            "numpy": np.__version__}
+            files = {p.name: p.read_bytes() for p in (blocked / c).iterdir()
+                     if p.name != "run_manifest.json"}
+            assert files and files == {p.name: p.read_bytes() for p in (plain / c).iterdir()
+                                       if p.name != "run_manifest.json"}
+            assert manifest["files"] == {n: hashlib.sha256(b).hexdigest()
+                                         for n, b in files.items()}

@@ -800,6 +800,12 @@ class TestCoupled:
             with pytest.raises(ValueError, match=rf"unknown reductions \['{unknown}'\]"):
                 simulate_coupled_stats([gbm_model], small_cfg, reductions=reductions)
 
+    def test_string_reductions_rejected(self, gbm_model, small_cfg):
+        # a str is an iterable of its characters, which named no reduction
+        with pytest.raises(TypeError, match=r"not the string 'extrema'") as exc:
+            simulate_coupled_stats([gbm_model], small_cfg, reductions=engine.EXTREMA)
+        assert "{'extrema'}" in str(exc.value)
+
     def test_blow_up_same_as_streaming(self):
         # CEV exponent 0 runs away to 0 in log space; every run stops at the
         # earliest step, then the first model failing there

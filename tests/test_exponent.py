@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ class TestAdmissibility:
         assert not report.limit_ok.passed
         assert report.range_ok.passed
         assert not report.passed
+
+    def test_range_violation_has_witness(self):
+        # p rises to 1 + a = 1.005 towards 0, past the declared p_plus
+        spec = replace(ExponentSpec.exp_decay(0.005, 0.1), p_plus=1.004)
+        report = check_admissibility(spec)
+        assert not report.range_ok.passed
+        assert report.range_ok.detail == "p(1e-08) = 1.005 outside [1.0, 1.004]"
+        assert report.range_ok.witness_x == 1e-8
+
+    def test_slow_tail_fails_limit(self):
+        # (p - 1) log x grows without bound, though p - 1 = 1e-6 is tiny
+        report = check_admissibility(ExponentSpec.constant(1 + 1e-6))
+        assert not report.limit_ok.passed
+        assert report.limit_ok.detail.startswith("(p-1)*log x growing in the tail")
+        assert report.limit_ok.witness_x == 1e4
+        assert report.range_ok.passed
 
     def test_inverse_square_default_constants(self, inv_square_spec):
         # delta = 1, m0 = c0 = 2a, alpha = 2

@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call, bs_vega,
                     coupled_smile, implied_vol, mc_call_price, simulate_batch,
                     smile_from_terminal)
 from varexp import pricing
-from varexp.pricing import FLAG_NEAR_BOUND, FLAG_VOL_FLOOR, _brentq
+from varexp.pricing import (FLAG_NEAR_BOUND, FLAG_NO_SOLUTION, FLAG_OK, FLAG_VOL_FLOOR,
+                            _brentq)
 from conftest import coupled_terminals
 
 
@@ -313,15 +316,34 @@ class TestImportPath:
                 "       if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')])")
         assert self._fresh(code, tmp_path) == "[]"
 
-    def test_cli_loads_scipy_only_for_the_manifest(self, tmp_path):
+    def test_cli_loads_no_scipy(self, tmp_path):
+        # the manifest records no scipy version, so a run never imports it
         code = ("import json, sys\n"
                 "from varexp import cli\n"
                 "assert cli.main(['bound-table', '--config', 'paper.json', '--out', 'out']) == 0\n"
-                "print(json.load(open('out/run_manifest.json'))['versions']['scipy'])\n"
-                "print([m for m in sys.modules if m.startswith('scipy.special')])")
-        version, special = self._fresh(code, tmp_path).splitlines()[-2:]
-        assert version == __import__("scipy").__version__
-        assert special == "[]"
+                "print(sorted(json.load(open('out/run_manifest.json'))['versions']))\n"
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        versions, loaded = self._fresh(code, tmp_path).splitlines()[-2:]
+        assert versions == "['numpy', 'python']"
+        assert loaded == "[]"
+
+    def test_dependencies_are_the_third_party_imports(self):
+        # pyproject.toml declares exactly what the package imports
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(varexp.__file__).resolve().parent
+        pyproject = package.parents[1] / "pyproject.toml"
+        if not pyproject.exists():
+            pytest.skip("no pyproject.toml next to the package's source")
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                    for dep in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+        imported = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.partition(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.partition(".")[0])
+        assert declared == imported - set(sys.stdlib_module_names) == {"numpy"}
 
 
 class TestPublicNames:
@@ -391,6 +413,16 @@ class TestImpliedVol:
     def test_intrinsic_price_floors(self):
         intrinsic = 1.0 - 0.9 * math.exp(-0.05)
         assert implied_vol(intrinsic, 1.0, 0.9, 0.05, 1.0) == pytest.approx(1e-6)
+
+    def test_above_the_vol_cap_names_the_cap(self):
+        # 0.995 is below the spot, the no-arbitrage bound, but above the
+        # price at VOL_CAP, which is no arbitrage bound
+        with pytest.raises(ImpliedVolError, match=r"^price 0.995 is above 0.987581, the "
+                                                  r"Black-Scholes price at the vol cap 5$") \
+                as exc:
+            implied_vol(0.995, 1.0, 1.0, 0.0, 1.0)
+        assert (exc.value.price, exc.value.lower) == (0.995, 0.0)
+        assert exc.value.upper == bs_call(1.0, 1.0, 0.0, pricing.VOL_CAP, 1.0)
 
     def test_out_of_bounds_price(self):
         with pytest.raises(ImpliedVolError) as exc:
@@ -505,6 +537,22 @@ class TestSmile:
         assert pts[0].iv is None or pts[0].flag
         assert pts[2].flag
         assert pts[2].iv is None or pts[2].iv == pytest.approx(1e-6)
+
+
+class TestPointFromPrice:
+    REQ = SmileRequest(strikes=(1.0,), rate=0.0, maturity=1.0, spot=1.0)
+
+    def test_price_above_the_cap_price_has_no_solution(self):
+        # inside the no-arbitrage band by more than se, above the VOL_CAP price
+        point = pricing._point_from_price(0.995, 0.001, self.REQ, 1.0)
+        assert (point.iv, point.se_low, point.se_high, point.flag) == \
+            (None, None, None, FLAG_NO_SOLUTION)
+
+    def test_band_past_the_cap_price_drops_the_band(self):
+        # 0.98 solves, 0.98 + se does not, so the point keeps no band
+        point = pricing._point_from_price(0.98, 0.01, self.REQ, 1.0)
+        assert point.iv == pytest.approx(4.6527, abs=1e-4)
+        assert (point.se_low, point.se_high, point.flag) == (None, None, FLAG_OK)
 
 
 class TestCoupledSmile:
