@@ -9,12 +9,14 @@ Subcommands:
 
 Shared flags: --config PATH (required), --out DIR, --seed N,
 --format csv,json[,svg]. Exit codes: 0 success, 1 failed check or
-precondition, 2 usage/config error. Commands return their files as text
-and the simulation they ran, if any; `main` is the only writer: it writes
-the files whose extension is listed in --format, then run_manifest.json
-with the sha256 of each, the run's path, step and worker counts and the
-python and numpy versions. Data files are byte-identical across reruns
-with the same config and seed; timestamps appear only in run_manifest.json.
+precondition (a run over the memory cap too), 2 usage/config error or an
+output directory that cannot be made or written. Commands return their
+files as text and the simulation they ran, if any; `main` is the only
+writer: it writes the files whose extension is listed in --format, then
+run_manifest.json with the sha256 of each, the effective config and its
+hash, the run's path, step and worker counts and the python and numpy
+versions. Data files are byte-identical across reruns with the same
+config and seed; timestamps appear only in run_manifest.json.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,19 +43,15 @@ from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
 
 
-def _config_sha256(cfg: RunConfig) -> str:
-    """sha256 of the canonical JSON of the effective config, after CLI
-    overrides; the output directory and the config file path are left out."""
-    effective = {
-        "labels": cfg.labels,
-        "models": [m.to_dict() for m in cfg.models],
-        "sim": cfg.sim.to_dict(),
-        "bound_cases": [list(case) for case in cfg.bound_cases],
-        "smile": cfg.smile.to_dict() if cfg.smile is not None else None,
-        "smile_n_base_paths": cfg.smile_n_base_paths,
-        "formats": list(cfg.formats),
-    }
-    return hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
+class _OutputError(Exception):
+    """An OSError while making the output directory or writing into it."""
+
+
+def _config_record(cfg: RunConfig) -> tuple[dict, str]:
+    """Every RunConfig field but out_dir (where a run writes is not what it
+    ran), and the sha256 of that record's canonical JSON."""
+    config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
+    return config, hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
 def _csv(header, rows, fmt: str = ".10g") -> str:
@@ -288,18 +287,17 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.format is not None:
             cfg.formats = _check_formats(args.format.split(","))
+        config, config_sha256 = _config_record(cfg)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _OutputError(exc) from exc
         code, files, sim = COMMANDS[args.command](cfg)
-        written = {}
-        for name, text in files.items():
-            if Path(name).suffix[1:] in cfg.formats:
-                data = text.encode()
-                (out / name).write_bytes(data)
-                written[name] = hashlib.sha256(data).hexdigest()
         manifest = {
             "command": args.command,
-            "config_sha256": _config_sha256(cfg),
+            "config": config,
+            "config_sha256": config_sha256,
             "seed": cfg.sim.seed,
             "tool_version": __version__,
             "versions": {"python": platform.python_version(), "numpy": np.__version__},
@@ -307,17 +305,28 @@ def main(argv=None) -> int:
             "n_steps": sim.n_steps if sim else None,
             "workers": _plan(sim)[1] if sim else None,
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "files": written,
+            "files": {},
         }
-        (out / "run_manifest.json").write_text(_json(manifest))
+        try:
+            for name, text in files.items():
+                if Path(name).suffix[1:] in cfg.formats:
+                    data = text.encode()
+                    (out / name).write_bytes(data)
+                    manifest["files"][name] = hashlib.sha256(data).hexdigest()
+            (out / "run_manifest.json").write_text(_json(manifest))
+        except OSError as exc:
+            raise _OutputError(exc) from exc
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except BlowUpError as exc:
         print(f"simulation blow-up: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1
 

@@ -586,6 +586,8 @@ def simulate_batch(m: ModelSpec, cfg: SimConfig, label: str = "model") -> PathBa
 
 
 def _labels_for(models: Sequence[ModelSpec], labels: Optional[Sequence[str]]) -> list[str]:
+    if not models:
+        raise ValueError("no models to simulate: models is empty")
     if labels is None:
         labels = [f"model_{i}" for i in range(len(models))]
     if len(labels) != len(models):

@@ -375,6 +375,8 @@ def check_admissibility(spec: ExponentSpec, cutoff: float = 1e4,
 
     Violations are reported (with the witnessing x), never raised.
     """
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, not {cutoff!r}")
     if cutoff <= spec.delta:
         raise ValueError("cutoff must exceed spec.delta")
     if grid_points < 100:

@@ -295,10 +295,6 @@ class SmileRequest:
         ks = tuple(float(k) for k in np.linspace(0.8, 1.2, 21))
         return cls(strikes=ks, rate=0.05, maturity=1.0, spot=1.0)
 
-    def to_dict(self) -> dict:
-        return {"strikes": list(self.strikes), "rate": self.rate,
-                "maturity": self.maturity, "spot": self.spot}
-
 
 @dataclass
 class SmilePoint:

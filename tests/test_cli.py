@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 import varexp
 from varexp import SimConfig, gbm, simulate_coupled
-from varexp.cli import COMMANDS, main
+from varexp.cli import COMMANDS, _config_record, main
+from varexp.config import RunConfig, bundled_paper_text, load_paper_config
 from conftest import replaced
 
 
@@ -557,6 +559,60 @@ class TestManifest:
         cfg = _write_config(tmp_path)
         assert self._hash(cfg, tmp_path / "a") != \
             self._hash(cfg, tmp_path / "b", "--seed", "123")
+
+    def test_hash_covers_every_field_but_out_dir(self):
+        # walks the dataclass, so a field added to RunConfig is checked too
+        base = load_paper_config()
+        base_sha256 = _config_record(base)[1]
+        for f in fields(RunConfig):
+            changed = _config_record(replace(base, **{f.name: "changed"}))[1]
+            assert (changed == base_sha256) == (f.name == "out_dir"), f.name
+
+    def test_config_record_hashes_to_config_sha256(self, tmp_path):
+        out = tmp_path / "elsewhere"
+        assert main(["bound-table", "--config", str(_write_config(tmp_path)),
+                     "--out", str(out), "--seed", "123"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        config = manifest["config"]
+        canonical = json.dumps(config, sort_keys=True).encode()
+        assert hashlib.sha256(canonical).hexdigest() == manifest["config_sha256"]
+        assert set(config) == {f.name for f in fields(RunConfig)} - {"out_dir"}
+        assert config["sim"]["seed"] == 123
+        assert str(tmp_path) not in json.dumps(config)  # neither --out nor the config's path
+
+
+class TestRunErrors:
+    """Failures after the config loads are reported on one stderr line,
+    never as a traceback, and leave no data file."""
+
+    def test_out_is_a_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["bound-table", "--config", "paper.json", "--out", "taken"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_text() == ""
+
+    def test_unwritable_data_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "bound_table.csv").mkdir(parents=True)  # the first file the command writes
+        assert main(["bound-table", "--config", str(_write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["bound_table.csv"]
+
+    def test_run_over_memory_cap_exits_one(self, tmp_path, capsys):
+        raw = json.loads(bundled_paper_text())
+        raw["sim"].update(dt=1e-9, n_base_paths=1)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["strong-error", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: ") and "> cap" in err
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
 
 
 # Runs each command named in argv[2:] (with its output directory) on the

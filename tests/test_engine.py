@@ -793,6 +793,12 @@ class TestCoupled:
         with pytest.raises(ValueError, match="duplicate model labels"):
             run([gbm_model, p1_model], small_cfg, ["x", "x"])
 
+    @pytest.mark.parametrize("run", [simulate_coupled, simulate_coupled_stats],
+                             ids=["dense", "stats"])
+    def test_empty_model_list_rejected(self, small_cfg, run):
+        with pytest.raises(ValueError, match="models is empty"):
+            run([], small_cfg)
+
     def test_unknown_reduction_rejected(self, gbm_model, small_cfg):
         # the dense grid is a reduction of _advance alone, not of the streaming API
         for reductions, unknown in (({"path_sup", engine.EXTREMA}, "path_sup"),

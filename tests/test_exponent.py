@@ -264,6 +264,9 @@ class TestAdmissibility:
             check_admissibility(p1_spec, cutoff=0.5)  # below delta
         with pytest.raises(ValueError):
             check_admissibility(p1_spec, grid_points=10)
+        for cutoff in (math.inf, math.nan):  # named before the grid is built
+            with pytest.raises(ValueError, match="cutoff must be finite"):
+                check_admissibility(p1_spec, cutoff=cutoff)
 
 
 class TestEstimateConstants:
