@@ -42,6 +42,8 @@ class ErrorReport:
 def _pair_mean_ci(per_path: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Mean and 95% half-width, averaging antithetic pairs first (so an
     antithetic sample must have an even length: base paths, then partners)."""
+    if per_path.ndim != 1:
+        raise ValueError(f"a sample must be 1-D, one value per path, not of shape {per_path.shape}")
     if antithetic:
         if per_path.size % 2:
             raise ValueError(f"an antithetic sample pairs its halves, so its length must "

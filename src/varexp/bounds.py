@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exponent import ExponentSpec, sup_deviation
+from .exponent import ExponentSpec, _require_finite, sup_deviation
 
 
 def lambda_factor(lam: float, r: float, p_plus: float) -> float:
     """|log(lam)| (lam + lam^p+) + |log(R)| (R + R^p+)."""
+    _require_finite(lam=lam, r=r, p_plus=p_plus)
     if not (0.0 < lam < 1.0 < r):
         raise ValueError("need 0 < lambda < 1 < R")
     if p_plus < 1.0:
@@ -38,6 +39,7 @@ def lambda_factor(lam: float, r: float, p_plus: float) -> float:
 
 def coefficient(mu: float, sigma: float, t: float) -> float:
     """sqrt(12 sigma^2 exp(3 T^2 mu^2 + 12 T sigma^2))."""
+    _require_finite(mu=mu, sigma=sigma, t=t)
     if sigma < 0 or t <= 0:
         raise ValueError("need sigma >= 0 and t > 0")
     return math.sqrt(12.0 * sigma**2 * math.exp(3.0 * t**2 * mu**2 + 12.0 * t * sigma**2))
@@ -58,6 +60,7 @@ class BoundInputs:
     ex0_sq: float = 1.0  # E[x0^2]
 
     def __post_init__(self):
+        _require_finite(**vars(self))  # first, so that no NaN slips through a comparison
         if self.sigma <= 0 or self.t_horizon <= 0:
             raise ValueError("sigma and t_horizon must be positive")
         if not (0.0 < self.lam < 1.0 < self.r):

@@ -282,19 +282,16 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     |y'| <= LOG_OVERFLOW_LIMIT by reading the largest |y'| at its argmax
     (argmax finds the first NaN, which fails), looking for the paths out of
     range only when that fails, and writes exp(y') into x. x is not
-    re-validated: the range keeps it positive and finite. Every variant
-    gives the generic formula's floats.
-    """
+    re-validated: the range keeps it positive and finite. GBM's exact step
+    is the one special case; every other exponent, constant ones included
+    (p = gamma, p' = 0), takes the generic formula."""
     spec, m = model.exponent, len(x)
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0
-    constant = spec.kind == CONSTANT
     mul, add, sub, exp, absolute = np.multiply, np.add, np.subtract, np.exp, np.absolute
     limit = LOG_OVERFLOW_LIMIT
     mu, sigma, dt0, half, one = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5, 1.0))
     drift_dt = np.array((model.mu - 0.5 * model.sigma * model.sigma) * dt)
-    # p - 1 is constant and p' = 0 adds nothing to b' for a constant kind
-    gamma_m1 = np.array(spec.gamma - 1.0) if constant else None
-    p_dp = None if constant else _p_dp_kernel(spec, m, milstein)
+    p_dp = None if gbm else _p_dp_kernel(spec, m, milstein)
     b, half_b, incr, t = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     y = np.full(m, math.log(x0))
     exp(y, x)
@@ -304,21 +301,15 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
         if gbm:  # y + (drift_dt + sigma dw)
             add(y, add(drift_dt, mul(sigma, dw, t), t), y)
         else:
-            if constant:
-                pm1 = gamma_m1
-            else:
-                pm1, dp = p_dp(x)
-                sub(pm1, one, pm1)
+            pm1, dp = p_dp(x)
+            sub(pm1, one, pm1)
             mul(sigma, exp(mul(pm1, y, b), b), b)  # sigma x^(p-1)
             mul(half, b, half_b)
             mul(sub(mu, mul(half_b, b, incr), incr), dt0, incr)
             add(incr, mul(b, dw, t), incr)  # (mu - b^2/2) dt + b dw
             if milstein:  # b' = b ((p-1) + x p' y)
-                if constant:
-                    mul(b, pm1, t)
-                else:
-                    mul(mul(x, dp, t), y, t)
-                    mul(b, add(pm1, t, t), t)
+                mul(mul(x, dp, t), y, t)
+                mul(b, add(pm1, t, t), t)
                 mul(mul(half_b, t, t), dw2, t)
                 add(incr, t, incr)
             add(incr, y, y)

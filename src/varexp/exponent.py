@@ -62,6 +62,15 @@ def _number(v, name: str) -> float:
     return float(v)
 
 
+def _require_finite(**args: float) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite.
+    A hot caller tests the sum of the arguments first (one NaN or infinity
+    makes it non-finite), so that the checks cost one addition per argument."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _positive(x, name: str = "x"):
     """Validate x in (0, inf); returns a float array view of x."""
     arr = np.asarray(x, dtype=float)

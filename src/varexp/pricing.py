@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _pair_mean_ci
+from .exponent import _require_finite
 
 VOL_FLOOR = 1e-6
 VOL_CAP = 5.0
@@ -99,15 +100,6 @@ def _ndtr(a: float) -> float:
         return 0.5 + 0.5 * _erf(x)
     y = 0.5 * _erfc(z)
     return 1.0 - y if x > 0 else y
-
-
-def _require_finite(**args: float) -> None:
-    """Raise ValueError naming the first argument that is NaN or infinite.
-    Callers test the sum of the arguments first (one NaN or infinity makes
-    it non-finite), so the checks cost one addition per argument."""
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class ImpliedVolError(ValueError):
@@ -282,12 +274,16 @@ class SmileRequest:
 
     def __post_init__(self):
         ks = np.asarray(self.strikes, dtype=float)
+        if ks.ndim != 1:
+            raise ValueError(f"strikes must be a sequence of numbers, not {self.strikes!r}")
         if not np.isfinite([*ks, self.rate, self.maturity, self.spot]).all():
             raise ValueError("strikes, rate, maturity and spot must be finite")
         if ks.size == 0 or np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
             raise ValueError("strikes must be positive and strictly increasing")
         if self.maturity <= 0 or self.spot <= 0:
             raise ValueError("maturity and spot must be positive")
+        # a tuple of floats, however given, so that requests hash and compare
+        object.__setattr__(self, "strikes", tuple(ks.tolist()))
 
     @classmethod
     def default_grid(cls) -> "SmileRequest":

@@ -106,6 +106,35 @@ class TestErrorBound:
                         p_plus=1.005, sup_dev=0.01)  # exceeds p_plus - 1
 
 
+class TestNonFiniteInputs:
+    """A NaN or infinite input is a ValueError that names it, not a NaN or
+    infinite bound."""
+
+    FIELDS = dict(mu=MU, sigma=SIGMA, t_horizon=T, lam=0.1, r=1.1, p_plus=1.005,
+                  sup_dev=0.001, growth_k=1.0, ex0_sq=1.0)
+    ARGS = [(coefficient, dict(mu=MU, sigma=SIGMA, t=T)),
+            (lambda_factor, dict(lam=0.5, r=1.5, p_plus=1.005))]
+    CASES = [(fn, args, name) for fn, args in ARGS for name in args]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_bound_inputs_name_the_field(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            BoundInputs(**{**self.FIELDS, name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn, args, name", CASES,
+                             ids=[f"{fn.__name__}-{name}" for fn, _, name in CASES])
+    def test_closed_forms_name_the_argument(self, fn, args, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fn(**{**args, name: bad})
+
+    def test_bound_table_names_mu(self):
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            bound_table([ExponentSpec.exp_decay(0.005, 0.1)], [(0.1, 1.1)],
+                        mu=math.nan, sigma=0.2, t_horizon=1.0)
+
+
 class TestMomentBound:
     def test_reference_point(self):
         # 4 * e^{0.9675}, frozen from 30-digit arithmetic

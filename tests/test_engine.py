@@ -571,6 +571,10 @@ ORACLE_MODELS = {
 
 
 class TestFusedLogStep:
+    # constant exponents below 1, where p - 1 < 0 (cev2's is > 0); sigma
+    # 0.25 keeps cev0's paths, whose log-space b is sigma / x, in range
+    MODELS = {**ORACLE_MODELS, "cev0.8": cev(0.05, 0.5, 0.8), "cev0": cev(0.05, 0.25, 0.0)}
+
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     @pytest.mark.parametrize("x0", [1.0, 1.7])
     @pytest.mark.parametrize("scheme", [LOG_EULER, LOG_MILSTEIN])
@@ -578,18 +582,18 @@ class TestFusedLogStep:
         cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=64, seed=8,
                         antithetic=antithetic, scheme=scheme, x0=x0)
         dw = increment_matrix(cfg)
-        terminals = coupled_terminals(list(ORACLE_MODELS.values()), cfg)
-        for (name, m), terminal in zip(ORACLE_MODELS.items(), terminals):
+        terminals = coupled_terminals(list(self.MODELS.values()), cfg)
+        for (name, m), terminal in zip(self.MODELS.items(), terminals):
             oracle = _oracle_paths(m, cfg, dw)
             assert terminal.tobytes() == oracle[:, -1].tobytes(), name
             for layout in (np.ascontiguousarray(dw), dw):
                 values = run_with_increments(m, cfg, layout, name).values
                 assert values.tobytes() == oracle.tobytes(), name
 
-    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    @pytest.mark.parametrize("name", list(MODELS))
     def test_scalar_wrapper_equals_oracle(self, name):
         # one step from each of 64 states, far wider than a path's range
-        m = ORACLE_MODELS[name]
+        m = self.MODELS[name]
         dw = np.linspace(-0.2, 0.2, 64)
         for x in np.geomspace(0.05, 20.0, 64):
             y = np.full(dw.size, math.log(x))

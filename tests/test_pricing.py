@@ -492,12 +492,44 @@ class TestOddAntitheticSample:
         assert price == 1.0
 
 
+class TestSampleNotOneDimensional:
+    """A terminal sample holds one value per path: a (2, 4) array is refused
+    by its shape, not broadcast against its halves or counted as 8 paths."""
+
+    REQ = TestOddAntitheticSample.REQ
+    CALLS = {
+        "mc_call_price": lambda t, anti: mc_call_price(t, 1.0, 0.0, 1.0, antithetic=anti),
+        "smile_from_terminal": lambda t, anti: smile_from_terminal(
+            t, TestSampleNotOneDimensional.REQ, anti),
+        "coupled_smile": lambda t, anti: coupled_smile(
+            t, t, TestSampleNotOneDimensional.REQ, 0.2, anti),
+    }
+
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected(self, name, antithetic):
+        with pytest.raises(ValueError, match=r"not of shape \(2, 4\)$"):
+            self.CALLS[name](np.linspace(1.0, 2.0, 8).reshape(2, 4), antithetic)
+
+
 class TestSmileRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
             SmileRequest(strikes=(1.0, 0.9), rate=0.05, maturity=1.0, spot=1.0)
         with pytest.raises(ValueError):
             SmileRequest(strikes=(0.9, 1.0), rate=0.05, maturity=0.0, spot=1.0)
+        for strikes in (1.0, [[0.9, 1.0]]):  # not a 1-D sequence
+            with pytest.raises(ValueError, match="strikes must be a sequence of numbers"):
+                SmileRequest(strikes=strikes, rate=0.05, maturity=1.0, spot=1.0)
+
+    @pytest.mark.parametrize("strikes", [[0.9, 1.0], np.array([0.9, 1.0]), (0.9, 1)],
+                             ids=["list", "ndarray", "tuple_with_int"])
+    def test_strikes_kept_as_a_tuple_of_floats(self, strikes):
+        req = SmileRequest(strikes=strikes, rate=0.05, maturity=1.0, spot=1.0)
+        assert type(req.strikes) is tuple and all(type(k) is float for k in req.strikes)
+        twin = SmileRequest(strikes=(0.9, 1.0), rate=0.05, maturity=1.0, spot=1.0)
+        assert req == twin and hash(req) == hash(twin)
+        assert req == SmileRequest(strikes=strikes, rate=0.05, maturity=1.0, spot=1.0)
 
     def test_default_grid(self):
         req = SmileRequest.default_grid()
