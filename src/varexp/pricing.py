@@ -288,8 +288,7 @@ class SmileRequest:
     @classmethod
     def default_grid(cls) -> "SmileRequest":
         """21 strikes on [0.8, 1.2] at spot 1, rate 0.05, maturity 1."""
-        ks = tuple(float(k) for k in np.linspace(0.8, 1.2, 21))
-        return cls(strikes=ks, rate=0.05, maturity=1.0, spot=1.0)
+        return cls(strikes=np.linspace(0.8, 1.2, 21), rate=0.05, maturity=1.0, spot=1.0)
 
 
 @dataclass
