@@ -283,8 +283,8 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     (argmax finds the first NaN, which fails), looking for the paths out of
     range only when that fails, and writes exp(y') into x. x is not
     re-validated: the range keeps it positive and finite. GBM's exact step
-    is the one special case; every other exponent, constant ones included
-    (p = gamma, p' = 0), takes the generic formula."""
+    is the one special case; every other exponent, CEV's fixed gamma
+    included (p = gamma, p' = 0), takes the generic formula."""
     spec, m = model.exponent, len(x)
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0
     mul, add, sub, exp, absolute = np.multiply, np.add, np.subtract, np.exp, np.absolute
