@@ -26,6 +26,20 @@ from typing import Optional, Sequence
 from .exponent import ExponentSpec, _require_finite, sup_deviation
 
 
+def _finite(bound: str, value_of, **inputs: float) -> float:
+    """value_of(), or an OverflowError naming the bound and the inputs of
+    its exponent where the value is too large for a float (math raises;
+    a float product turns inf)."""
+    try:
+        value = value_of()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        args = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+        raise OverflowError(f"{bound} overflows a float at {args}")
+    return value
+
+
 def lambda_factor(lam: float, r: float, p_plus: float) -> float:
     """|log(lam)| (lam + lam^p+) + |log(R)| (R + R^p+)."""
     _require_finite(lam=lam, r=r, p_plus=p_plus)
@@ -42,7 +56,9 @@ def coefficient(mu: float, sigma: float, t: float) -> float:
     _require_finite(mu=mu, sigma=sigma, t=t)
     if sigma < 0 or t <= 0:
         raise ValueError("need sigma >= 0 and t > 0")
-    return math.sqrt(12.0 * sigma**2 * math.exp(3.0 * t**2 * mu**2 + 12.0 * t * sigma**2))
+    return _finite("error bound coefficient", lambda: math.sqrt(
+        12.0 * sigma**2 * math.exp(3.0 * t**2 * mu**2 + 12.0 * t * sigma**2)),
+        mu=mu, sigma=sigma, t=t)
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,9 @@ def error_bound(b: BoundInputs) -> float:
 
 def moment_bound(b: BoundInputs) -> float:
     """(1 + 3 E[x0^2]) exp(3 mu^2 T^2 + 24 sigma^2 T K^2)."""
-    expo = 3.0 * b.mu**2 * b.t_horizon**2 + 24.0 * b.sigma**2 * b.t_horizon * b.growth_k**2
-    return (1.0 + 3.0 * b.ex0_sq) * math.exp(expo)
+    return _finite("moment bound", lambda: (1.0 + 3.0 * b.ex0_sq) * math.exp(
+        3.0 * b.mu**2 * b.t_horizon**2 + 24.0 * b.sigma**2 * b.t_horizon * b.growth_k**2),
+        mu=b.mu, sigma=b.sigma, t_horizon=b.t_horizon, growth_k=b.growth_k)
 
 
 @dataclass

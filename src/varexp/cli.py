@@ -36,9 +36,9 @@ from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
 from .config import ConfigError, RunConfig, _check_formats, load_config
-from .engine import (EXTREMA, PATH0, PHI_RANGE, SUP_DIFFS, BlowUpError, SimConfig, _plan,
+from .engine import (EXTREMA, PATH0, SUP_DIFFS, BlowUpError, SimConfig, _plan,
                      simulate_coupled_stats)
-from .exponent import CONSTANT, check_admissibility, sup_deviation
+from .exponent import CONSTANT, _phi_range, check_admissibility, sup_deviation
 from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
 
@@ -146,12 +146,12 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     if len(cfg.models) < 2:
         raise ValueError("strong-error needs at least two models (first is the reference)")
     _require_gbm_reference(cfg)
-    stats = simulate_coupled_stats(cfg.models, cfg.sim, cfg.labels,
-                                   {EXTREMA, PHI_RANGE, SUP_DIFFS})
+    stats = simulate_coupled_stats(cfg.models, cfg.sim, cfg.labels, {EXTREMA, SUP_DIFFS})
     rows = []
     for i in range(1, len(cfg.models)):
         rep = _attach_bound(strong_error_from_stats(stats, i), cfg, i)
         ms = stats.models[i]
+        vol_lo, vol_hi = _phi_range(cfg.models[i].exponent, ms.min_value, ms.max_value)
         rows.append({
             "model": cfg.labels[i],
             "strong_error": rep.strong_error,
@@ -159,8 +159,8 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
             "lambda_obs": rep.lambda_obs,
             "r_obs": rep.r_obs,
             "analytic_bound": rep.analytic_bound,
-            "vol_range_lo": ms.phi_min,
-            "vol_range_hi": ms.phi_max,
+            "vol_range_lo": vol_lo,
+            "vol_range_hi": vol_hi,
             "n_paths": rep.n_paths,
         })
         bound = "n/a" if rep.analytic_bound is None else f"{rep.analytic_bound:.6e}"
@@ -209,6 +209,10 @@ def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     coupled = len(cfg.models) >= 2
     _require_gbm_reference(cfg)
     req = cfg.smile
+    for label, model in zip(cfg.labels, cfg.models):  # a risk-neutral price: drift = rate
+        if model.mu != req.rate:
+            raise ConfigError(f"model {label!r} has mu {model.mu}, but the smile discounts "
+                              f"at rate {req.rate}; a price needs mu equal to rate")
     sim = cfg.smile_sim()
     terminals = [ms.terminal for ms in
                  simulate_coupled_stats(cfg.models, sim, cfg.labels, reductions=()).models]

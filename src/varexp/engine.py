@@ -66,8 +66,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exponent import (CONSTANT, _integral, _number, _p_dp_kernel, _phi_dphi,
-                       _phi_dphi_kernel)
+from .exponent import CONSTANT, _integral, _number, _p_dp_kernel, _phi_dphi_kernel
 from .models import ModelSpec
 
 EULER = "euler"
@@ -378,9 +377,9 @@ class PathBatch:
 # What _advance keeps besides terminals and breaches: a set of reductions,
 # the dense grid (PATHS) or those of simulate_coupled_stats, from none of
 # them (TERMINAL) to all of them (STATS).
-GRID, EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0 = "grid", "extrema", "phi_range", "sup_diffs", "path0"
+GRID, EXTREMA, SUP_DIFFS, PATH0 = "grid", "extrema", "sup_diffs", "path0"
 PATHS, TERMINAL = frozenset((GRID,)), frozenset()
-STATS = frozenset((EXTREMA, PHI_RANGE, SUP_DIFFS, PATH0))
+STATS = frozenset((EXTREMA, SUP_DIFFS, PATH0))
 
 # dW^2 - dt is computed for this many steps of a step-major block at a
 # time, in one small buffer: two ufunc calls per group instead of per step
@@ -404,16 +403,16 @@ def _recorder(states: np.ndarray, x0: float, n_rec: int, stride: int):
     return rec, copies().__next__
 
 
-def _reductions(keep: frozenset, models: Sequence[ModelSpec], x0: float, n_steps: int,
-                stride: int, xbuf: np.ndarray) -> tuple[list, dict]:
+def _reductions(keep: frozenset, x0: float, n_steps: int, stride: int,
+                xbuf: np.ndarray) -> tuple[list, dict]:
     """The reductions in keep, as functions run after every model has
     stepped its row of xbuf, and their accumulators, all from x0 itself
     (not exp(log(x0))): the states at every stride-th step ("values", the
     transposed view (n_models, m, n_rec) of a recorder's storage), state
-    extrema ("x_min", "x_max") and phi = x^p(x) range ("phi_min",
-    "phi_max") per model, per-path sup-diffs against model 0 ("sup_diff",
-    row 0 zeros) and path 0's states ("path0", recorded every step). Chunks
-    merge the streaming ones by extrema and concatenation alone."""
+    extrema per model ("x_min", "x_max"), per-path sup-diffs against model
+    0 ("sup_diff", row 0 zeros) and path 0's states ("path0", recorded
+    every step). None evaluates an exponent. Chunks merge the streaming
+    ones by extrema and concatenation alone."""
     n, m = xbuf.shape
     steps, acc = [], {}
     if GRID in keep:
@@ -428,19 +427,6 @@ def _reductions(keep: frozenset, models: Sequence[ModelSpec], x0: float, n_steps
             np.minimum(x_min, np.minimum.reduce(xbuf, axis=1, out=t), out=x_min)
             np.maximum(x_max, np.maximum.reduce(xbuf, axis=1, out=t), out=x_max)
         steps.append(extrema)
-    if PHI_RANGE in keep:  # x > 0: clamped or exp(y)
-        phi_min = [float(_phi_dphi(model.exponent, np.array(x0), False)[0]) for model in models]
-        phi_max = list(phi_min)
-        kernels = [(j, _phi_dphi_kernel(model.exponent, m, False), x)
-                   for j, (model, x) in enumerate(zip(models, xbuf))]
-        acc.update(phi_min=phi_min, phi_max=phi_max)
-
-        def phi_range():
-            for j, phi_of, x in kernels:
-                phi = phi_of(x)[0]
-                phi_min[j] = min(phi_min[j], float(np.minimum.reduce(phi)))
-                phi_max[j] = max(phi_max[j], float(np.maximum.reduce(phi)))
-        steps.append(phi_range)
     if SUP_DIFFS in keep:
         sup_diff = np.zeros((n, m))
         rest, first, sup_rest, d = xbuf[1:], xbuf[0], sup_diff[1:], np.empty((n - 1, m))
@@ -485,7 +471,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     else:
         steps = [_direct_stepper(model, cfg.dt, milstein, cfg.x0, x, b)
                  for model, x, b in zip(models, xbuf, breaches)]
-    reductions, out = _reductions(keep, models, cfg.x0, cfg.n_steps, stride, xbuf)
+    reductions, out = _reductions(keep, cfg.x0, cfg.n_steps, stride, xbuf)
     dt0, squares, k = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0
     if not m:  # no paths: nothing to step (and an empty argmax has no answer)
         blocks = ()
@@ -615,8 +601,6 @@ class ModelPathStats:
     terminal: np.ndarray   # (n_paths,)
     min_value: Optional[float]  # extrema of X over visited states
     max_value: Optional[float]
-    phi_min: Optional[float]    # range of x^p(x) over visited states
-    phi_max: Optional[float]
     positivity_breaches: int    # floor clamps over all paths and steps
     sample_path: Optional[np.ndarray]  # X of path 0 on the time grid
 
@@ -739,14 +723,14 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     Always kept: terminal values and breach totals, all that a run with no
     reductions (a smile's) keeps. `reductions` names the others to compute,
     each paid for on every step, all of them (STATS) by default: EXTREMA
-    ("extrema": min_value, max_value), PHI_RANGE ("phi_range": the range
-    of x^p(x), phi_min and phi_max), SUP_DIFFS ("sup_diffs": sup_abs_diff
+    ("extrema": min_value, max_value), SUP_DIFFS ("sup_diffs": sup_abs_diff
     against the first model) and PATH0 ("path0": sample_path, path 0's
-    states). One not asked for is None.
-    Every scheme; the extrema and ranges include x0. Base paths run in
-    chunks of bounded increment memory, on a pool of min(CPUs, chunks)
-    forked workers; the merged results are the same bytes however the paths
-    are split and whichever other reductions are computed.
+    states). One not asked for is None. Every scheme; the extrema include
+    x0, and x^p(x)'s range over the visited states is exponent._phi_range
+    on them, since the continuous paths visit every state in between. Base
+    paths run in chunks of bounded increment memory, on a pool of min(CPUs,
+    chunks) forked workers; the merged results are the same bytes however
+    the paths are split and whichever other reductions are computed.
     """
     labels = _labels_for(models, labels)
     if isinstance(reductions, str):  # a set of names, not one name's characters
@@ -765,7 +749,6 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     stats = [ModelPathStats(
         label=labels[j], terminal=terminal[j],
         min_value=merged("x_min", min, j), max_value=merged("x_max", max, j),
-        phi_min=merged("phi_min", min, j), phi_max=merged("phi_max", max, j),
         positivity_breaches=sum(p["breaches"][j] for p in parts),
         sample_path=parts[0]["path0"][j] if PATH0 in keep else None)
         for j in range(len(models))]

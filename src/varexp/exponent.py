@@ -316,6 +316,15 @@ def sup_deviation(spec: ExponentSpec, lam: float, r: float) -> float:
     return abs(float(eval_p(spec, lam)) - 1.0)
 
 
+def _phi_range(spec: ExponentSpec, lo: float, hi: float) -> tuple[float, float]:
+    """phi's min and max on [lo, hi], from a log grid whose ends are lo and
+    hi exactly (lo alone when lo == hi). A continuous path from x0 visits
+    every state between its extrema, so on a run's extrema this is x^p(x)'s
+    range over the visited states, whether or not phi is monotone."""
+    phi = eval_phi(spec, log_grid(lo, hi, DEFAULT_GRID_POINTS) if lo != hi else np.array([lo]))
+    return float(phi.min()), float(phi.max())
+
+
 # -- admissibility check --------------------------------------------------
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

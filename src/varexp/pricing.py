@@ -253,8 +253,11 @@ def mc_call_price(terminal: np.ndarray, strike: float, rate: float,
     """Discounted mean call payoff and its 95% half-width.
 
     With antithetic layout (first half main paths, second half mirrored),
-    pairs are averaged before the standard error is formed.
+    pairs are averaged before the standard error is formed. A NaN or
+    infinite strike, rate or maturity raises ValueError naming it.
     """
+    if not math.isfinite(strike + rate + maturity):
+        _require_finite(strike=strike, rate=rate, maturity=maturity)
     term = np.asarray(terminal, dtype=float)
     if term.size == 0:
         raise ValueError("terminal sample is empty")

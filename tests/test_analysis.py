@@ -62,8 +62,7 @@ class TestStrongError:
         assert r1.lambda_obs == r2.lambda_obs
         assert r1.r_obs == r2.r_obs
 
-    @pytest.mark.parametrize("reductions", [{"extrema", "phi_range", "path0"},
-                                            {"sup_diffs", "phi_range", "path0"}],
+    @pytest.mark.parametrize("reductions", [{"extrema", "path0"}, {"sup_diffs", "path0"}],
                              ids=["no_sup_diffs", "no_extrema"])
     def test_stats_without_its_reductions_rejected(self, gbm_model, p1_model, reductions):
         cfg = SimConfig(t_horizon=0.5, dt=0.01, n_base_paths=10, seed=13)

@@ -135,6 +135,25 @@ class TestNonFiniteInputs:
                         mu=math.nan, sigma=0.2, t_horizon=1.0)
 
 
+class TestOverflow:
+    """A finite input whose bound is too large for a float raises an
+    OverflowError naming the bound and the inputs of its exponent."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: moment_bound(BoundInputs(0.05, 0.2, 1.0, 0.1, 1.1, 1.005, 0.001,
+                                          growth_k=1e200)),
+         "moment bound overflows a float at mu=0.05, sigma=0.2, t_horizon=1.0, growth_k=1e+200"),
+        (lambda: coefficient(30.0, 0.2, 1.0),
+         "error bound coefficient overflows a float at mu=30.0, sigma=0.2, t=1.0"),
+        (lambda: coefficient(1e200, 0.2, 1.0),
+         "error bound coefficient overflows a float at mu=1e+200, sigma=0.2, t=1.0"),
+    ], ids=["moment_bound-growth_k", "coefficient-mu_30", "coefficient-mu_1e200"])
+    def test_names_the_bound_and_its_inputs(self, call, message):
+        with pytest.raises(OverflowError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestMomentBound:
     def test_reference_point(self):
         # 4 * e^{0.9675}, frozen from 30-digit arithmetic

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import varexp
-from varexp import SimConfig, gbm, simulate_coupled
+from varexp import SimConfig, eval_phi, gbm, simulate_coupled
 from varexp.cli import COMMANDS, _config_record, main
-from varexp.config import RunConfig, bundled_paper_text, load_paper_config
+from varexp.config import RunConfig, bundled_paper_text, load_config, load_paper_config
 from conftest import replaced
 
 
@@ -134,6 +134,13 @@ class TestBoundTable:
                 in capsys.readouterr().err)
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_overflowing_bound_exits_one(self, tmp_path, capsys):
+        raw = json.loads(_write_config(tmp_path).read_text())
+        cfg = _write_config(tmp_path, models=[{**m, "mu": 30} for m in raw["models"]])
+        assert main(["bound-table", "--config", str(cfg)]) == 1
+        assert "precondition failed: error bound coefficient overflows a float at mu=30.0" \
+            in capsys.readouterr().err
+
     def test_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path)
         main(["bound-table", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -171,6 +178,15 @@ class TestStrongError:
         assert csv[1].split(",")[bound] != "" and csv[2].split(",")[bound] == ""
         out = capsys.readouterr().out.splitlines()
         assert "(bound n/a)" not in out[0] and out[1].endswith("(bound n/a)")
+
+    def test_vol_range_is_phi_over_the_visited_states(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert main(["strong-error", "--config", str(cfg)]) == 0
+        row = json.loads((tmp_path / "out" / "strong_error.json").read_text())["results"][0]
+        run = load_config(cfg)
+        phi = eval_phi(run.models[1].exponent,
+                       simulate_coupled(run.models, run.sim, run.labels)[1].values)
+        assert (row["vol_range_lo"], row["vol_range_hi"]) == (phi.min(), phi.max())
 
     def test_single_model_exits_one(self, tmp_path):
         cfg = _write_config(tmp_path, models=[
@@ -216,7 +232,7 @@ class TestStrongError:
 class TestStreamingReductions:
     @pytest.mark.parametrize("command,reads", [
         ("simulate", {"extrema", "path0"}),
-        ("strong-error", {"extrema", "phi_range", "sup_diffs"}),
+        ("strong-error", {"extrema", "sup_diffs"}),
     ], ids=["simulate", "strong-error"])
     def test_computes_only_what_it_writes(self, tmp_path, monkeypatch, command, reads):
         import varexp.cli as cli
@@ -345,13 +361,25 @@ class TestSmileCommand:
     @pytest.mark.parametrize("command", ["smile", "strong-error"])
     def test_blow_up_names_the_configured_model(self, tmp_path, capsys, command):
         raw = json.loads(_write_config(tmp_path).read_text())
-        raw["models"][1] = {"label": "wild", "mu": 0, "sigma": 50,
+        raw["models"][1] = {"label": "wild", "mu": 0.05, "sigma": 50,
                             "exponent": {"kind": "constant", "gamma": 3}}
         raw["sim"]["dt"] = 0.25
         cfg = _write_config(tmp_path, **{k: raw[k] for k in ("sim", "models")})
         with np.errstate(all="ignore"):
             assert main([command, "--config", str(cfg)]) == 1
         assert "blew up at step 0 for model 'wild'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,field,value,named", [
+        ("models", "mu", 0.1, "p1"), ("smile", "rate", 0.02, "gbm")], ids=["mu", "rate"])
+    def test_mu_other_than_rate_exits_two(self, tmp_path, capsys, section, field, value,
+                                          named):
+        # a smile discounts at rate, so it prices only models drifting at rate
+        raw = json.loads(_write_config(tmp_path).read_text())
+        (raw["models"][1] if section == "models" else raw["smile"])[field] = value
+        cfg = _write_config(tmp_path, **{k: raw[k] for k in ("models", "smile")})
+        assert main(["smile", "--config", str(cfg)]) == 2
+        assert f"config error: model {named!r} has mu" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_one_model_is_plain_monte_carlo(self, tmp_path):
         raw = json.loads(_write_config(tmp_path).read_text())

@@ -13,7 +13,7 @@ from varexp import (BlowUpError, SimConfig, cev, increment_matrix, gbm,
 from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
 from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
                            SCHEMES)
-from varexp.exponent import _p_dp, eval_p
+from varexp.exponent import _p_dp, _phi_range, eval_p
 from conftest import coupled_terminals, one_step
 
 # 4M paths x 100k steps: far beyond every memory cap.
@@ -31,7 +31,6 @@ def _result_bytes(result, reductions=engine.STATS) -> list:
     if isinstance(result, list):
         return [t.tobytes() for t in result]
     fields = {engine.EXTREMA: lambda ms: np.array([ms.min_value, ms.max_value]).tobytes(),
-              engine.PHI_RANGE: lambda ms: np.array([ms.phi_min, ms.phi_max]).tobytes(),
               engine.PATH0: lambda ms: ms.sample_path.tobytes()}
     out = [result.sup_abs_diff.tobytes()] if engine.SUP_DIFFS in reductions else []
     for ms in result.models:
@@ -660,7 +659,8 @@ class TestFusedDirectStep:
             assert ms.sample_path.tobytes() == oracle[0].tobytes(), name
             assert (ms.min_value, ms.max_value) == (oracle.min(), oracle.max()), name
             phi = eval_phi(m.exponent, oracle)
-            assert (ms.phi_min, ms.phi_max) == (phi.min(), phi.max()), name
+            want = (phi.min(), phi.max())
+            assert _phi_range(m.exponent, oracle.min(), oracle.max()) == want, name
             assert ms.positivity_breaches == breaches.sum(), name
             sup_diff = np.abs(oracle - oracles[0][0]).max(axis=1)
             assert stats.sup_abs_diff[j].tobytes() == sup_diff.tobytes(), name
@@ -739,7 +739,6 @@ class TestCoupled:
                     assert (some.sup_abs_diff is None) == (engine.SUP_DIFFS not in reductions)
                     for ms in some.models:
                         for name, fields in [(engine.EXTREMA, (ms.min_value, ms.max_value)),
-                                             (engine.PHI_RANGE, (ms.phi_min, ms.phi_max)),
                                              (engine.PATH0, (ms.sample_path,))]:
                             assert all(f is None for f in fields) == (name not in reductions)
                 for j, b in enumerate(dense):
@@ -748,7 +747,8 @@ class TestCoupled:
                     assert ms.min_value == b.values.min()
                     assert ms.max_value == b.values.max()
                     phi = eval_phi(models[j].exponent, b.values.ravel())
-                    assert (ms.phi_min, ms.phi_max) == (phi.min(), phi.max())
+                    assert _phi_range(models[j].exponent, b.values.min(),
+                                      b.values.max()) == (phi.min(), phi.max())
                     assert ms.sample_path.tobytes() == b.values[0].tobytes()
                     assert ms.positivity_breaches == b.breach_counts.sum()
                     if j > 0:
@@ -766,9 +766,24 @@ class TestCoupled:
         models = [gbm(mu, 0.0), ModelSpec(mu, 0.0, p1_model.exponent)]
         cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=2, seed=0, scheme=scheme, x0=3.0)
         for m, ms in zip(models, simulate_coupled_stats(models, cfg).models):
-            ends = (ms.min_value, ms.phi_min) if mu > 0 else (ms.max_value, ms.phi_max)
+            phi_min, phi_max = _phi_range(m.exponent, ms.min_value, ms.max_value)
+            ends = (ms.min_value, phi_min) if mu > 0 else (ms.max_value, phi_max)
             assert ends == (3.0, eval_phi(m.exponent, 3.0))
             assert ms.sample_path[0] == 3.0 and ms.min_value < ms.max_value
+
+    def test_phi_range_of_a_non_monotone_exponent(self):
+        # phi' < 0 on about [2.40, 3.56] for exp_decay(10, 1), so from x0 3
+        # phi's extremes over the visited states lie inside [x_min, x_max]:
+        # the grid between the extrema finds them, their two ends do not
+        m = ModelSpec(0.05, 0.05, ExponentSpec.exp_decay(10.0, 1.0))
+        cfg = SimConfig(t_horizon=1.0, dt=1e-3, n_base_paths=2000, seed=42, x0=3.0)
+        visited = eval_phi(m.exponent, simulate_batch(m, cfg).values)
+        (ms,) = simulate_coupled_stats([m], cfg, reductions={engine.EXTREMA}).models
+        lo, hi = _phi_range(m.exponent, ms.min_value, ms.max_value)
+        assert lo == pytest.approx(visited.min(), rel=1e-6)
+        assert hi == pytest.approx(visited.max(), rel=1e-6)
+        ends = eval_phi(m.exponent, np.array([ms.min_value, ms.max_value]))
+        assert ends.min() - visited.min() > 1e-2 and visited.max() - ends.max() > 1e-2
 
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     @pytest.mark.parametrize("x0", [1.0, 1.7])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
                     eval_dphi, eval_phi, sup_deviation)
-from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _phi_dphi, eval_p, log_grid)
+from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _phi_dphi, _phi_range, eval_p,
+                             log_grid)
 
 from conftest import all_kinds
 
@@ -203,6 +204,23 @@ class TestSupDeviation:
             xs = np.linspace(lam, r, 20001)
             grid_max = np.abs(np.asarray(eval_p(spec, xs)) - 1.0).max()
             assert sup_deviation(spec, lam, r) == pytest.approx(grid_max, rel=1e-9)
+
+
+class TestPhiRange:
+    def test_ends_are_on_the_grid(self, inv_square_spec):
+        # phi = x^(1 + 1/(1+x)^2) rises on [0.5, 4]: its range is its ends
+        want = tuple(eval_phi(inv_square_spec, x) for x in (0.5, 4.0))
+        assert _phi_range(inv_square_spec, 0.5, 4.0) == want
+
+    def test_one_point(self, p1_spec):
+        # mu = sigma = 0: every path stays at x0, so lo == hi
+        want = eval_phi(p1_spec, 3.0)
+        assert _phi_range(p1_spec, 3.0, 3.0) == (want, want)
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (0.0, 1.0)], ids=["reversed", "zero"])
+    def test_domain(self, p1_spec, lo, hi):
+        with pytest.raises(ValueError):
+            _phi_range(p1_spec, lo, hi)
 
 
 class TestAdmissibility:

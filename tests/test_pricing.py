@@ -265,6 +265,15 @@ class TestNonFiniteInputs:
             implied_vol(**{**self.INVERSE, name: bad})
         assert type(exc.value) is ValueError
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["strike", "rate", "maturity"])
+    def test_mc_call_price_names_the_argument(self, name, bad):
+        # a NaN strike priced (nan, nan) and an infinite rate (0.0, 0.0)
+        args = {"strike": 1.0, "rate": 0.05, "maturity": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as exc:
+            mc_call_price(np.ones(4), **args)
+        assert type(exc.value) is ValueError
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     @pytest.mark.parametrize("name", ["spot", "strike", "vol", "maturity"])
     @pytest.mark.parametrize("fn", [bs_call, bs_vega])
