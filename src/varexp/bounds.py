@@ -28,7 +28,7 @@ from .exponent import ExponentSpec, _require_finite, sup_deviation
 
 def _finite(bound: str, value_of, **inputs: float) -> float:
     """value_of(), or an OverflowError naming the bound and the inputs of
-    its exponent where the value is too large for a float (math raises;
+    its powers where the value is too large for a float (math and ** raise;
     a float product turns inf)."""
     try:
         value = value_of()
@@ -47,8 +47,8 @@ def lambda_factor(lam: float, r: float, p_plus: float) -> float:
         raise ValueError("need 0 < lambda < 1 < R")
     if p_plus < 1.0:
         raise ValueError("p_plus must be >= 1")
-    return (abs(math.log(lam)) * (lam + lam**p_plus)
-            + abs(math.log(r)) * (r + r**p_plus))
+    return _finite("lambda factor", lambda: abs(math.log(lam)) * (lam + lam**p_plus)
+                   + abs(math.log(r)) * (r + r**p_plus), lam=lam, r=r, p_plus=p_plus)
 
 
 def coefficient(mu: float, sigma: float, t: float) -> float:
