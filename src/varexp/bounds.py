@@ -27,9 +27,9 @@ from .exponent import ExponentSpec, _require_finite, sup_deviation
 
 
 def _finite(bound: str, value_of, **inputs: float) -> float:
-    """value_of(), or an OverflowError naming the bound and the inputs of
-    its powers where the value is too large for a float (math and ** raise;
-    a float product turns inf)."""
+    """value_of(), or an OverflowError naming the bound and the inputs that
+    make it too large for a float (math and ** raise; a float product turns
+    inf)."""
     try:
         value = value_of()
     except OverflowError:
@@ -91,7 +91,9 @@ class BoundInputs:
 
 def error_bound(b: BoundInputs) -> float:
     """Localized model-to-GBM pathwise error bound."""
-    return coefficient(b.mu, b.sigma, b.t_horizon) * lambda_factor(b.lam, b.r, b.p_plus) * b.sup_dev
+    c, lam_r = coefficient(b.mu, b.sigma, b.t_horizon), lambda_factor(b.lam, b.r, b.p_plus)
+    return _finite("error bound", lambda: c * lam_r * b.sup_dev,
+                   mu=b.mu, sigma=b.sigma, t_horizon=b.t_horizon, r=b.r, p_plus=b.p_plus)
 
 
 def moment_bound(b: BoundInputs) -> float:

@@ -137,7 +137,7 @@ class TestNonFiniteInputs:
 
 class TestOverflow:
     """A finite input whose bound is too large for a float raises an
-    OverflowError naming the bound and the inputs of its powers."""
+    OverflowError naming the bound and the inputs that make it so large."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda: moment_bound(BoundInputs(0.05, 0.2, 1.0, 0.1, 1.1, 1.005, 0.001,
@@ -149,8 +149,11 @@ class TestOverflow:
          "error bound coefficient overflows a float at mu=1e+200, sigma=0.2, t=1.0"),
         (lambda: lambda_factor(0.5, 1e200, 2.0),
          "lambda factor overflows a float at lam=0.5, r=1e+200, p_plus=2.0"),
+        (lambda: error_bound(BoundInputs(15.0, 0.2, 1.0, 0.1, 1e200, 1.005, 0.001)),
+         "error bound overflows a float at mu=15.0, sigma=0.2, t_horizon=1.0, r=1e+200, "
+         "p_plus=1.005"),
     ], ids=["moment_bound-growth_k", "coefficient-mu_30", "coefficient-mu_1e200",
-            "lambda_factor-r_1e200"])
+            "lambda_factor-r_1e200", "error_bound-product"])
     def test_names_the_bound_and_its_inputs(self, call, message):
         with pytest.raises(OverflowError) as exc:
             call()
