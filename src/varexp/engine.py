@@ -31,7 +31,7 @@ and one Milstein step is y' = y + a dt + b dW + 0.5 b b' (dW^2 - dt).
 
 Each step gives that formula's floats with the least arithmetic: p, p',
 phi and phi' from one unvalidated evaluation sharing p, log x and x^p
-(one exp for exp_decay's p), nothing for GBM; dW^2 - dt for all models
+(one exp for exp_decay's p, none for a constant p); dW^2 - dt for all models
 at once, a few steps of a block at a time. A step allocates nothing: each
 model's stepper is built once per run with buffers of the run's width,
 its constants as 0-d arrays and its ufuncs bound, overwrites its state in
@@ -282,8 +282,8 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     (argmax finds the first NaN, which fails), looking for the paths out of
     range only when that fails, and writes exp(y') into x. x is not
     re-validated: the range keeps it positive and finite. GBM's exact step
-    is the one special case; every other exponent, CEV's fixed gamma
-    included (p = gamma, p' = 0), takes the generic formula."""
+    is the one special case; every other exponent takes the generic formula,
+    CEV's too (p = gamma and p' = 0, filled once)."""
     spec, m = model.exponent, len(x)
     gbm = spec.kind == CONSTANT and spec.gamma == 1.0
     mul, add, sub, exp, absolute = np.multiply, np.add, np.subtract, np.exp, np.absolute
@@ -291,7 +291,7 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
     mu, sigma, dt0, half, one = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5, 1.0))
     drift_dt = np.array((model.mu - 0.5 * model.sigma * model.sigma) * dt)
     p_dp = None if gbm else _p_dp_kernel(spec, m, milstein)
-    b, half_b, incr, t = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    b, half_b, incr, t, pm1 = (np.empty(m) for _ in range(5))
     y = np.full(m, math.log(x0))
     exp(y, x)
     peak = t.argmax
@@ -300,8 +300,8 @@ def _log_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: np.n
         if gbm:  # y + (drift_dt + sigma dw)
             add(y, add(drift_dt, mul(sigma, dw, t), t), y)
         else:
-            pm1, dp = p_dp(x)
-            sub(pm1, one, pm1)
+            p, dp = p_dp(x)
+            sub(p, one, pm1)
             mul(sigma, exp(mul(pm1, y, b), b), b)  # sigma x^(p-1)
             mul(half, b, half_b)
             mul(sub(mu, mul(half_b, b, incr), incr), dt0, incr)
@@ -327,25 +327,23 @@ def _direct_stepper(model: ModelSpec, dt: float, milstein: bool, x0: float, x: n
     their argmin and argmax (which find the first NaN, and a NaN fails
     both tests): when some x' is below POSITIVITY_FLOOR or not finite, it
     clamps the low ones to the floor, counting each clamp in breaches, and
-    fails on a non-finite one. x is not re-validated. Every variant gives
-    the generic formula's floats."""
-    spec, m = model.exponent, len(x)
-    gbm = spec.kind == CONSTANT and spec.gamma == 1.0  # phi = x, phi' = 1 exactly
-    phi_dphi = None if gbm else _phi_dphi_kernel(spec, m, milstein)
+    fails on a non-finite one. x is not re-validated. Every exponent, GBM's
+    included (phi = x and phi' = 1.0 exactly), takes the generic formula."""
+    phi_dphi = _phi_dphi_kernel(model.exponent, len(x), milstein)
     mul, add = np.multiply, np.add
     floor, inf = POSITIVITY_FLOOR, np.inf
     mu, sigma, dt0, half = (np.array(v) for v in (model.mu, model.sigma, dt, 0.5))
-    g, t = np.empty(m), np.empty(m)
+    g, t = np.empty_like(x), np.empty_like(x)
     x.fill(x0)
 
     def step(dw, dw2):
-        phi, dphi = (x, None) if gbm else phi_dphi(x)
+        phi, dphi = phi_dphi(x)
         mul(sigma, phi, g)
         add(x, mul(mul(mu, x, t), dt0, t), x)
         add(x, mul(g, dw, t), x)  # x + mu x dt + g dw
-        if milstein:  # 0.5 g (sigma phi') dw2, with sigma phi' = sigma for GBM
+        if milstein:  # 0.5 g (sigma phi') dw2
             mul(half, g, g)
-            mul(g, sigma if gbm else mul(sigma, dphi, dphi), g)
+            mul(g, mul(sigma, dphi, t), g)
             add(x, mul(g, dw2, g), x)
         if not (x[x.argmin()] >= floor and x[x.argmax()] < inf):
             low = x < floor

@@ -197,21 +197,23 @@ class ExponentSpec:
 def _p_dp_kernel(spec: ExponentSpec, shape, deriv: bool):
     """A function f(xs) -> (p(xs), p'(xs)) for float arrays xs of `shape`
     known to lie in (0, inf), with no check; p'(xs) is None unless deriv.
-    Each call writes into two arrays made here and returns them, so the
-    next call overwrites them; the operands are 0-d arrays made here too,
-    which numpy reads more cheaply than Python floats, and the ufuncs are
-    bound here and given their outputs positionally, which numpy also
-    parses faster than out=. The one place each formula is written:
-    exp_decay shares exp(-b x), the rational kinds share 1 + x.
+    Its outputs are two arrays made here, read-only to the caller: a
+    constant kind fills them once, here, and the others at every call. The
+    operands are 0-d arrays made here too, which numpy reads more cheaply
+    than Python floats, and the ufuncs are bound here and given their
+    outputs positionally, which numpy also parses faster than out=. The one
+    place each formula is written: exp_decay shares exp(-b x), the rational
+    kinds share 1 + x.
     """
     p, dp = np.empty(shape), np.empty(shape) if deriv else None
     one = np.array(1.0)
     mul, add, div, exp, square = np.multiply, np.add, np.divide, np.exp, np.square
     if spec.kind == CONSTANT:
+        p.fill(spec.gamma)
+        if deriv:
+            dp.fill(0.0)
+
         def f(xs):
-            p.fill(spec.gamma)
-            if deriv:
-                dp.fill(0.0)
             return p, dp
     elif spec.kind == EXP_DECAY:
         neg_b, a, neg_ab = np.array(-spec.b), np.array(spec.a), np.array(-spec.a * spec.b)
@@ -257,10 +259,11 @@ def eval_p(spec: ExponentSpec, x) -> float | np.ndarray:
 def _phi_dphi_kernel(spec: ExponentSpec, shape, deriv: bool):
     """A function f(xs) -> (phi(xs), phi'(xs)) for phi = x^p(x) and float
     arrays xs of `shape` known to lie in (0, inf), with no check; phi' is
-    None unless deriv. Like _p_dp_kernel, each call overwrites arrays made
-    here once, with positional outputs. The one place both are written:
-    constant kinds use np.power (p == 1 returns x exactly), the others
-    share p, log x and x^p = exp(p log x)."""
+    None unless deriv. Like _p_dp_kernel's, its outputs are arrays made
+    here, read-only to the caller, that each call overwrites with
+    positional outputs. The one place both are written: constant kinds use
+    np.power (p = 1 gives x and 1.0 exactly), the others share p, log x and
+    x^p = exp(p log x)."""
     phi, dphi = np.empty(shape), np.empty(shape) if deriv else None
     mul, add, sub, exp, log, power = (np.multiply, np.add, np.subtract, np.exp, np.log,
                                       np.power)
@@ -273,7 +276,8 @@ def _phi_dphi_kernel(spec: ExponentSpec, shape, deriv: bool):
                 mul(g, power(xs, gm1, dphi), dphi)
             return phi, dphi
         return f
-    p_dp, lnx, one = _p_dp_kernel(spec, shape, deriv), np.empty(shape), np.array(1.0)
+    p_dp, one = _p_dp_kernel(spec, shape, deriv), np.array(1.0)
+    lnx, t = np.empty(shape), np.empty(shape)  # t: p' x^p log x (p_dp's p' is read-only)
 
     def f(xs):
         p, dp = p_dp(xs)
@@ -282,7 +286,7 @@ def _phi_dphi_kernel(spec: ExponentSpec, shape, deriv: bool):
         if deriv:  # p x^(p-1) + p' x^p log x
             exp(mul(sub(p, one, dphi), lnx, dphi), dphi)
             mul(p, dphi, dphi)
-            add(dphi, mul(mul(dp, phi, dp), lnx, dp), dphi)
+            add(dphi, mul(mul(dp, phi, t), lnx, t), dphi)
         return phi, dphi
     return f
 
@@ -304,15 +308,10 @@ def eval_dphi(spec: ExponentSpec, x) -> float | np.ndarray:
 
 
 def sup_deviation(spec: ExponentSpec, lam: float, r: float) -> float:
-    """sup over [lam, r] of |p(x) - 1|.
-
-    The decaying kinds are monotone, so the sup sits at x = lam; the
-    constant kind gives |gamma - 1| everywhere.
-    """
+    """sup over [lam, r] of |p(x) - 1|, at x = lam: |p - 1| decreases for
+    the decaying kinds and is |gamma - 1| everywhere for a constant one."""
     if not (0.0 < lam < r):
         raise ValueError("need 0 < lambda < r")
-    if spec.kind == CONSTANT:
-        return abs(spec.gamma - 1.0)
     return abs(float(eval_p(spec, lam)) - 1.0)
 
 

@@ -62,6 +62,13 @@ class TestStrongError:
         assert r1.lambda_obs == r2.lambda_obs
         assert r1.r_obs == r2.r_obs
 
+    @pytest.mark.parametrize("index", [0, 2, -1], ids=["reference", "past_last", "negative"])
+    def test_stats_index_must_name_a_compared_model(self, gbm_model, p1_model, index):
+        cfg = SimConfig(t_horizon=0.5, dt=0.1, n_base_paths=4, seed=13)
+        stats = simulate_coupled_stats([gbm_model, p1_model], cfg)
+        with pytest.raises(ValueError, match="model_index must point past the reference"):
+            strong_error_from_stats(stats, index)
+
     @pytest.mark.parametrize("reductions", [{"extrema", "path0"}, {"sup_diffs", "path0"}],
                              ids=["no_sup_diffs", "no_extrema"])
     def test_stats_without_its_reductions_rejected(self, gbm_model, p1_model, reductions):
@@ -107,6 +114,17 @@ class TestStrongError:
             batches = simulate_coupled([gbm_model, m], cfg)
             errors.append(strong_error(batches[1], batches[0]).strong_error)
         assert errors[0] > errors[1] > errors[2]
+
+
+class TestEmptyBatch:
+    """A zero-path batch from run_with_increments has no statistics."""
+
+    @pytest.mark.parametrize("reduce", [sup_second_moment, terminal_stats])
+    def test_rejected(self, gbm_model, reduce):
+        cfg = SimConfig(t_horizon=1.0, dt=0.25, n_base_paths=1, seed=0)
+        batch = run_with_increments(gbm_model, cfg, np.empty((0, cfg.n_steps)))
+        with pytest.raises(ValueError, match="empty batch"):
+            reduce(batch)
 
 
 class TestSupSecondMoment:

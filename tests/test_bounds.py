@@ -186,6 +186,33 @@ class TestMomentBound:
         assert moment_bound(b) >= 1.0 + 3.0 * b.ex0_sq
 
 
+class TestPreconditions:
+    """Inputs outside each bound's domain raise ValueError naming the rule."""
+
+    def test_p_plus_below_one(self):
+        with pytest.raises(ValueError, match="p_plus must be >= 1"):
+            lambda_factor(0.5, 2.0, 0.9)
+        with pytest.raises(ValueError, match="p_plus must be >= 1"):
+            BoundInputs(MU, SIGMA, T, 0.5, 2.0, p_plus=0.9, sup_dev=0.0)
+
+    @pytest.mark.parametrize("sigma,t", [(-0.1, T), (SIGMA, 0.0)], ids=["sigma", "t"])
+    def test_coefficient_domain(self, sigma, t):
+        with pytest.raises(ValueError, match="need sigma >= 0 and t > 0"):
+            coefficient(MU, sigma, t)
+
+    @pytest.mark.parametrize("field,value,rule", [
+        ("sigma", 0.0, "sigma and t_horizon must be positive"),
+        ("t_horizon", 0.0, "sigma and t_horizon must be positive"),
+        ("growth_k", 0.0, "growth_k must be > 0 and ex0_sq >= 0"),
+        ("ex0_sq", -1.0, "growth_k must be > 0 and ex0_sq >= 0"),
+    ], ids=["sigma", "t_horizon", "growth_k", "ex0_sq"])
+    def test_bound_inputs_domain(self, field, value, rule):
+        fields = dict(mu=MU, sigma=SIGMA, t_horizon=T, lam=0.5, r=2.0, p_plus=1.1,
+                      sup_dev=0.1, growth_k=1.0, ex0_sq=1.0)
+        with pytest.raises(ValueError, match=rule):
+            BoundInputs(**{**fields, field: value})
+
+
 class TestBoundTable:
     def test_published_cases(self, p1_spec, p2_spec):
         table = bound_table([p1_spec, p2_spec], CASES, mu=MU, sigma=SIGMA,
@@ -199,6 +226,12 @@ class TestBoundTable:
         rows = table.rows
         assert rows[3]["bounds"] == rows[5]["bounds"]  # cases 4 and 6
         assert rows[2]["bounds"] == rows[6]["bounds"]  # cases 3 and 7
+
+    @pytest.mark.parametrize("labels", [["p1"], ["p1", "p2", "p3"]], ids=["short", "long"])
+    def test_label_count_must_match(self, p1_spec, p2_spec, labels):
+        with pytest.raises(ValueError, match="labels must match exponents"):
+            bound_table([p1_spec, p2_spec], CASES[:1], mu=MU, sigma=SIGMA, t_horizon=T,
+                        labels=labels)
 
     def test_identity_column_zero(self):
         table = bound_table([ExponentSpec.constant(1.0)], CASES[:3],

@@ -609,6 +609,20 @@ class TestManifest:
         assert str(tmp_path) not in json.dumps(config)  # neither --out nor the config's path
 
 
+class TestArguments:
+    """main returns argparse's outcome as an exit code instead of exiting."""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: varexp") and all(name in out for name in COMMANDS)
+
+    @pytest.mark.parametrize("argv", [["no-such-command"], []], ids=["unknown", "none"])
+    def test_bad_command_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: varexp")
+
+
 class TestRunErrors:
     """Failures after the config loads are reported on one stderr line,
     never as a traceback, and leave no data file."""

@@ -325,6 +325,13 @@ class TestInPlaceIncrements:
         b = run_with_increments(p1_model, cfg, np.empty((0, 4)))
         assert b.values.shape == (0, 5) and b.breach_counts.shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (12,), (2, 4, 1)],
+                             ids=["transposed", "wrong_steps", "1d", "3d"])
+    def test_matrix_must_be_paths_by_steps(self, gbm_model, shape):
+        cfg = SimConfig(t_horizon=1.0, dt=0.25, n_base_paths=1, seed=0)  # 4 steps
+        with pytest.raises(ValueError, match=r"must be \(n_paths, cfg.n_steps\)"):
+            run_with_increments(gbm_model, cfg, np.zeros(shape))
+
 
 class TestSimulateBatch:
     def test_initial_column(self, gbm_model, small_cfg):
@@ -812,6 +819,11 @@ class TestCoupled:
         with pytest.raises(ValueError, match="duplicate model labels"):
             run([gbm_model, p1_model], small_cfg, ["x", "x"])
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["short", "long"])
+    def test_label_count_must_match(self, gbm_model, p1_model, small_cfg, labels):
+        with pytest.raises(ValueError, match="labels must match models"):
+            simulate_coupled([gbm_model, p1_model], small_cfg, labels)
+
     @pytest.mark.parametrize("run", [simulate_coupled, simulate_coupled_stats],
                              ids=["dense", "stats"])
     def test_empty_model_list_rejected(self, small_cfg, run):
@@ -861,6 +873,12 @@ class TestCoupled:
         var_antithetic = pair_mean.var(ddof=1) / n
         var_plain = term.var(ddof=1) / term.size
         assert var_antithetic <= var_plain
+
+
+def _failing_chunk(models, cfg, labels, lo, hi, stats):
+    """Stand-in for engine._run_chunk that fails with something other than
+    a blow-up (module-level, so that a pool can pickle it)."""
+    raise ZeroDivisionError(f"chunk [{lo}, {hi}) failed")
 
 
 def _scripted_chunk(models, cfg, labels, lo, hi, stats):
@@ -959,6 +977,24 @@ class TestChunkedRuns:
             simulate_coupled_stats([gbm_model] * 3, cfg, ["ref", "a", "b"])
         assert (exc.value.path_indices, exc.value.step_index, exc.value.model_label) == \
             ([2, 6, 10, 14], 6, "a")
+
+    def test_other_errors_reach_the_caller(self, monkeypatch, gbm_model):
+        import multiprocessing
+        monkeypatch.setattr(engine, "_run_chunk", _failing_chunk)
+        _force_plan(monkeypatch, 2, 2)
+        cfg = SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=8, seed=0)
+        assert engine._plan(cfg)[1] == 2  # a pooled run
+        with pytest.raises(ZeroDivisionError, match=r"chunk \[\d+, \d+\) failed"):
+            simulate_coupled_stats([gbm_model], cfg)
+        assert multiprocessing.active_children() == []  # the pool is shut down
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # a platform without sched_getaffinity falls back to os.cpu_count
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 5)
+        assert engine._cpu_count() == 5
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)  # undeterminable
+        assert engine._cpu_count() == 1
 
     def test_blow_up_error_pickles(self):
         err = BlowUpError([3, 4], 7, "p1")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from varexp import (ExponentSpec, check_admissibility, estimate_constants,
                     eval_dphi, eval_phi, sup_deviation)
-from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _phi_dphi, _phi_range, eval_p,
-                             log_grid)
+from varexp.exponent import (_CONSTANTS, _KIND_PARAMS, _p_dp, _p_dp_kernel, _phi_dphi,
+                             _phi_range, eval_p, log_grid)
 
 from conftest import all_kinds
 
@@ -97,7 +97,29 @@ class TestFusedCoefficients:
             eval_dphi(spec, bad)
 
 
+class TestConstantKernel:
+    @pytest.mark.parametrize("gamma", [0.0, 0.8, 1.0, 2.0])
+    def test_filled_once(self, gamma):
+        # p = gamma and p' = 0 are filled when the kernel is built; every
+        # call returns those arrays, whatever the states
+        f = _p_dp_kernel(ExponentSpec.constant(gamma), 3, True)
+        p, dp = f(np.array([0.5, 1.0, 2.0]))
+        assert f(np.array([7.0, 8.0, 9.0]))[0] is p and f(np.array([1.0, 1.0, 1.0]))[1] is dp
+        assert p.tolist() == [gamma] * 3 and dp.tobytes() == np.zeros(3).tobytes()
+        assert _p_dp_kernel(ExponentSpec.constant(gamma), 3, False)(p)[1] is None
+
+
 class TestEvalPhi:
+    def test_gbm_phi_is_x_and_dphi_is_one(self):
+        # the direct GBM step takes the generic formula: g = sigma phi(x)
+        # and sigma phi'(x) must be sigma x and sigma, bit for bit, from the
+        # positivity floor to near the largest double
+        xs = log_grid(1e-12, 1e300, 4096)
+        phi, dphi = _phi_dphi(ExponentSpec.constant(1.0), xs, True)
+        assert phi.tobytes() == xs.tobytes()
+        assert dphi.tobytes() == np.ones_like(xs).tobytes()
+
+
     @pytest.mark.parametrize("spec", all_kinds())
     def test_unvalidated_phi_equals_eval_phi(self, spec):
         # the oracle is the formula eval_phi had before _phi_dphi existed
@@ -184,6 +206,11 @@ class TestSupDeviation:
 
     def test_gbm_zero(self):
         assert sup_deviation(ExponentSpec.constant(1.0), 0.2, 3.0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.8, 1.3, 2.0])
+    def test_constant_is_gamma_minus_one(self, gamma):
+        for lam in (1e-5, 0.2, 1.0):
+            assert sup_deviation(ExponentSpec.constant(gamma), lam, 3.0) == abs(gamma - 1.0)
 
     def test_monotone_in_lambda(self, p1_spec, p2_spec, inv_square_spec):
         lams = [0.01, 0.05, 0.1, 0.5, 1.0, 2.0]
@@ -305,6 +332,11 @@ class TestEstimateConstants:
             assert np.isfinite(gc.lipschitz_l) and gc.lipschitz_l > 0
             assert np.isfinite(gc.growth_k) and gc.growth_k > 0
 
+    def test_overflowing_phi_not_estimable(self):
+        # x^60 overflows on the default grid, which ends at 1e6
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="not estimable"):
+            estimate_constants(ExponentSpec.constant(60.0))
+
     def test_grid_points_precondition(self, p1_spec):
         with pytest.raises(ValueError):
             estimate_constants(p1_spec, grid_points=100)
@@ -370,6 +402,20 @@ class TestValidation:
         # made check_admissibility pass vacuously
         fields = {**self.VALID[kind].to_dict(), name: value}
         with pytest.raises(ValueError, match=f"needs a finite {name}"):
+            ExponentSpec(**fields)
+
+    @pytest.mark.parametrize("fields,rule", [
+        ({"kind": "sigmoid"}, "unknown exponent kind 'sigmoid'"),
+        ({"kind": "constant", "gamma": -0.5}, "constant exponent requires gamma >= 0"),
+        ({"kind": "exp_decay", "a": 0.0, "b": 1.0}, "exp_decay requires a > 0 and b > 0"),
+        ({"kind": "exp_decay", "a": -0.5, "b": 1.0}, "exp_decay requires a > 0 and b > 0"),
+        ({"kind": "inverse_square", "a": 0.0}, "inverse_square requires a > 0"),
+        ({"kind": "inverse_square", "a": -1.0}, "inverse_square requires a > 0"),
+    ], ids=["unknown_kind", "negative_gamma", "exp_decay_a0", "exp_decay_a_neg",
+            "inverse_square_a0", "inverse_square_a_neg"])
+    def test_direct_construction_checked(self, fields, rule):
+        # the dataclass itself, not only the per-kind constructors, checks
+        with pytest.raises(ValueError, match=rule):
             ExponentSpec(**fields)
 
     def test_gamma_below_one_constructible(self):

@@ -433,6 +433,14 @@ class TestImpliedVol:
         assert (exc.value.price, exc.value.lower) == (0.995, 0.0)
         assert exc.value.upper == bs_call(1.0, 1.0, 0.0, pricing.VOL_CAP, 1.0)
 
+    @pytest.mark.parametrize("field", ["spot", "strike", "maturity"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_inputs_rejected(self, field, value):
+        args = {"price": 0.1, "spot": 1.0, "strike": 1.0, "rate": 0.05, "maturity": 1.0,
+                field: value}
+        with pytest.raises(ValueError, match="spot, strike and maturity must be positive"):
+            implied_vol(**args)
+
     def test_out_of_bounds_price(self):
         with pytest.raises(ImpliedVolError) as exc:
             implied_vol(1.5, 1.0, 1.0, 0.05, 1.0)  # above spot
@@ -446,6 +454,14 @@ class TestMcCallPrice:
         price, se = mc_call_price(np.full(100, 1.0), 0.5, 0.0, 1.0)
         assert price == pytest.approx(0.5, rel=1e-12)
         assert se == 0.0
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "one_pair"])
+    def test_single_draw_has_zero_half_width(self, antithetic):
+        # one path, or one antithetic pair: no spread to estimate
+        term = np.array([1.2, 0.9]) if antithetic else np.array([1.2])
+        price, hw = mc_call_price(term, 1.0, 0.05, 1.0, antithetic)
+        want = float(np.maximum(term - 1.0, 0.0).mean()) * math.exp(-0.05)
+        assert (price, hw) == (want, 0.0)
 
     def test_strike_above_sample(self):
         price, se = mc_call_price(np.array([1.0, 1.1]), 5.0, 0.05, 1.0)
@@ -522,6 +538,13 @@ class TestSampleNotOneDimensional:
 
 
 class TestSmileRequest:
+    @pytest.mark.parametrize("field", ["rate", "maturity", "spot"])
+    def test_nan_rejected(self, field):
+        fields = {"strikes": (0.9, 1.0), "rate": 0.05, "maturity": 1.0, "spot": 1.0,
+                  field: math.nan}
+        with pytest.raises(ValueError, match="must be finite"):
+            SmileRequest(**fields)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SmileRequest(strikes=(1.0, 0.9), rate=0.05, maturity=1.0, spot=1.0)
