@@ -23,10 +23,6 @@ from .engine import CoupledStats, ModelPathStats, PathBatch
 from .models import ModelSpec
 
 
-# the largest temporary strong_error builds for a block of rows of |a - b|
-_DIFF_BLOCK_BYTES = 1 << 20
-
-
 @dataclass
 class ErrorReport:
     """Strong-error estimate plus the observed path range it was measured on."""
@@ -72,13 +68,13 @@ def strong_error(a: PathBatch, b: PathBatch) -> ErrorReport:
         raise ValueError("batches must share time grid and path count")
     if a.config.seed != b.config.seed or a.config.antithetic != b.config.antithetic:
         raise ValueError("batches were not produced by a coupled run")
-    # per-path sups a block of rows at a time, so no temporary is the size
-    # of a batch; max is exact, so the blocking changes no bit
-    rows = max(1, _DIFF_BLOCK_BYTES // (8 * a.values.shape[1]))
-    sups = np.empty(a.values.shape[0])
-    for lo in range(0, sups.size, rows):
-        sups[lo:lo + rows] = np.max(np.abs(a.values[lo:lo + rows] - b.values[lo:lo + rows]),
-                                    axis=1)
+    if a.values.size == 0:
+        raise ValueError("empty batch")
+    # per-path sups one recorded step at a time, in O(paths) buffers (a
+    # contiguous column of a dense batch); max is exact, so no bit changes
+    sups, d = np.zeros(len(a.values)), np.empty(len(a.values))
+    for u, v in zip(a.values.T, b.values.T):
+        np.maximum(sups, np.absolute(np.subtract(u, v, d), d), out=sups)
     return _report(sups, a.config.antithetic,
                    min(a.values.min(), b.values.min()), max(a.values.max(), b.values.max()))
 

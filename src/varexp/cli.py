@@ -26,7 +26,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
 from .config import ConfigError, RunConfig, _check_formats, load_config
-from .engine import (EXTREMA, PATH0, SUP_DIFFS, BlowUpError, SimConfig, _plan,
+from .engine import (EXTREMA, SUP_DIFFS, BlowUpError, SimConfig, _plan, simulate_coupled,
                      simulate_coupled_stats)
 from .exponent import CONSTANT, _phi_range, check_admissibility, sup_deviation
 from .pricing import coupled_smile, smile_from_terminal
@@ -179,11 +179,14 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
 
 def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     sim = cfg.sim
-    stats = simulate_coupled_stats(cfg.models, sim, cfg.labels, {EXTREMA, PATH0}).models
+    stats = simulate_coupled_stats(cfg.models, sim, cfg.labels, {EXTREMA}).models
+    # path 0 keys its own Philox stream, so it is row 0 of a one-path run;
+    # run after the stats, which report any blow-up
+    paths = [b.values[0] for b in simulate_coupled(
+        cfg.models, replace(sim, n_base_paths=1, antithetic=False), cfg.labels)]
     grid = sim.time_grid
     hists = [terminal_stats(ms) for ms in stats]
-    files = {"sample_paths.csv": _csv(["t", *cfg.labels],
-                                      zip(grid, *(ms.sample_path for ms in stats)), fmt=".12g")}
+    files = {"sample_paths.csv": _csv(["t", *cfg.labels], zip(grid, *paths), fmt=".12g")}
     for ms, ts in zip(stats, hists):
         files[f"terminal_histogram_{ms.label}.csv"] = _csv(
             ["bin_lo", "bin_hi", "count"], zip(ts.bin_edges[:-1], ts.bin_edges[1:], ts.counts))
@@ -194,7 +197,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
          "seed": sim.seed, "scheme": sim.scheme}
         for ms, ts in zip(stats, hists)]})
     files["sample_paths.svg"] = line_chart(
-        [(ms.label, grid, ms.sample_path) for ms in stats],
+        [(ms.label, grid, path) for ms, path in zip(stats, paths)],
         "Sample paths (identical increments)", "t", "X(t)")
     files["terminal_histograms.svg"] = histogram_chart(
         [(ms.label, ts.bin_edges, ts.counts) for ms, ts in zip(stats, hists)],

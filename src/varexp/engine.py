@@ -51,9 +51,11 @@ transposed (Fortran-ordered) view over all paths, as PathBatch.values is of
 the dense states. Every other run steps transposed views: a caller's
 matrix of either memory order, and the refinement study's fine blocks
 (each path keeping its own Philox generator from block to block).
-One recorder copies the dense states and path 0's, step-major. The
-outputs are the same bytes however the paths are partitioned, however the
-steps are blocked and whatever the increment matrix's memory order.
+The dense grid is a step-major copy of the states at every stride-th step;
+streaming runs keep only reductions over all paths, and a sample path is a
+row of a dense run. The outputs are the same bytes however the paths are
+partitioned, however the steps are blocked and whatever the increment
+matrix's memory order.
 """
 
 from __future__ import annotations
@@ -374,10 +376,10 @@ class PathBatch:
 
 # What _advance keeps besides terminals and breaches: a set of reductions,
 # the dense grid (PATHS) or those of simulate_coupled_stats, from none of
-# them (TERMINAL) to all of them (STATS).
-GRID, EXTREMA, SUP_DIFFS, PATH0 = "grid", "extrema", "sup_diffs", "path0"
+# them (TERMINAL) to both (STATS).
+GRID, EXTREMA, SUP_DIFFS = "grid", "extrema", "sup_diffs"
 PATHS, TERMINAL = frozenset((GRID,)), frozenset()
-STATS = frozenset((EXTREMA, SUP_DIFFS, PATH0))
+STATS = frozenset((EXTREMA, SUP_DIFFS))
 
 # dW^2 - dt is computed for this many steps of a step-major block at a
 # time, in one small buffer: two ufunc calls per group instead of per step
@@ -385,38 +387,29 @@ STATS = frozenset((EXTREMA, SUP_DIFFS, PATH0))
 _DW2_ROWS = 8
 
 
-def _recorder(states: np.ndarray, x0: float, n_rec: int, stride: int):
-    """Step-major storage (n_models, n_rec, ...) of states, x0 first, and
-    the reduction that copies states into its next row at every stride-th
-    step (and does nothing after the last row)."""
-    rec = np.empty((len(states), n_rec) + states.shape[1:])
-    rec[:, 0] = x0
-
-    def copies():  # one resumption per step
-        for row in rec.swapaxes(0, 1)[1:]:
-            yield from range(stride - 1)
-            np.copyto(row, states)
-            yield
-        yield from range(stride - 1)  # the steps after the last row, if any
-    return rec, copies().__next__
-
-
 def _reductions(keep: frozenset, x0: float, n_steps: int, stride: int,
                 xbuf: np.ndarray) -> tuple[list, dict]:
     """The reductions in keep, as functions run after every model has
     stepped its row of xbuf, and their accumulators, all from x0 itself
     (not exp(log(x0))): the states at every stride-th step ("values", the
-    transposed view (n_models, m, n_rec) of a recorder's storage), state
-    extrema per model ("x_min", "x_max"), per-path sup-diffs against model
-    0 ("sup_diff", row 0 zeros) and path 0's states ("path0", recorded
-    every step). None evaluates an exponent. Chunks merge the streaming
-    ones by extrema and concatenation alone."""
+    transposed view (n_models, m, n_rec) of step-major storage), state
+    extrema per model ("x_min", "x_max") and per-path sup-diffs against
+    model 0 ("sup_diff", row 0 zeros). None evaluates an exponent. Chunks
+    merge the streaming ones by extrema and concatenation alone."""
     n, m = xbuf.shape
     steps, acc = [], {}
     if GRID in keep:
-        values, record = _recorder(xbuf, x0, n_steps // stride + 1, stride)
-        acc.update(values=values.transpose(0, 2, 1))
-        steps.append(record)
+        rec = np.empty((n, n_steps // stride + 1, m))
+        rec[:, 0] = x0
+        acc.update(values=rec.transpose(0, 2, 1))
+
+        def copies():  # one resumption per step, so the step loop tests nothing
+            for row in rec.swapaxes(0, 1)[1:]:
+                yield from range(stride - 1)
+                np.copyto(row, xbuf)
+                yield
+            yield from range(stride - 1)  # the steps after the last row, if any
+        steps.append(copies().__next__)
     if EXTREMA in keep:
         x_min, x_max, t = np.full(n, x0), np.full(n, x0), np.empty(n)
         acc.update(x_min=x_min, x_max=x_max)
@@ -434,10 +427,6 @@ def _reductions(keep: frozenset, x0: float, n_steps: int, stride: int,
             np.maximum(sup_rest, np.absolute(np.subtract(rest, first, d), d), out=sup_rest)
         if n > 1:
             steps.append(sup_diffs)
-    if PATH0 in keep:
-        path0, record = _recorder(xbuf[:, 0], x0, n_steps + 1, 1)
-        acc.update(path0=path0)
-        steps.append(record)
     return steps, acc
 
 
@@ -592,15 +581,15 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
 
 @dataclass
 class ModelPathStats:
-    """Per-model accumulators kept when dense paths are not stored; a
-    reduction the run did not compute is None."""
+    """Per-model accumulators over all paths, kept when dense paths are not
+    stored; a reduction the run did not compute is None. A sample path is a
+    row of a dense run (simulate_coupled)."""
 
     label: str
     terminal: np.ndarray   # (n_paths,)
     min_value: Optional[float]  # extrema of X over visited states
     max_value: Optional[float]
     positivity_breaches: int    # floor clamps over all paths and steps
-    sample_path: Optional[np.ndarray]  # X of path 0 on the time grid
 
 
 @dataclass
@@ -720,15 +709,17 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
 
     Always kept: terminal values and breach totals, all that a run with no
     reductions (a smile's) keeps. `reductions` names the others to compute,
-    each paid for on every step, all of them (STATS) by default: EXTREMA
-    ("extrema": min_value, max_value), SUP_DIFFS ("sup_diffs": sup_abs_diff
-    against the first model) and PATH0 ("path0": sample_path, path 0's
-    states). One not asked for is None. Every scheme; the extrema include
-    x0, and x^p(x)'s range over the visited states is exponent._phi_range
-    on them, since the continuous paths visit every state in between. Base
-    paths run in chunks of bounded increment memory, on a pool of min(CPUs,
-    chunks) forked workers; the merged results are the same bytes however
-    the paths are split and whichever other reductions are computed.
+    each paid for on every step, both (STATS) by default: EXTREMA
+    ("extrema": min_value, max_value) and SUP_DIFFS ("sup_diffs":
+    sup_abs_diff against the first model). One not asked for is None. Base
+    path i's own states are row i of any dense run (simulate_coupled) of
+    more than i base paths, the same bytes, since each path keys its own
+    Philox stream. Every scheme; the extrema include x0, and x^p(x)'s
+    range over the visited states is exponent._phi_range on them, since
+    the continuous paths visit every state in between. Base paths run in
+    chunks of bounded increment memory, on a pool of min(CPUs, chunks)
+    forked workers; the merged results are the same bytes however the
+    paths are split and whichever other reductions are computed.
     """
     labels = _labels_for(models, labels)
     if isinstance(reductions, str):  # a set of names, not one name's characters
@@ -747,8 +738,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     stats = [ModelPathStats(
         label=labels[j], terminal=terminal[j],
         min_value=merged("x_min", min, j), max_value=merged("x_max", max, j),
-        positivity_breaches=sum(p["breaches"][j] for p in parts),
-        sample_path=parts[0]["path0"][j] if PATH0 in keep else None)
+        positivity_breaches=sum(p["breaches"][j] for p in parts))
         for j in range(len(models))]
     sup_diff = (_in_path_order([p["sup_diff"] for p in parts], bounds)
                 if SUP_DIFFS in keep else None)

@@ -69,7 +69,7 @@ class TestStrongError:
         with pytest.raises(ValueError, match="model_index must point past the reference"):
             strong_error_from_stats(stats, index)
 
-    @pytest.mark.parametrize("reductions", [{"extrema", "path0"}, {"sup_diffs", "path0"}],
+    @pytest.mark.parametrize("reductions", [{"extrema"}, {"sup_diffs"}],
                              ids=["no_sup_diffs", "no_extrema"])
     def test_stats_without_its_reductions_rejected(self, gbm_model, p1_model, reductions):
         cfg = SimConfig(t_horizon=0.5, dt=0.01, n_base_paths=10, seed=13)
@@ -97,11 +97,16 @@ class TestStrongError:
         assert rep == analysis._report(sups, True, min(a.values.min(), b.values.min()),
                                        max(a.values.max(), b.values.max()))
 
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_same_report_however_blocked(self, monkeypatch, coupled_pair, rows):
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_same_report_however_blocked(self, coupled_pair, order):
+        # a dense batch's values are Fortran-ordered, one contiguous column
+        # per step; a C-ordered copy is read over strided columns
         a, b = coupled_pair
-        want = strong_error(b, a)
-        monkeypatch.setattr(analysis, "_DIFF_BLOCK_BYTES", rows * 8 * a.values.shape[1])
+        sups = np.max(np.abs(b.values - a.values), axis=1)
+        want = analysis._report(sups, True, min(a.values.min(), b.values.min()),
+                                max(a.values.max(), b.values.max()))
+        a, b = (replace(x, values=np.array(x.values, order=order)) for x in (a, b))
+        assert a.values.flags[f"{order}_CONTIGUOUS"]
         assert strong_error(b, a) == want
 
     def test_error_shrinks_with_deviation(self, gbm_model):
@@ -119,7 +124,8 @@ class TestStrongError:
 class TestEmptyBatch:
     """A zero-path batch from run_with_increments has no statistics."""
 
-    @pytest.mark.parametrize("reduce", [sup_second_moment, terminal_stats])
+    @pytest.mark.parametrize("reduce", [sup_second_moment, terminal_stats, pytest.param(
+        lambda batch: strong_error(batch, batch), id="strong_error")])
     def test_rejected(self, gbm_model, reduce):
         cfg = SimConfig(t_horizon=1.0, dt=0.25, n_base_paths=1, seed=0)
         batch = run_with_increments(gbm_model, cfg, np.empty((0, cfg.n_steps)))

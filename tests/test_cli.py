@@ -231,7 +231,7 @@ class TestStrongError:
 
 class TestStreamingReductions:
     @pytest.mark.parametrize("command,reads", [
-        ("simulate", {"extrema", "path0"}),
+        ("simulate", {"extrema"}),
         ("strong-error", {"extrema", "sup_diffs"}),
     ], ids=["simulate", "strong-error"])
     def test_computes_only_what_it_writes(self, tmp_path, monkeypatch, command, reads):

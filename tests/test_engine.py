@@ -3,6 +3,7 @@ import math
 import pathlib
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from varexp import ExponentSpec, ModelSpec, engine, eval_dphi, eval_phi
 from varexp.engine import (LOG_EULER, LOG_MILSTEIN, EULER, MILSTEIN, POSITIVITY_FLOOR,
                            SCHEMES)
 from varexp.exponent import _p_dp, _phi_range, eval_p
-from conftest import coupled_terminals, one_step
+from conftest import all_kinds, coupled_terminals, one_step
 
 # 4M paths x 100k steps: far beyond every memory cap.
 OVERSIZE_CFG = SimConfig(t_horizon=1.0, dt=1e-5, n_base_paths=2_000_000, seed=0)
@@ -30,12 +31,11 @@ def _result_bytes(result, reductions=engine.STATS) -> list:
     that are always kept and those of `reductions`."""
     if isinstance(result, list):
         return [t.tobytes() for t in result]
-    fields = {engine.EXTREMA: lambda ms: np.array([ms.min_value, ms.max_value]).tobytes(),
-              engine.PATH0: lambda ms: ms.sample_path.tobytes()}
     out = [result.sup_abs_diff.tobytes()] if engine.SUP_DIFFS in reductions else []
     for ms in result.models:
         out += [ms.label, ms.terminal.tobytes(), ms.positivity_breaches]
-        out += [field(ms) for name, field in fields.items() if name in reductions]
+        if engine.EXTREMA in reductions:
+            out.append(np.array([ms.min_value, ms.max_value]).tobytes())
     return out
 
 
@@ -653,6 +653,7 @@ class TestFusedDirectStep:
         models, names = list(self.MODELS.values()), list(self.MODELS)
         terminals = coupled_terminals(models, cfg)
         stats = simulate_coupled_stats(models, cfg, names)
+        one = simulate_coupled(models, replace(cfg, n_base_paths=1, antithetic=False), names)
         oracles = [_oracle_direct_paths(m, cfg, dw) for m in models]
         for j, (name, m) in enumerate(self.MODELS.items()):
             oracle, breaches = oracles[j]
@@ -663,7 +664,7 @@ class TestFusedDirectStep:
             assert terminals[j].tobytes() == oracle[:, -1].tobytes(), name
             ms = stats.models[j]
             assert ms.terminal.tobytes() == oracle[:, -1].tobytes(), name
-            assert ms.sample_path.tobytes() == oracle[0].tobytes(), name
+            assert one[j].values[0].tobytes() == oracle[0].tobytes(), name
             assert (ms.min_value, ms.max_value) == (oracle.min(), oracle.max()), name
             phi = eval_phi(m.exponent, oracle)
             want = (phi.min(), phi.max())
@@ -739,15 +740,16 @@ class TestCoupled:
             for x0 in (1.0, 1.7):
                 cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme, "x0": x0})
                 dense = simulate_coupled(models, cfg, labels)
+                one = simulate_coupled(models, replace(cfg, n_base_paths=1, antithetic=False),
+                                       labels)
                 stats = simulate_coupled_stats(models, cfg, labels)
                 for reductions in REDUCTION_SETS:
                     some = simulate_coupled_stats(models, cfg, labels, reductions)
                     assert _result_bytes(some, reductions) == _result_bytes(stats, reductions)
                     assert (some.sup_abs_diff is None) == (engine.SUP_DIFFS not in reductions)
                     for ms in some.models:
-                        for name, fields in [(engine.EXTREMA, (ms.min_value, ms.max_value)),
-                                             (engine.PATH0, (ms.sample_path,))]:
-                            assert all(f is None for f in fields) == (name not in reductions)
+                        assert (ms.min_value is None) == (engine.EXTREMA not in reductions)
+                        assert (ms.max_value is None) == (engine.EXTREMA not in reductions)
                 for j, b in enumerate(dense):
                     ms = stats.models[j]
                     assert np.array_equal(ms.terminal, b.terminal)
@@ -756,7 +758,7 @@ class TestCoupled:
                     phi = eval_phi(models[j].exponent, b.values.ravel())
                     assert _phi_range(models[j].exponent, b.values.min(),
                                       b.values.max()) == (phi.min(), phi.max())
-                    assert ms.sample_path.tobytes() == b.values[0].tobytes()
+                    assert one[j].values[0].tobytes() == b.values[0].tobytes()
                     assert ms.positivity_breaches == b.breach_counts.sum()
                     if j > 0:
                         sup_diff = np.max(np.abs(b.values - dense[0].values), axis=1)
@@ -772,11 +774,12 @@ class TestCoupled:
         # 3.0 != exp(log(3.0)) in numpy, the log schemes' start
         models = [gbm(mu, 0.0), ModelSpec(mu, 0.0, p1_model.exponent)]
         cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=2, seed=0, scheme=scheme, x0=3.0)
-        for m, ms in zip(models, simulate_coupled_stats(models, cfg).models):
+        dense = simulate_coupled(models, cfg)
+        for m, ms, b in zip(models, simulate_coupled_stats(models, cfg).models, dense):
             phi_min, phi_max = _phi_range(m.exponent, ms.min_value, ms.max_value)
             ends = (ms.min_value, phi_min) if mu > 0 else (ms.max_value, phi_max)
             assert ends == (3.0, eval_phi(m.exponent, 3.0))
-            assert ms.sample_path[0] == 3.0 and ms.min_value < ms.max_value
+            assert np.all(b.values[:, 0] == 3.0) and ms.min_value < ms.max_value
 
     def test_phi_range_of_a_non_monotone_exponent(self):
         # phi' < 0 on about [2.40, 3.56] for exp_decay(10, 1), so from x0 3
@@ -831,9 +834,10 @@ class TestCoupled:
             run([], small_cfg)
 
     def test_unknown_reduction_rejected(self, gbm_model, small_cfg):
-        # the dense grid is a reduction of _advance alone, not of the streaming API
+        # the dense grid is a reduction of _advance alone, not of the streaming
+        # API, and a sample path is a row of a dense run
         for reductions, unknown in (({"path_sup", engine.EXTREMA}, "path_sup"),
-                                    ({engine.GRID}, "grid")):
+                                    ({engine.GRID}, "grid"), ({"path0"}, "path0")):
             with pytest.raises(ValueError, match=rf"unknown reductions \['{unknown}'\]"):
                 simulate_coupled_stats([gbm_model], small_cfg, reductions=reductions)
 
@@ -912,6 +916,25 @@ class TestChunkedRuns:
         split = simulate_coupled_stats(models, cfg, ["gbm", "p1", "wild"])
         assert _result_bytes(split) == _result_bytes(stats)
         assert _result_bytes(coupled_terminals(models, cfg)) == _result_bytes(terminals)
+
+    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
+    @pytest.mark.parametrize("x0", [1.0, 1.7])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_path0_alone_is_path0_of_a_wide_run(self, scheme, x0, antithetic):
+        # path 0 keys its own Philox stream, so a one-path dense run (the
+        # sample paths of `varexp simulate`) steps its bytes; gbm(0, 3)
+        # breaches the floor on path 0 under euler
+        models = [ModelSpec(0.05, 0.2, spec) for spec in all_kinds()] + [gbm(0.0, 3.0)]
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=64, seed=8,
+                        antithetic=antithetic, scheme=scheme, x0=x0)
+        wide = simulate_coupled(models, cfg)
+        alone = simulate_coupled(models, replace(cfg, n_base_paths=1, antithetic=False))
+        for w, a in zip(wide, alone):
+            assert a.values.shape == (1, cfg.n_steps + 1)
+            assert a.values[0].tobytes() == w.values[0].tobytes(), w.model_label
+            assert a.values[0, 0] == x0
+        if scheme == EULER:
+            assert alone[-1].breach_counts[0] > 0
 
     # CEV exponent 0 runs away to 0 in log space, path by path; a GBM with
     # sigma 1e150 overflows to inf under euler after a few rising steps and
