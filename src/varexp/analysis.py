@@ -118,7 +118,7 @@ def terminal_stats(batch: PathBatch | ModelPathStats) -> TerminalStats:
         raise ValueError("empty batch")
     lo, hi = float(term.min()), float(term.max())
     if hi == lo:
-        hi = lo + 1e-12  # point mass: give the histogram a nonzero span
+        hi = lo + 1e-12 * max(1.0, abs(lo))  # point mass: a nonzero span of 64 finite bins
     counts, edges = np.histogram(term, bins=64, range=(lo, hi))
     return TerminalStats(
         mean=float(term.mean()),

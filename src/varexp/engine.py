@@ -42,15 +42,17 @@ state. The check that ends each step reads the new state's extremes at
 their argmin and argmax alone, and looks for the paths out of range only
 when that check fails.
 
-Increments are drawn one way, path-major, by _increment_blocks, and the
-runner reads them in place as step-major views (B, m), one row per step,
-whatever their strides. _increments fills C-contiguous step-major storage
-for a range of base paths and their partners a strip at a time: a coupled
-run's chunk is that storage, read as one block, and increment_matrix is its
-transposed (Fortran-ordered) view over all paths, as PathBatch.values is of
-the dense states. Every other run steps transposed views: a caller's
-matrix of either memory order, and the refinement study's fine blocks
-(each path keeping its own Philox generator from block to block).
+Increments are drawn path-major, base path i as a new
+Generator(Philox(key=[seed, i])) would draw them, and the runner reads them
+in place as step-major views (B, m), one row per step, whatever their
+strides. _increments fills C-contiguous step-major storage for a range of
+base paths and their partners, drawing a strip of paths at a time with one
+generator re-keyed per path: a coupled run's chunk is that storage, read as
+one block, and increment_matrix is its transposed (Fortran-ordered) view
+over all paths, as PathBatch.values is of the dense states. Every other run
+steps transposed views: a caller's matrix of either memory order, and the
+refinement study's fine blocks, drawn by each path's own generator kept
+from block to block.
 The dense grid is a step-major copy of the states at every stride-th step;
 streaming runs keep only reductions over all paths, and a sample path is a
 row of a dense run. The outputs are the same bytes however the paths are
@@ -196,66 +198,45 @@ def _require_fits(need: int, what: str, hint: str = "") -> None:
                           f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB{hint}")
 
 
-def _increment_blocks(cfg: SimConfig, lo: int, hi: int, block: int):
-    """Path-major (m, B) blocks of `block` steps (the last may be shorter)
-    of base paths lo..hi-1, then their antithetic partners, drawn into one
-    buffer that the next block overwrites: side by side they are rows
-    lo:hi (and n+lo:n+hi) of increment_matrix(cfg).
-
-    Path i draws what a new Generator(Philox(key=[seed, i])) draws, however
-    the paths are partitioned. A run of one block re-keys one generator per
-    path (counter 0, empty buffer), which costs less than a new generator;
-    a run of several keeps each path's own generator from block to block,
-    so its steps drawn block by block are the bits of one draw.
-    """
-    nb, scale, gens = hi - lo, math.sqrt(cfg.dt), None
-    if block < cfg.n_steps:
-        gens = [np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
-                for i in range(lo, hi)]
-    else:
-        bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
-        rng, fresh = np.random.Generator(bitgen), bitgen.state
-    buf = np.empty((nb * (cfg.n_paths // cfg.n_base_paths), min(block, cfg.n_steps)))
-    for k0 in range(0, cfg.n_steps, block):
-        dw = buf[:, :min(block, cfg.n_steps - k0)]
-        for c, i in enumerate(range(lo, hi)):
-            if gens is None:
-                fresh["state"]["key"][1] = i
-                bitgen.state = fresh
-            (rng if gens is None else gens[c]).standard_normal(out=dw[c])
-        # normal(0.0, scale) draws these z and returns 0.0 + scale * z
-        np.add(0.0, np.multiply(scale, dw[:nb], dw[:nb]), dw[:nb])
-        if cfg.antithetic:
-            np.negative(dw[:nb], dw[nb:])
-        yield dw
-
-
 def _increments(cfg: SimConfig, lo: int, hi: int, what: str) -> np.ndarray:
     """C-contiguous step-major (n_steps, m) increments of base paths
-    lo..hi-1, then their antithetic partners, filled a strip of _BLOCK_STEPS
-    base paths at a time: each strip is drawn path-major by _increment_blocks
-    and transposed into its columns. Raises MemoryError, naming `what`,
-    before allocating above MEMORY_CAP_BYTES."""
+    lo..hi-1, then their antithetic partners, filled a strip of at most
+    _BLOCK_STEPS base paths at a time: one generator draws the strip
+    path-major, re-keyed (counter 0, empty buffer) for each path i, so path
+    i draws what a new Generator(Philox(key=[seed, i])) draws, and the
+    strip is transposed into its columns and negated into its partners'.
+    Raises MemoryError, naming `what`, before allocating above
+    MEMORY_CAP_BYTES."""
     nb = hi - lo
     m = nb * (cfg.n_paths // cfg.n_base_paths)
     _require_fits(m * cfg.n_steps * 8, what)
     dw = np.empty((cfg.n_steps, m))
+    bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
+    rng, fresh, scale = np.random.Generator(bitgen), bitgen.state, math.sqrt(cfg.dt)
+    buf = np.empty((min(_BLOCK_STEPS, nb), cfg.n_steps))
     for s in range(lo, hi, _BLOCK_STEPS):
-        e = min(s + _BLOCK_STEPS, hi)
-        strip = next(_increment_blocks(cfg, s, e, cfg.n_steps))
-        dw[:, s - lo:e - lo] = strip[:e - s].T
-        dw[:, nb + s - lo:nb + e - lo] = strip[e - s:].T  # no columns without partners
+        strip, c = buf[:min(_BLOCK_STEPS, hi - s)], s - lo
+        for i, row in zip(range(s, hi), strip):
+            fresh["state"]["key"][1] = i
+            bitgen.state = fresh
+            rng.standard_normal(out=row)
+        # normal(0.0, scale) draws these z and returns 0.0 + scale * z
+        np.add(0.0, np.multiply(scale, strip, strip), strip)
+        dw[:, c:c + len(strip)] = strip.T
+        if cfg.antithetic:  # no columns without partners
+            np.negative(strip.T, dw[:, nb + c:nb + c + len(strip)])
     return dw
 
 
 def increment_matrix(cfg: SimConfig) -> np.ndarray:
-    """(n_paths, n_steps) increment matrix for a whole run: row i is path
-    i's Philox draw and, with antithetic sampling, row n_base_paths + i its
-    negation. Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
+    """(n_paths, n_steps) increment matrix for a whole run: row i is what
+    Generator(Philox(key=[seed, i])).normal(0.0, sqrt(dt), n_steps) draws
+    and, with antithetic sampling, row n_base_paths + i its negation.
+    Raises MemoryError, before allocating, above MEMORY_CAP_BYTES.
 
-    The matrix is the transposed (Fortran-ordered) view of the step-major
-    increments of all base paths, the storage a coupled run's chunk steps
-    over. So run_with_increments steps it over contiguous rows, and a
+    The matrix is the transposed (Fortran-ordered) view of _increments'
+    step-major storage of all base paths, the storage a coupled run's chunk
+    steps over. So run_with_increments steps it over contiguous rows, and a
     reduction along axis 1 may differ from a C-ordered copy's in the last
     bit.
     """
@@ -507,12 +488,14 @@ def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConf
     One stream of fine increments at fine_cfg.dt drives everything: the
     reference solution steps it directly and each coarse level (fine_cfg at
     a nested coarser dt) consumes its block sums, so differences isolate
-    discretization error. The fine increments are drawn a block of steps at
-    a time (a multiple of the coarsest level's multiple of fine_cfg.dt), each
-    path's Philox state carried from block to block; each level's sums are
-    taken from the path-major block, whose transposed view the reference
-    run steps in place, so no O(paths x fine steps) array is ever held, and
-    the sups are the same bytes however the steps are blocked. The sup runs
+    discretization error. The fine increments are drawn path-major a block
+    of steps at a time (a multiple of the coarsest level's multiple of
+    fine_cfg.dt), each base path i by its own Generator(Philox(key=[seed,
+    i])) kept from block to block, so its blocks side by side are row i of
+    increment_matrix(fine_cfg). Each level's sums are taken from the block,
+    whose transposed view the reference run steps in place, so no
+    O(paths x fine steps) array is ever held, and the sups are the same
+    bytes however the steps are blocked. The sup runs
     over the grid of the coarsest level at every refinement - measuring each
     level on its own grid would bias the coarse errors downward (fewer
     points, smaller sup) and flatten the fitted order.
@@ -525,9 +508,18 @@ def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConf
     cm = max(mults)
     block = max(1, _BLOCK_STEPS // cm) * cm
 
-    def fine_blocks():  # k0: the block's first step, as _increment_blocks cuts them
-        for k0, dw in zip(range(0, fine_cfg.n_steps, block),
-                          _increment_blocks(fine_cfg, 0, fine_cfg.n_base_paths, block)):
+    def fine_blocks():  # its generators and buffer are freed before the coarse levels run
+        nb, scale = fine_cfg.n_base_paths, math.sqrt(fine_cfg.dt)
+        gens = [np.random.Generator(np.random.Philox(key=np.array([fine_cfg.seed, i], dtype=np.uint64)))
+                for i in range(nb)]
+        buf = np.empty((m_paths, min(block, fine_cfg.n_steps)))
+        for k0 in range(0, fine_cfg.n_steps, block):
+            dw = buf[:, :min(block, fine_cfg.n_steps - k0)]
+            for gen, row in zip(gens, dw):
+                gen.standard_normal(out=row)
+            np.add(0.0, np.multiply(scale, dw[:nb], dw[:nb]), dw[:nb])  # as _increments scales
+            if fine_cfg.antithetic:
+                np.negative(dw[:nb], dw[nb:])
             for mult, d in zip(mults, dwc):
                 sums = dw.reshape(m_paths, -1, mult).sum(axis=2)
                 d[k0 // mult:k0 // mult + sums.shape[1]] = sums.T

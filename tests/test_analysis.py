@@ -166,11 +166,15 @@ class TestTerminalStats:
         assert ts.bin_edges[0] == ts.min and ts.bin_edges[-1] == ts.max
 
     def test_point_mass(self):
+        # above about 130 an absolute widening of 1e-12 is under 64 ulps (numpy
+        # refuses the bins), and above 1.6e4 it is lost (numpy spans +-0.5)
         m = ModelSpec(mu=0.0, sigma=0.0, exponent=ExponentSpec.constant(1.0))
-        cfg = SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=8, seed=3)
-        ts = terminal_stats(simulate_batch(m, cfg))
-        assert ts.variance == 0.0
-        assert ts.counts.sum() == 16
+        for x0 in (1.0, 1e4, 1e5):
+            cfg = SimConfig(t_horizon=1.0, dt=0.1, n_base_paths=8, seed=3, x0=x0)
+            ts = terminal_stats(simulate_batch(m, cfg))
+            assert ts.variance == 0.0 and ts.min == pytest.approx(x0, rel=1e-14), x0
+            assert ts.counts.sum() == 16 and ts.counts[0] == 16, x0
+            assert ts.bin_edges[0] == ts.min and len(ts.bin_edges) == 65, x0
 
 
 class TestDiffusionRange:

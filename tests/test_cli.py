@@ -270,6 +270,19 @@ class TestSimulate:
         summary = json.loads((tmp_path / "out" / "batch_summary.json").read_text())
         assert all(m["n_paths"] == 1 for m in summary["models"])
 
+    def test_drift_only_point_mass(self, tmp_path):
+        # sigma 0 is the drift-only limit: at mu 0 every terminal is x0, and
+        # the histogram of that point mass starts at it
+        model = {"label": "flat", "mu": 0.0, "sigma": 0.0,
+                 "exponent": {"kind": "constant", "gamma": 1.0}}
+        sim = {"t_horizon": 1.0, "dt": 0.1, "n_base_paths": 4, "antithetic": True,
+               "seed": 4, "scheme": "log_milstein", "x0": 1e4}
+        cfg = _write_config(tmp_path, models=[model], sim=sim,
+                            smile={"strikes": [1e4], "rate": 0.0, "maturity": 1.0, "spot": 1e4})
+        assert main(["simulate", "--config", str(cfg), "--format", "csv"]) == 0
+        hist = (tmp_path / "out" / "terminal_histogram_flat.csv").read_text().splitlines()
+        assert float(hist[1].split(",")[0]) == 1e4 and hist[1].endswith(",8")
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path)
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])

@@ -146,19 +146,6 @@ class TestIncrements:
                 assert dw[4 + i].tobytes() == (-dw[i]).tobytes()
 
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
-    @pytest.mark.parametrize("block", [1, 7, 10, 30])
-    def test_blocks_side_by_side_are_the_matrix(self, block, antithetic):
-        # each path's Philox state is carried from block to block, and a
-        # range of paths draws that range's rows, then its partners'
-        cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=4, seed=3, antithetic=antithetic)
-        dw = increment_matrix(cfg)
-        for lo, hi in [(0, 4), (1, 3), (3, 4)]:
-            blocks = [b.copy() for b in engine._increment_blocks(cfg, lo, hi, block)]
-            assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-            rows = list(range(lo, hi)) + (list(range(4 + lo, 4 + hi)) if antithetic else [])
-            assert np.hstack(blocks).tobytes() == dw[rows].tobytes(), (lo, hi)
-
-    @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     def test_range_fill_is_the_matrix_columns(self, antithetic):
         # a chunk's step-major increments are the columns of increment_matrix's
         # storage for its base paths, then their partners; 100..260 crosses
@@ -170,6 +157,22 @@ class TestIncrements:
             cols = list(range(lo, hi)) + (list(range(300 + lo, 300 + hi)) if antithetic else [])
             assert dw.flags.c_contiguous and dw.shape == (10, len(cols)), (lo, hi)
             assert dw.tobytes() == storage[:, cols].tobytes(), (lo, hi)
+
+    def test_holds_one_strip_besides_its_output(self):
+        # one strip of at most _BLOCK_STEPS base paths is drawn, scaled and
+        # copied into the output (its partners negated straight into theirs)
+        cfg = SimConfig(t_horizon=1.0, dt=1.0 / 256, n_base_paths=2000, seed=1)
+        out_bytes = cfg.n_paths * cfg.n_steps * 8
+        strip_bytes = engine._BLOCK_STEPS * cfg.n_steps * 8
+        engine._increments(cfg, 0, 1, "warm-up")  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            dw = engine._increments(cfg, 0, cfg.n_base_paths, "increment chunk")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dw.nbytes == out_bytes
+        assert peak < out_bytes + 2 * strip_bytes
 
 
 class TestSteps:
@@ -1019,6 +1022,19 @@ class TestChunkedRuns:
         monkeypatch.setattr(engine.os, "cpu_count", lambda: None)  # undeterminable
         assert engine._cpu_count() == 1
 
+    def test_no_fork_runs_in_process(self, monkeypatch, gbm_model, p1_model):
+        # a platform without os.fork plans one worker whatever its CPUs, and
+        # that in-process run gives the bytes of a pooled one
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=20, seed=17)
+        models, labels = [gbm_model, p1_model], ["gbm", "p1"]
+        _force_plan(monkeypatch, 5, 4)
+        assert engine._plan(cfg)[1] == 4
+        pooled = simulate_coupled_stats(models, cfg, labels)
+        monkeypatch.delattr(engine.os, "fork")
+        bounds, workers = engine._plan(cfg)
+        assert (len(bounds), workers) == (4, 1)
+        assert _result_bytes(simulate_coupled_stats(models, cfg, labels)) == _result_bytes(pooled)
+
     def test_blow_up_error_pickles(self):
         err = BlowUpError([3, 4], 7, "p1")
         back = pickle.loads(pickle.dumps(err))
@@ -1038,14 +1054,14 @@ class TestChunkedRuns:
         assert engine._plan(small) == ([(0, 10)], 1)
 
 
-# engine internals that draw Philox streams or take steps
-ENGINE_ONLY = ("np.random.Philox(", "_advance(", "_increment_blocks(", "_require_fits(",
+# engine internals that draw increments or take steps
+ENGINE_ONLY = ("np.random", "_advance(", "_increments(", "_require_fits(",
                "_BLOCK_STEPS")
 
 
 def test_only_the_engine_draws_and_steps():
-    # engine.py is the one module where Philox streams are keyed and steps
-    # are taken; every other module goes through its entry points
+    # engine.py is the one module that draws through a numpy generator and
+    # takes steps; every other module goes through its entry points
     src = pathlib.Path(engine.__file__).parent
     found = [(f.name, name) for f in sorted(src.glob("*.py")) if f.name != "engine.py"
              for name in ENGINE_ONLY if name in f.read_text(encoding="utf-8")]
