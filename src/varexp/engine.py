@@ -223,7 +223,7 @@ def _increments(cfg: SimConfig, lo: int, hi: int, what: str) -> np.ndarray:
         # normal(0.0, scale) draws these z and returns 0.0 + scale * z
         np.add(0.0, np.multiply(scale, strip, strip), strip)
         dw[:, c:c + len(strip)] = strip.T
-        if cfg.antithetic:  # no columns without partners
+        if cfg.antithetic:
             np.negative(strip.T, dw[:, nb + c:nb + c + len(strip)])
     return dw
 
