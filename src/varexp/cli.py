@@ -14,9 +14,10 @@ output directory that cannot be made or written. Commands return their
 files as text and the simulation they ran, if any; `main` is the only
 writer: it writes the files whose extension is listed in --format, then
 run_manifest.json with the sha256 of each, the effective config and its
-hash, the run's path, step and worker counts and the python and numpy
-versions. Data files are byte-identical across reruns with the same
-config and seed; timestamps appear only in run_manifest.json.
+hash, the run's path, step and worker counts, the python and numpy
+versions and the SIMD targets numpy found. Data files are a function of
+the config record, the numpy version and those SIMD targets, whatever the
+partitioning or the blocking; timestamps appear only in run_manifest.json.
 """
 
 from __future__ import annotations
@@ -264,8 +265,8 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="run config JSON "
-                        "('paper.json' falls back to the bundled default)")
+    common.add_argument("--config", required=True, help="run config JSON (the bare "
+                        "name 'paper.json', if missing, is the bundled default)")
     common.add_argument("--out", default=None, help="output directory override")
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--format", default=None,
@@ -307,7 +308,8 @@ def main(argv=None) -> int:
             "config_sha256": config_sha256,
             "seed": cfg.sim.seed,
             "tool_version": __version__,
-            "versions": {"python": platform.python_version(), "numpy": np.__version__},
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"]},
             "n_paths": sim.n_paths if sim else None,
             "n_steps": sim.n_steps if sim else None,
             "workers": _plan(sim)[1] if sim else None,

@@ -4,20 +4,21 @@ A run config names the models (first one is the reference for coupled
 comparisons), the simulation parameters, the (lambda, R) cases for the
 bound table, and the smile request, whose maturity and spot must match the
 simulation's t_horizon and x0. `load_config` raises ConfigError for
-anything malformed or inconsistent; the CLI maps that to exit code 2.
+anything malformed or inconsistent, a key its section does not know
+included; the CLI maps that to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .engine import SimConfig
-from .exponent import _integral, _number
+from .exponent import _CONSTANTS, _KIND_PARAMS, KINDS, _integral, _number
 from .models import ModelSpec
 from .pricing import SmileRequest
 
@@ -68,6 +69,14 @@ def _get(d: dict, key: str, kind: type, default=None):
     return v
 
 
+def _check_keys(d, keys, where: str) -> None:
+    """ConfigError naming the first key of object d that is not in keys: a
+    misspelled optional key would otherwise leave its default in place."""
+    for k in d if isinstance(d, dict) else ():
+        if k not in keys:
+            raise ConfigError(f"unknown key {k!r} in {where}")
+
+
 def _parse(raw) -> RunConfig:
     """The run config a decoded JSON document describes. Any error while
     reading it becomes ConfigError("bad <section>: ..."); a ConfigError
@@ -76,12 +85,19 @@ def _parse(raw) -> RunConfig:
     try:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        _check_keys(raw, ("models", "sim", "bound_cases", "smile", "output"), section)
         models_raw = raw.get("models")
         if not models_raw or not isinstance(models_raw, list):
             raise ConfigError("config needs a non-empty 'models' list")
         labels, models = [], []
         for i, md in enumerate(models_raw):
             section = f"model entry {i}"
+            _check_keys(md, ("label", "mu", "sigma", "exponent"), section)
+            ed = md.get("exponent") if isinstance(md, dict) else None
+            if isinstance(ed, dict):  # its kind's parameters, any kind's if unknown
+                kinds = [ed["kind"]] if ed.get("kind") in KINDS else KINDS
+                params = [p for k in kinds for p in _KIND_PARAMS[k]]
+                _check_keys(ed, ["kind", *params, *_CONSTANTS], f"{section} exponent")
             label = _get(md, "label", str, f"model_{i}")
             models.append(ModelSpec.from_dict(md))
             if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):  # names files and SVG text, unescaped
@@ -91,6 +107,7 @@ def _parse(raw) -> RunConfig:
             labels.append(label)
 
         section = "sim section"
+        _check_keys(raw["sim"], [f.name for f in fields(SimConfig)], section)
         sim = SimConfig.from_dict(raw["sim"])
 
         section = "bound_cases"
@@ -106,6 +123,7 @@ def _parse(raw) -> RunConfig:
         if "smile" in raw:
             section = "smile section"
             sd = _get(raw, "smile", dict)
+            _check_keys(sd, ("strikes", "rate", "spot", "maturity", "n_base_paths"), section)
             if sd.get("n_base_paths") is not None:
                 smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
                 replace(sim, n_base_paths=smile_paths)  # checked as the sim's count is
@@ -123,6 +141,7 @@ def _parse(raw) -> RunConfig:
 
         section = "output section"
         out = _get(raw, "output", dict, {})
+        _check_keys(out, ("dir", "formats"), section)
         out_dir = _get(out, "dir", str, "out")
         formats = _check_formats(_get(out, "formats", list, ["csv", "json"]))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
@@ -135,10 +154,11 @@ def _parse(raw) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Load and validate a JSON run config; 'paper.json' falls back to the
-    bundled default when no such file exists on disk. Raises only ConfigError."""
+    """Load and validate a JSON run config; the bare name 'paper.json' (no
+    directory) falls back to the bundled default when no such file exists
+    in the working directory. Raises only ConfigError."""
     p = Path(path)
-    if not p.is_file() and p.name != "paper.json":
+    if not p.is_file() and p != Path("paper.json"):
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8") if p.is_file() else bundled_paper_text())

@@ -3,19 +3,18 @@
 Brownian increments come from counter-based Philox streams keyed by
 (seed, path_index), so every path's noise is reproducible regardless of
 how paths are partitioned across workers. One private runner, `_advance`,
-steps every model over step-major increments with a stepper built once per
-run, which overwrites the model's row of states in place, and then runs
-the reductions its caller asks for: recorded copies of the states on a
-grid (PATHS), none (TERMINAL), or the streaming ones (STATS being all of
-them). What a run keeps, and its scheme, are decided once per run, so the
-step loop only calls each model's stepper and those reductions. Coupled
-runs step contiguous ranges of base paths (with their antithetic
-partners) as chunks of bounded memory: a dense run is one in-process
-chunk; streaming runs use a pool of forked workers when there are several
-chunks and CPUs, and merge the chunks' results exactly, in global path
-order. run_with_increments steps a caller's increment matrix, and
-_refinement_sups a self-refinement study's fine and coarse levels, through
-the same runner; no other module draws increments or takes a step.
+is fed step-major increment blocks and steps every model over them with a
+stepper built once per run, which overwrites the model's row of states in
+place, and then runs the reductions its caller asks for: copies of the
+states at every step (PATHS), none (TERMINAL), or the streaming ones (STATS
+being all of them). What a run keeps, and its scheme, are decided once per
+run. Coupled runs step contiguous ranges of base paths (with their
+antithetic partners) as chunks of bounded memory: a dense run is one
+in-process chunk; streaming runs use a pool of forked workers when there
+are several chunks and CPUs, and merge the chunks' results exactly, in
+global path order. run_with_increments feeds a caller's increment matrix,
+and _refinement_sups a self-refinement study's fine and coarse levels in
+lockstep, to the same runner; no other module draws increments or steps.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
 0.5 g g' (dW^2 - dt) for Milstein, with g = sigma x^p(x); states below
@@ -46,18 +45,16 @@ Increments are drawn path-major, base path i as a new
 Generator(Philox(key=[seed, i])) would draw them, and the runner reads them
 in place as step-major views (B, m), one row per step, whatever their
 strides. _increments fills C-contiguous step-major storage for a range of
-base paths and their partners, drawing a strip of paths at a time with one
-generator re-keyed per path: a coupled run's chunk is that storage, read as
+base paths and their partners, a strip of paths at a time with one
+generator re-keyed per path: a coupled run's chunk is that storage, fed as
 one block, and increment_matrix is its transposed (Fortran-ordered) view
-over all paths, as PathBatch.values is of the dense states. Every other run
-steps transposed views: a caller's matrix of either memory order, and the
-refinement study's fine blocks, drawn by each path's own generator kept
-from block to block.
-The dense grid is a step-major copy of the states at every stride-th step;
-streaming runs keep only reductions over all paths, and a sample path is a
-row of a dense run. The outputs are the same bytes however the paths are
-partitioned, however the steps are blocked and whatever the increment
-matrix's memory order.
+over all paths, as PathBatch.values is of the dense states. A caller's
+matrix of either memory order is fed as its transposed view, and the
+refinement study's fine blocks are drawn by each path's own generator kept
+from block to block. Streaming runs keep only reductions over all paths,
+and a sample path is a row of a dense run. The outputs are the same bytes
+however the paths are partitioned, however the steps are blocked and
+whatever the increment matrix's memory order.
 """
 
 from __future__ import annotations
@@ -368,29 +365,23 @@ STATS = frozenset((EXTREMA, SUP_DIFFS))
 _DW2_ROWS = 8
 
 
-def _reductions(keep: frozenset, x0: float, n_steps: int, stride: int,
+def _reductions(keep: frozenset, x0: float, n_steps: int,
                 xbuf: np.ndarray) -> tuple[list, dict]:
     """The reductions in keep, as functions run after every model has
     stepped its row of xbuf, and their accumulators, all from x0 itself
-    (not exp(log(x0))): the states at every stride-th step ("values", the
-    transposed view (n_models, m, n_rec) of step-major storage), state
-    extrema per model ("x_min", "x_max") and per-path sup-diffs against
-    model 0 ("sup_diff", row 0 zeros). None evaluates an exponent. Chunks
-    merge the streaming ones by extrema and concatenation alone."""
+    (not exp(log(x0))): the states at every step ("values", the transposed
+    view (n_models, m, n_steps + 1) of step-major storage), state extrema
+    per model ("x_min", "x_max") and per-path sup-diffs against model 0
+    ("sup_diff", row 0 zeros). None evaluates an exponent. Chunks merge the
+    streaming ones by extrema and concatenation alone."""
     n, m = xbuf.shape
     steps, acc = [], {}
     if GRID in keep:
-        rec = np.empty((n, n_steps // stride + 1, m))
+        rec = np.empty((n, n_steps + 1, m))
         rec[:, 0] = x0
         acc.update(values=rec.transpose(0, 2, 1))
-
-        def copies():  # one resumption per step, so the step loop tests nothing
-            for row in rec.swapaxes(0, 1)[1:]:
-                yield from range(stride - 1)
-                np.copyto(row, xbuf)
-                yield
-            yield from range(stride - 1)  # the steps after the last row, if any
-        steps.append(copies().__next__)
+        rows = iter(rec.swapaxes(0, 1)[1:])
+        steps.append(lambda: np.copyto(next(rows), xbuf))
     if EXTREMA in keep:
         x_min, x_max, t = np.full(n, x0), np.full(n, x0), np.empty(n)
         acc.update(x_min=x_min, x_max=x_max)
@@ -412,17 +403,17 @@ def _reductions(keep: frozenset, x0: float, n_steps: int, stride: int,
 
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-             blocks: Iterable[np.ndarray], m: int, keep: frozenset, stride: int = 1) -> dict:
-    """Step every model over m paths' shared increments, read in place as
-    step-major views (B, m) of any strides that hold cfg.n_steps steps in
-    all, and keep what `keep` asks for. Each block is read before the next
-    is taken.
+             m: int, keep: frozenset) -> tuple:
+    """A run of every model over m paths' shared increments that keeps what
+    `keep` asks for, as (feed, out), before any step is taken.
 
-    Always kept: "terminal" (n_models, m), the final states, and the
-    per-path positivity-floor breach counts of each model ("breaches"); the
-    reductions in keep add their accumulators (see _reductions), PATHS
-    with the states at every stride-th step. Step-outer, model-inner, so a
-    blow-up names the earliest step, then the first model.
+    feed(blk) steps every model over a step-major block (B, m) of any
+    strides, read in place; the step count carries over from feed to feed,
+    so a blow-up names the run's step, then the first model (step-outer,
+    model-inner). out holds "terminal" (n_models, m), the live states, each
+    model's per-path positivity-floor breach counts ("breaches") and the
+    accumulators of the reductions in keep (see _reductions), PATHS the
+    states at every step; it is final once cfg.n_steps steps have been fed.
 
     Everything the run keeps is decided here, once: the step loop runs each
     model's stepper, which overwrites the model's row of states in place,
@@ -439,12 +430,15 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     else:
         steps = [_direct_stepper(model, cfg.dt, milstein, cfg.x0, x, b)
                  for model, x, b in zip(models, xbuf, breaches)]
-    reductions, out = _reductions(keep, cfg.x0, cfg.n_steps, stride, xbuf)
+    reductions, out = _reductions(keep, cfg.x0, cfg.n_steps, xbuf)
+    out.update(terminal=xbuf, breaches=breaches)
     dt0, squares, k = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0
-    if not m:  # no paths: nothing to step (and an empty argmax has no answer)
-        blocks = ()
-    try:
-        for blk in blocks:
+
+    def feed(blk):
+        nonlocal k
+        if not m:  # no paths: nothing to step (and an empty argmax has no answer)
+            return
+        try:
             for r0 in range(0, len(blk), _DW2_ROWS):
                 dws = blk[r0:r0 + _DW2_ROWS]
                 dw2s = squares[:len(dws)]
@@ -456,10 +450,9 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                     for reduce in reductions:
                         reduce()
                     k += 1
-    except _OutOfRange as exc:
-        raise BlowUpError(exc.args[0], k, labels[steps.index(step)]) from None
-    out.update(terminal=xbuf, breaches=breaches)
-    return out
+        except _OutOfRange as exc:
+            raise BlowUpError(exc.args[0], k, labels[steps.index(step)]) from None
+    return feed, out
 
 
 def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
@@ -477,7 +470,8 @@ def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
     copy = dw.size if dw.dtype != np.float64 else 0
     _require_fits((len(dw) * (cfg.n_steps + 1) + copy) * 8, "dense path storage")
     dw = dw.astype(float, copy=False)
-    out = _advance([m], cfg, [label], [dw.T], len(dw), PATHS)
+    feed, out = _advance([m], cfg, [label], len(dw), PATHS)
+    feed(dw.T)
     return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
                      model_label=label, config=cfg, breach_counts=out["breaches"][0])
 
@@ -486,53 +480,48 @@ def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConf
     """Per-path sup |coarse - reference| of each level, (len(levels), n_paths).
 
     One stream of fine increments at fine_cfg.dt drives everything: the
-    reference solution steps it directly and each coarse level (fine_cfg at
-    a nested coarser dt) consumes its block sums, so differences isolate
-    discretization error. The fine increments are drawn path-major a block
-    of steps at a time (a multiple of the coarsest level's multiple of
-    fine_cfg.dt), each base path i by its own Generator(Philox(key=[seed,
-    i])) kept from block to block, so its blocks side by side are row i of
-    increment_matrix(fine_cfg). Each level's sums are taken from the block,
-    whose transposed view the reference run steps in place, so no
-    O(paths x fine steps) array is ever held, and the sups are the same
-    bytes however the steps are blocked. The sup runs
-    over the grid of the coarsest level at every refinement - measuring each
-    level on its own grid would bias the coarse errors downward (fewer
-    points, smaller sup) and flatten the fitted order.
+    reference solution steps it and each coarse level (fine_cfg at a nested
+    coarser dt) steps its sums, so differences isolate discretization
+    error. The fine increments are drawn path-major a block of steps at a
+    time (a multiple of the coarsest level's multiple cm of fine_cfg.dt),
+    base path i by its own Generator(Philox(key=[seed, i])) kept from block
+    to block, so its blocks side by side are row i of
+    increment_matrix(fine_cfg). Every run is fed in lockstep, one interval
+    of the coarsest grid (cm fine steps) at a time: the reference the
+    interval's transposed view, in place, and each level its sums; then
+    each level's sup takes in its live distance from the reference. So the
+    study holds one fine block and O(paths) per level, its sups are the
+    same bytes however the steps are blocked, and a blow-up is the earliest
+    interval's (the reference's, then each level's in order). The sup runs
+    over the coarsest grid at every refinement - measuring each level on
+    its own grid would bias the coarse errors downward (fewer points,
+    smaller sup) and flatten the fitted order.
     """
-    m_paths = fine_cfg.n_paths
-    _require_fits(m_paths * sum(c.n_steps for c in levels) * 8, "coarse increments")
-    # step-major increments of each level, filled as the fine blocks stream
-    dwc = [np.empty((c.n_steps, m_paths)) for c in levels]
+    m_paths, nb = fine_cfg.n_paths, fine_cfg.n_base_paths
     mults = [round(c.dt / fine_cfg.dt) for c in levels]
     cm = max(mults)
     block = max(1, _BLOCK_STEPS // cm) * cm
-
-    def fine_blocks():  # its generators and buffer are freed before the coarse levels run
-        nb, scale = fine_cfg.n_base_paths, math.sqrt(fine_cfg.dt)
-        gens = [np.random.Generator(np.random.Philox(key=np.array([fine_cfg.seed, i], dtype=np.uint64)))
-                for i in range(nb)]
-        buf = np.empty((m_paths, min(block, fine_cfg.n_steps)))
-        for k0 in range(0, fine_cfg.n_steps, block):
-            dw = buf[:, :min(block, fine_cfg.n_steps - k0)]
-            for gen, row in zip(gens, dw):
-                gen.standard_normal(out=row)
-            np.add(0.0, np.multiply(scale, dw[:nb], dw[:nb]), dw[:nb])  # as _increments scales
-            if fine_cfg.antithetic:
-                np.negative(dw[:nb], dw[nb:])
-            for mult, d in zip(mults, dwc):
-                sums = dw.reshape(m_paths, -1, mult).sum(axis=2)
-                d[k0 // mult:k0 // mult + sums.shape[1]] = sums.T
-            yield dw.T
-
-    # only the shared_n + 1 points of the coarsest grid are kept, not paths
-    shared_n = min(c.n_steps for c in levels)
-    ref = _advance([m], fine_cfg, ["reference"], fine_blocks(), m_paths, PATHS, cm)["values"][0]
-    sups = np.empty((len(levels), m_paths))
-    for cfg_c, row in zip(levels, sups):  # each level's increments are freed once stepped
-        diff = _advance([m], cfg_c, ["coarse"], [dwc.pop(0)], m_paths, PATHS,
-                        cfg_c.n_steps // shared_n)["values"][0]
-        np.abs(np.subtract(diff, ref, out=diff), out=diff).max(axis=1, out=row)
+    labels = ["reference", *(f"coarse dt={c.dt:g}" for c in levels)]
+    (feed_ref, ref), *runs = [_advance([m], c, [label], m_paths, TERMINAL)
+                              for c, label in zip([fine_cfg, *levels], labels)]
+    x_ref, scale = ref["terminal"][0], math.sqrt(fine_cfg.dt)
+    sups, d = np.zeros((len(levels), m_paths)), np.empty(m_paths)  # 0 at t = 0
+    gens = [np.random.Generator(np.random.Philox(key=np.array([fine_cfg.seed, i], dtype=np.uint64)))
+            for i in range(nb)]
+    buf = np.empty((m_paths, min(block, fine_cfg.n_steps)))
+    for k0 in range(0, fine_cfg.n_steps, block):
+        dw = buf[:, :min(block, fine_cfg.n_steps - k0)]
+        for gen, row in zip(gens, dw):
+            gen.standard_normal(out=row)
+        np.add(0.0, np.multiply(scale, dw[:nb], dw[:nb]), dw[:nb])  # as _increments scales
+        if fine_cfg.antithetic:
+            np.negative(dw[:nb], dw[nb:])
+        for i0 in range(0, dw.shape[1], cm):
+            piece = dw[:, i0:i0 + cm]
+            feed_ref(piece.T)
+            for mult, (feed, out), sup in zip(mults, runs, sups):
+                feed(piece.reshape(m_paths, -1, mult).sum(axis=2).T)
+                np.maximum(sup, np.absolute(np.subtract(out["terminal"][0], x_ref, d), d), out=sup)
     return sups
 
 
@@ -634,7 +623,8 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
     """
     try:
         dw = _increments(cfg, lo, hi, "increment chunk")
-        out = _advance(models, cfg, labels, [dw], dw.shape[1], keep)
+        feed, out = _advance(models, cfg, labels, dw.shape[1], keep)
+        feed(dw)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)

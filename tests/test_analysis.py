@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from varexp import (ExponentSpec, ModelSpec, SimConfig, eval_phi, simulate_batch,
+from varexp import (BlowUpError, ExponentSpec, ModelSpec, SimConfig, eval_phi, simulate_batch,
                     simulate_coupled, simulate_coupled_stats, strong_error,
                     strong_error_from_stats, sup_second_moment, terminal_stats)
-from varexp import (analysis, engine, gbm, increment_matrix, loglog_slope,
+from varexp import (analysis, cev, engine, gbm, increment_matrix, loglog_slope,
                     refinement_errors, run_with_increments)
 from varexp.engine import EULER, LOG_MILSTEIN, MILSTEIN
 
@@ -260,9 +260,9 @@ class TestRefinementErrors:
                 [(d.hex(), e.hex()) for d, e in want]
 
     def test_keeps_only_the_shared_grid(self, p1_model):
-        # no O(paths x fine steps) array is held: the fine increments stream
-        # in blocks, and the coarse increments (0.175 of the fine bytes here)
-        # and the coarsest grid's points are what the peak holds
+        # no O(paths x fine steps) array is held: the runs are fed one fine
+        # block (and its sums) at a time, and beyond that block the peak
+        # holds each run's O(paths) states and buffers
         fine_bytes = 2 * 16 * 10_000 * 8
         np.random.Philox(0)  # imports numpy.random outside the traced region
         tracemalloc.start()
@@ -271,7 +271,7 @@ class TestRefinementErrors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * fine_bytes
+        assert peak < 0.05 * fine_bytes
 
     # fine blocks of 16 steps (the coarsest level's multiple), of 64 (which
     # do not divide the 4000 fine steps) and of the whole run
@@ -285,14 +285,29 @@ class TestRefinementErrors:
     def test_streams_under_the_memory_cap(self, monkeypatch, p1_model):
         args = (p1_model, self.DTS, 2.5e-4, 16, 3)
         want = [(d.hex(), e.hex()) for d, e in refinement_errors(*args)]
-        fine_bytes = 2 * 16 * 4000 * 8  # the coarse increments take 0.4375 of it
+        fine_bytes = 2 * 16 * 4000 * 8
         monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 2)
         with pytest.raises(MemoryError):
             increment_matrix(SimConfig(t_horizon=1.0, dt=2.5e-4, n_base_paths=16, seed=3))
         assert [(d.hex(), e.hex()) for d, e in refinement_errors(*args)] == want
-        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 4)
-        with pytest.raises(MemoryError, match="coarse increments"):
-            refinement_errors(*args)
+        # the study allocates nothing that the cap bounds
+        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 64)
+        assert [(d.hex(), e.hex()) for d, e in refinement_errors(*args)] == want
+
+    def test_blow_up_names_its_level_however_blocked(self, monkeypatch):
+        # the levels step in lockstep with the reference, so the blow-up
+        # reported is the earliest coarsest-grid interval's, whatever the
+        # fine blocks: here the dt=0.05 level's, in the first interval
+        args = (cev(0.0, 5.0, 3.0), [0.1, 0.05])
+        kwargs = dict(ref_dt=1e-3, n_base_paths=4, seed=1)
+        raised = []
+        for block in (1, 70, 5000):
+            monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+            with pytest.raises(BlowUpError) as exc:
+                refinement_errors(*args, **kwargs)
+            raised.append((str(exc.value), exc.value.step_index, exc.value.path_indices))
+        assert raised == [raised[0]] * 3
+        assert exc.value.model_label == "coarse dt=0.05"
 
     # 0.3 is no multiple of 0.2, at a horizon of 6 or of 6e-9: the check is
     # relative, so it holds before any stepping at either scale

@@ -17,6 +17,9 @@ from varexp.config import RunConfig, bundled_paper_text, load_config, load_paper
 from conftest import replaced
 
 
+SIMD_FOUND = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+
+
 def _write_config(tmp_path, **overrides):
     """Small, fast run config for CLI tests."""
     cfg = {
@@ -527,6 +530,22 @@ class TestConfigErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+    # each key path adds a misspelling of a key its section knows
+    @pytest.mark.parametrize("path,value", [
+        (("sim", "antithetc"), False), (("smile", "n_base_path"), 100),
+        (("models", 1, "sigm"), 0.3), (("models", 1, "exponent", "aa"), 0.01),
+        (("outputs",), {"formats": ["csv"]}), (("output", "format"), ["csv"]),
+    ], ids=["antithetc", "n_base_path", "sigm", "aa", "outputs", "format"])
+    def test_unknown_key_exits_two(self, tmp_path, monkeypatch, capsys, path, value):
+        monkeypatch.chdir(tmp_path)
+        raw = replaced(json.loads(_write_config(tmp_path).read_text()), path, value)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["bound-table", "--config", str(cfg)]) == 2
+        assert f"unknown key {path[-1]!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 class TestBundledConfig:
     def test_paper_fallback_resolves(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # no paper.json on disk here
@@ -536,6 +555,15 @@ class TestBundledConfig:
         assert csv[0] == "case,lambda,R,bound_p1,bound_p2"
         assert len(csv) == 11
         assert csv[1] == "1,0.1,1.1,0.002922,0.000538"
+
+    def test_only_the_bare_name_falls_back(self, tmp_path, monkeypatch, capsys):
+        # a mistyped directory is a missing file, not the bundled default
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "no_such_dir" / "paper.json"
+        assert main(["bound-table", "--config", str(missing),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config file not found" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_repo_copy_matches_bundled(self):
         from varexp.config import bundled_paper_text
@@ -553,7 +581,7 @@ class TestManifest:
         assert manifest["tool_version"]
         assert "config_sha256" in manifest and "created_utc" in manifest
         assert manifest["versions"] == {"python": platform.python_version(),
-                                        "numpy": np.__version__}
+                                        "numpy": np.__version__, "simd": SIMD_FOUND}
         assert (manifest["n_paths"], manifest["n_steps"], manifest["workers"]) == (None, None, None)
 
     @pytest.mark.parametrize("command,n_paths", [("strong-error", 400), ("simulate", 400),
@@ -620,6 +648,24 @@ class TestManifest:
         assert set(config) == {f.name for f in fields(RunConfig)} - {"out_dir"}
         assert config["sim"]["seed"] == 123
         assert str(tmp_path) not in json.dumps(config)  # neither --out nor the config's path
+
+
+def test_golden_digests(tmp_path):
+    # the data files of the five commands on paper.json (seed 42, every
+    # format) are a function of the config, the numpy version and the SIMD
+    # targets it found: on a platform with recorded digests, these are they
+    key = f"numpy {np.__version__} simd {','.join(SIMD_FOUND)}"
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    if key not in golden:
+        pytest.skip(f"no golden digests for {key!r}")
+    got = {}
+    for c in COMMANDS:
+        out = tmp_path / c
+        assert main([c, "--config", "paper.json", "--out", str(out), "--seed", "42",
+                     "--format", "csv,json,svg"]) == 0
+        got.update({f"{c}/{name}": sha for name, sha in
+                    json.loads((out / "run_manifest.json").read_text())["files"].items()})
+    assert got == golden[key]
 
 
 class TestArguments:
@@ -716,7 +762,7 @@ class TestWithoutScipy:
         for c in COMMANDS:
             manifest = json.loads((blocked / c / "run_manifest.json").read_text())
             assert manifest["versions"] == {"python": platform.python_version(),
-                                            "numpy": np.__version__}
+                                            "numpy": np.__version__, "simd": SIMD_FOUND}
             files = {p.name: p.read_bytes() for p in (blocked / c).iterdir()
                      if p.name != "run_manifest.json"}
             assert files and files == {p.name: p.read_bytes() for p in (plain / c).iterdir()

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,3 +57,19 @@ def test_any_value_loads_or_is_a_config_error(tmp_path_factory, path, value):
         load_config(cfg)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("path", [p for p in _key_paths(PAPER) if p and isinstance(p[-1], str)],
+                         ids=lambda p: "/".join(map(str, p)))
+def test_renamed_key_is_a_config_error_naming_it(tmp_path, path):
+    # every key a section knows, misspelled, is rejected by name: an
+    # optional one would otherwise load with its default in its place
+    raw = copy.deepcopy(PAPER)
+    node = raw
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1] + "_"] = node.pop(path[-1])
+    cfg = tmp_path / "renamed.json"
+    cfg.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key {path[-1] + '_'!r}")):
+        load_config(cfg)

@@ -410,9 +410,7 @@ class TestSimulateBatch:
         models = [cev(0.0, 1.0, 3.0)]
         runs = [lambda: coupled_terminals(models, cfg),
                 lambda: simulate_coupled(models, cfg),
-                lambda: engine._advance(models, cfg, ["model_0"],
-                                        [increment_matrix(cfg).T],
-                                        cfg.n_paths, engine.PATHS, 2)]
+                lambda: _fed(models, cfg, ["model_0"], increment_matrix(cfg).T)]
         runs += [lambda r=r: simulate_coupled_stats(models, cfg, reductions=r)
                  for r in REDUCTION_SETS]
         for run in runs:
@@ -691,19 +689,25 @@ class TestFusedDirectStep:
             assert one_step(m, x, 1e-3, dw, scheme).terminal.tobytes() == want.tobytes(), x
 
 
+def _fed(models, cfg, labels, steps):
+    """The dense run of _advance fed one step-major block of increments."""
+    feed, out = engine._advance(models, cfg, labels, steps.shape[1], engine.PATHS)
+    feed(steps)
+    return out
+
+
 class TestStepBuffers:
     """Each model steps its own row of states in place, in buffers of its
-    own, and the grid is a recorded copy of those rows at every stride-th
-    step: models stepped together at any stride give the bytes of each
+    own, and the grid is a recorded copy of those rows at every step:
+    models stepped together, fed a block at a time, give the bytes of each
     model's own run."""
 
     MODELS = {**ORACLE_MODELS, "wild": gbm(0.0, 3.0)}  # wild breaches the floor
 
     @pytest.mark.parametrize("block", [1, 7, 128])
-    @pytest.mark.parametrize("stride", [1, 3, 20])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_strided_values_are_the_full_grid(self, scheme, stride, block):
-        # _advance reads the matrix's 20 steps as views of `block` steps
+    def test_strided_values_are_the_full_grid(self, scheme, block):
+        # the run is fed the matrix's 20 steps as views of `block` steps
         # (the last may be shorter), of the Fortran-ordered matrix and of a
         # C-ordered copy
         cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=16, seed=8, scheme=scheme)
@@ -711,11 +715,12 @@ class TestStepBuffers:
         full = [run_with_increments(m, cfg, dw, name) for name, m in self.MODELS.items()]
         for order in "FC":
             steps = np.asarray(dw, order=order).T
-            blocks = [steps[k:k + block] for k in range(0, cfg.n_steps, block)]
-            out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
-                                  blocks, len(dw), engine.PATHS, stride)
+            feed, out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
+                                        len(dw), engine.PATHS)
+            for k in range(0, cfg.n_steps, block):
+                feed(steps[k:k + block])
             for j, (name, b) in enumerate(zip(self.MODELS, full)):
-                assert out["values"][j].tobytes() == b.values[:, ::stride].tobytes(), name
+                assert out["values"][j].tobytes() == b.values.tobytes(), name
                 assert out["terminal"][j].tobytes() == b.terminal.tobytes(), name
                 assert out["breaches"][j].tobytes() == b.breach_counts.tobytes(), name
         if scheme == EULER:
@@ -972,11 +977,9 @@ class TestChunkedRuns:
                         paths.update(outcome.path_indices)
                 assert len(steps) > 1  # chunks blow up at different steps
                 assert max(paths) >= 16  # and some at an antithetic partner
-                # dense runs, recording every step or every third
-                runs = [lambda: simulate_coupled(models, cfg)] + [
-                    lambda stride=stride: engine._advance(
-                        models, cfg, labels, [increment_matrix(cfg).T],
-                        cfg.n_paths, engine.PATHS, stride) for stride in (1, 3)]
+                # dense runs, of the chunk and of a fed matrix
+                runs = [lambda: simulate_coupled(models, cfg),
+                        lambda: _fed(models, cfg, labels, increment_matrix(cfg).T)]
                 for run in runs:
                     with pytest.raises(BlowUpError) as dense:
                         run()

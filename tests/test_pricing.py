@@ -333,7 +333,7 @@ class TestImportPath:
                 "print(sorted(json.load(open('out/run_manifest.json'))['versions']))\n"
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         versions, loaded = self._fresh(code, tmp_path).splitlines()[-2:]
-        assert versions == "['numpy', 'python']"
+        assert versions == "['numpy', 'python', 'simd']"
         assert loaded == "[]"
 
     def test_dependencies_are_the_third_party_imports(self):
