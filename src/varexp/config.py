@@ -94,10 +94,9 @@ def _parse(raw) -> RunConfig:
             section = f"model entry {i}"
             _check_keys(md, ("label", "mu", "sigma", "exponent"), section)
             ed = md.get("exponent") if isinstance(md, dict) else None
-            if isinstance(ed, dict):  # its kind's parameters, any kind's if unknown
-                kinds = [ed["kind"]] if ed.get("kind") in KINDS else KINDS
-                params = [p for k in kinds for p in _KIND_PARAMS[k]]
-                _check_keys(ed, ["kind", *params, *_CONSTANTS], f"{section} exponent")
+            if isinstance(ed, dict) and ed.get("kind") in KINDS:  # from_dict names an unknown kind
+                _check_keys(ed, ["kind", *_KIND_PARAMS[ed["kind"]], *_CONSTANTS],
+                            f"{section} exponent")
             label = _get(md, "label", str, f"model_{i}")
             models.append(ModelSpec.from_dict(md))
             if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):  # names files and SVG text, unescaped

@@ -1,11 +1,34 @@
 import copy
+import time
 
 import numpy as np
 import pytest
 
 from varexp import (ExponentSpec, ModelSpec, SimConfig, gbm, run_with_increments,
                     simulate_coupled_stats)
+from varexp.cli import main
 from varexp.engine import LOG_MILSTEIN
+
+
+def _cli_run(tmp_path_factory, command):
+    """A command's output directory on paper.json (seed 42, every format)
+    and the seconds it took."""
+    out = tmp_path_factory.mktemp(command.replace("-", "_") + "_run")
+    t0 = time.perf_counter()
+    code = main([command, "--config", "paper.json", "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    return out, elapsed
+
+
+@pytest.fixture(scope="session")
+def strong_error_cli(tmp_path_factory):
+    return _cli_run(tmp_path_factory, "strong-error")
+
+
+@pytest.fixture(scope="session")
+def smile_cli(tmp_path_factory):
+    return _cli_run(tmp_path_factory, "smile")
 
 
 @pytest.fixture(scope="session")

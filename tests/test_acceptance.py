@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The heavyweight reproduction runs (coupled 20k-path simulation and
 the CLI smile/strong-error commands on the bundled config) are shared
-through module-scoped fixtures; criterion 12 reruns the commands to check
+through fixtures (the CLI runs are conftest's session fixtures); criterion 12 reruns the commands to check
 byte-identical outputs.
 """
 
@@ -48,26 +48,6 @@ def paper_cfg():
 def dense_run(paper_cfg):
     """Coupled dense batches for the reproduction configuration."""
     return simulate_coupled(paper_cfg.models, paper_cfg.sim, paper_cfg.labels)
-
-
-@pytest.fixture(scope="module")
-def strong_error_cli(tmp_path_factory):
-    out = tmp_path_factory.mktemp("strong_error_run")
-    t0 = time.perf_counter()
-    code = main(["strong-error", "--config", "paper.json", "--out", str(out)])
-    elapsed = time.perf_counter() - t0
-    assert code == 0
-    return out, elapsed
-
-
-@pytest.fixture(scope="module")
-def smile_cli(tmp_path_factory):
-    out = tmp_path_factory.mktemp("smile_run")
-    t0 = time.perf_counter()
-    code = main(["smile", "--config", "paper.json", "--out", str(out)])
-    elapsed = time.perf_counter() - t0
-    assert code == 0
-    return out, elapsed
 
 
 def test_criterion_01_bound_table(paper_cfg):

@@ -650,21 +650,23 @@ class TestManifest:
         assert str(tmp_path) not in json.dumps(config)  # neither --out nor the config's path
 
 
-def test_golden_digests(tmp_path):
+def test_golden_digests(tmp_path, strong_error_cli, smile_cli):
     # the data files of the five commands on paper.json (seed 42, every
     # format) are a function of the config, the numpy version and the SIMD
-    # targets it found: on a platform with recorded digests, these are they
+    # targets it found: on a platform with recorded digests, these are they;
+    # strong-error and smile are the session's shared runs
     key = f"numpy {np.__version__} simd {','.join(SIMD_FOUND)}"
     golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
     if key not in golden:
         pytest.skip(f"no golden digests for {key!r}")
+    outs = {"strong-error": strong_error_cli[0], "smile": smile_cli[0]}
     got = {}
     for c in COMMANDS:
-        out = tmp_path / c
-        assert main([c, "--config", "paper.json", "--out", str(out), "--seed", "42",
-                     "--format", "csv,json,svg"]) == 0
+        if c not in outs:
+            outs[c] = tmp_path / c
+            assert main([c, "--config", "paper.json", "--out", str(outs[c])]) == 0
         got.update({f"{c}/{name}": sha for name, sha in
-                    json.loads((out / "run_manifest.json").read_text())["files"].items()})
+                    json.loads((outs[c] / "run_manifest.json").read_text())["files"].items()})
     assert got == golden[key]
 
 
