@@ -13,11 +13,13 @@ precondition (a run over the memory cap too), 2 usage/config error or an
 output directory that cannot be made or written. Commands return their
 files as text and the simulation they ran, if any; `main` is the only
 writer: it writes the files whose extension is listed in --format, then
-run_manifest.json with the sha256 of each, the effective config and its
-hash, the run's path, step and worker counts, the python and numpy
-versions and the SIMD targets numpy found. Data files are a function of
-the config record, the numpy version and those SIMD targets, whatever the
-partitioning or the blocking; timestamps appear only in run_manifest.json.
+run_manifest.json with the sha256 of each, the effective config as a
+config document (`config._document`: saved as a file, it replays the
+run) and its hash, the run's path, step and worker counts, the python
+and numpy versions and the SIMD targets numpy found. Data files are a
+function of the config record, the numpy version and those SIMD targets,
+whatever the partitioning or the blocking; timestamps appear only in
+run_manifest.json.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +38,7 @@ import numpy as np
 from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
-from .config import ConfigError, RunConfig, _check_formats, load_config
+from .config import ConfigError, RunConfig, _check_formats, _document, load_config
 from .engine import (EXTREMA, SUP_DIFFS, BlowUpError, SimConfig, _plan, simulate_coupled,
                      simulate_coupled_stats)
 from .exponent import CONSTANT, _phi_range, check_admissibility, sup_deviation
@@ -49,9 +51,8 @@ class _OutputError(Exception):
 
 
 def _config_record(cfg: RunConfig) -> tuple[dict, str]:
-    """Every RunConfig field but out_dir (where a run writes is not what it
-    ran), and the sha256 of that record's canonical JSON."""
-    config = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
+    """The config document of cfg, and the sha256 of its canonical JSON."""
+    config = _document(cfg)
     return config, hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             try:
-                cfg.sim = SimConfig.from_dict({**cfg.sim.to_dict(), "seed": args.seed})
+                cfg.sim = replace(cfg.sim, seed=args.seed)
             except ValueError as exc:
                 raise ConfigError(f"bad --seed: {exc}") from exc
         if args.out is not None:

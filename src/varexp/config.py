@@ -5,14 +5,16 @@ comparisons), the simulation parameters, the (lambda, R) cases for the
 bound table, and the smile request, whose maturity and spot must match the
 simulation's t_horizon and x0. `load_config` raises ConfigError for
 anything malformed or inconsistent, a key its section does not know
-included; the CLI maps that to exit code 2.
+included; the CLI maps that to exit code 2. `_document` is `_parse`'s
+inverse: the one writer of the format, whose output the run manifest
+records and `_parse` reads back as the same run.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -150,6 +152,23 @@ def _parse(raw) -> RunConfig:
     return RunConfig(labels=labels, models=models, sim=sim, bound_cases=cases,
                      smile=smile, smile_n_base_paths=smile_paths,
                      out_dir=out_dir, formats=formats)
+
+
+def _document(cfg: RunConfig) -> dict:
+    """The config document that `_parse` reads back as cfg, out_dir apart:
+    in canonical form, with every exponent constant written out and no
+    output.dir (where a run writes is not what it ran)."""
+    doc = {
+        "models": [{"label": label, **m.to_dict()} for label, m in zip(cfg.labels, cfg.models)],
+        "sim": cfg.sim.to_dict(),
+        "bound_cases": [list(case) for case in cfg.bound_cases],
+        "output": {"formats": list(cfg.formats)},
+    }
+    if cfg.smile is not None:
+        doc["smile"] = {**asdict(cfg.smile), "strikes": list(cfg.smile.strikes)}
+        if cfg.smile_n_base_paths is not None:
+            doc["smile"]["n_base_paths"] = cfg.smile_n_base_paths
+    return doc
 
 
 def load_config(path) -> RunConfig:

@@ -382,24 +382,23 @@ class CheckReport:
 
 
 _CHECK_GRID_LO = 1e-8
+_CHECK_CUTOFF = 1e4    # the grid's upper end, where the limit condition is read
+_CHECK_GRID_POINTS = 4096
 _TOL_LIMIT = 1e-5      # |p(cutoff) - 1| threshold for the limit condition
 _REL_SLACK = 1e-9      # relative slack on inequality checks
 
 
-def check_admissibility(spec: ExponentSpec, cutoff: float = 1e4,
-                        grid_points: int = 4096) -> CheckReport:
+def check_admissibility(spec: ExponentSpec) -> CheckReport:
     """Check the admissibility conditions on a log grid over (grid_lo, cutoff].
 
-    Violations are reported (with the witnessing x), never raised.
+    Violations are reported (with the witnessing x), never raised; a spec
+    whose delta leaves no tail below the cutoff is a ValueError.
     """
-    if not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, not {cutoff!r}")
-    if cutoff <= spec.delta:
-        raise ValueError("cutoff must exceed spec.delta")
-    if grid_points < 100:
-        raise ValueError("grid_points must be >= 100")
+    if spec.delta >= _CHECK_CUTOFF:
+        raise ValueError(f"delta {spec.delta:g} must be below the check's cutoff "
+                         f"{_CHECK_CUTOFF:g}")
 
-    xs = log_grid(_CHECK_GRID_LO, cutoff, grid_points)
+    xs = log_grid(_CHECK_GRID_LO, _CHECK_CUTOFF, _CHECK_GRID_POINTS)
     p, dp = _p_dp(spec, xs)
 
     # Condition 1: 1 <= p_minus <= p(x) <= p_plus < inf.
@@ -423,13 +422,13 @@ def check_admissibility(spec: ExponentSpec, cutoff: float = 1e4,
     logdev = (p - 1.0) * np.log(xs)
     # Boundedness evidence: the max of (p-1)log x over the last grid decade
     # must not exceed the max over the decade before it.
-    last = xs >= cutoff / 10.0
-    prev = (xs >= cutoff / 100.0) & ~last
+    last = xs >= _CHECK_CUTOFF / 10.0
+    prev = (xs >= _CHECK_CUTOFF / 100.0) & ~last
     m_last = float(logdev[last].max())
     m_prev = float(logdev[prev].max())
     if tail_dev > _TOL_LIMIT:
         limit_ok = HypothesisResult(
-            False, f"|p(cutoff) - 1| = {tail_dev:.3g} > {_TOL_LIMIT}", witness_x=cutoff,
+            False, f"|p(cutoff) - 1| = {tail_dev:.3g} > {_TOL_LIMIT}", witness_x=_CHECK_CUTOFF,
         )
     elif m_last > m_prev + slack:
         i = int(np.argmax(np.where(last, logdev, -np.inf)))
@@ -463,7 +462,7 @@ def check_admissibility(spec: ExponentSpec, cutoff: float = 1e4,
 
     return CheckReport(
         range_ok=range_ok, limit_ok=limit_ok, derivative_ok=derivative_ok,
-        grid_lo=_CHECK_GRID_LO, cutoff=cutoff, grid_points=grid_points,
+        grid_lo=_CHECK_GRID_LO, cutoff=_CHECK_CUTOFF, grid_points=_CHECK_GRID_POINTS,
         tol_limit=_TOL_LIMIT,
     )
 

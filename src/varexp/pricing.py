@@ -120,17 +120,24 @@ class ImpliedVolError(ValueError):
         super().__init__(msg)
 
 
-def bs_call(spot: float, strike: float, rate: float, vol: float,
-            maturity: float) -> float:
-    """Black-Scholes call price; in the money, intrinsic value plus the put
-    (put-call parity), because the direct formula cancels there to a few
-    ulps of noise that is not monotone in vol and spoils implied_vol."""
+def _sqt_d1(spot: float, strike: float, rate: float, vol: float,
+            maturity: float) -> tuple[float, float]:
+    """sqrt(maturity) and Black-Scholes d1, for finite arguments with spot,
+    strike, vol and maturity positive (a ValueError otherwise)."""
     if not math.isfinite(spot + strike + rate + vol + maturity):
         _require_finite(spot=spot, strike=strike, rate=rate, vol=vol, maturity=maturity)
     if min(spot, strike, vol, maturity) <= 0:
         raise ValueError("spot, strike, vol and maturity must be positive")
     sqt = math.sqrt(maturity)
-    d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * maturity) / (vol * sqt)
+    return sqt, (math.log(spot / strike) + (rate + 0.5 * vol * vol) * maturity) / (vol * sqt)
+
+
+def bs_call(spot: float, strike: float, rate: float, vol: float,
+            maturity: float) -> float:
+    """Black-Scholes call price; in the money, intrinsic value plus the put
+    (put-call parity), because the direct formula cancels there to a few
+    ulps of noise that is not monotone in vol and spoils implied_vol."""
+    sqt, d1 = _sqt_d1(spot, strike, rate, vol, maturity)
     d2 = d1 - vol * sqt
     pv_strike = strike * math.exp(-rate * maturity)
     if pv_strike < spot:
@@ -140,12 +147,7 @@ def bs_call(spot: float, strike: float, rate: float, vol: float,
 
 def bs_vega(spot: float, strike: float, rate: float, vol: float,
             maturity: float) -> float:
-    if not math.isfinite(spot + strike + rate + vol + maturity):
-        _require_finite(spot=spot, strike=strike, rate=rate, vol=vol, maturity=maturity)
-    if min(spot, strike, vol, maturity) <= 0:
-        raise ValueError("spot, strike, vol and maturity must be positive")
-    sqt = math.sqrt(maturity)
-    d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * maturity) / (vol * sqt)
+    sqt, d1 = _sqt_d1(spot, strike, rate, vol, maturity)
     return spot * math.exp(-0.5 * d1 * d1) / math.sqrt(2 * math.pi) * sqt
 
 

@@ -13,11 +13,12 @@ import pytest
 import varexp
 from varexp import SimConfig, eval_phi, gbm, simulate_coupled
 from varexp.cli import COMMANDS, _config_record, main
-from varexp.config import RunConfig, bundled_paper_text, load_config, load_paper_config
+from varexp.config import RunConfig, _parse, bundled_paper_text, load_config
 from conftest import replaced
 
 
 SIMD_FOUND = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+SMILE = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0}
 
 
 def _write_config(tmp_path, **overrides):
@@ -34,8 +35,7 @@ def _write_config(tmp_path, **overrides):
         "sim": {"t_horizon": 1.0, "dt": 0.01, "n_base_paths": 200,
                 "antithetic": True, "seed": 99, "scheme": "log_milstein", "x0": 1.0},
         "bound_cases": [[0.1, 1.1], [0.01, 1.2]],
-        "smile": {"strikes": [0.9, 1.0, 1.1], "rate": 0.05,
-                  "maturity": 1.0, "spot": 1.0},
+        "smile": SMILE,
         "output": {"dir": str(tmp_path / "out"), "formats": ["csv", "json", "svg"]},
     }
     cfg.update(overrides)
@@ -68,6 +68,15 @@ class TestCheckExponent:
         report = json.loads((tmp_path / "out" / "admissibility_cev2.json").read_text())
         assert report["passed"] is False
         assert report["limit_condition"]["passed"] is False
+
+    def test_delta_past_the_cutoff_exits_one(self, tmp_path, capsys):
+        # the check's grid ends at 1e4, so it has no tail past such a delta
+        raw = json.loads(_write_config(tmp_path).read_text())
+        raw["models"][1]["exponent"]["delta"] = 2e4
+        cfg = _write_config(tmp_path, models=raw["models"])
+        assert main(["check-exponent", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "precondition failed: delta 20000 must be below the check's cutoff 10000\n"
 
     def test_follows_format(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -355,8 +364,7 @@ class TestSmileCommand:
     @pytest.mark.parametrize("field,value", [("maturity", 2.0), ("spot", 1.3)],
                              ids=["maturity_vs_horizon", "spot_vs_x0"])
     def test_smile_must_match_sim_exits_two(self, tmp_path, field, value):
-        smile = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0}
-        cfg = _write_config(tmp_path, smile={**smile, field: value})
+        cfg = _write_config(tmp_path, smile={**SMILE, field: value})
         assert main(["smile", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out" / "smile_summary.json").exists()
 
@@ -368,8 +376,7 @@ class TestSmileCommand:
             "strike_Infinity"])
     def test_non_finite_input_exits_two(self, tmp_path, capsys, field, value):
         # JSON's NaN and Infinity are rejected with the config, never simulated
-        smile = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0}
-        cfg = _write_config(tmp_path, smile={**smile, field: value})
+        cfg = _write_config(tmp_path, smile={**SMILE, field: value})
         assert main(["smile", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
@@ -587,9 +594,7 @@ class TestManifest:
     @pytest.mark.parametrize("command,n_paths", [("strong-error", 400), ("simulate", 400),
                                                  ("smile", 300)])
     def test_run_sizes(self, tmp_path, command, n_paths):
-        smile = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0,
-                 "n_base_paths": 150}
-        cfg = _write_config(tmp_path, smile=smile)
+        cfg = _write_config(tmp_path, smile={**SMILE, "n_base_paths": 150})
         assert main([command, "--config", str(cfg)]) == 0
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         # a run this small is one chunk, stepped in-process
@@ -629,13 +634,19 @@ class TestManifest:
         assert self._hash(cfg, tmp_path / "a") != \
             self._hash(cfg, tmp_path / "b", "--seed", "123")
 
-    def test_hash_covers_every_field_but_out_dir(self):
-        # walks the dataclass, so a field added to RunConfig is checked too
-        base = load_paper_config()
-        base_sha256 = _config_record(base)[1]
+    def test_every_field_but_out_dir_round_trips(self, tmp_path):
+        # walks the dataclass, so a RunConfig field that the record drops
+        # fails: the config sets every field off the value a document
+        # without it gives (models and sim are required keys)
+        raw = json.loads(_write_config(tmp_path, smile={**SMILE, "n_base_paths": 150}).read_text())
+        cfg = load_config(tmp_path / "config.json")
+        bare = _parse({"models": [{k: v for k, v in m.items() if k != "label"}
+                                  for m in raw["models"]], "sim": raw["sim"]})
+        back = _parse(json.loads(json.dumps(_config_record(cfg)[0])))
         for f in fields(RunConfig):
-            changed = _config_record(replace(base, **{f.name: "changed"}))[1]
-            assert (changed == base_sha256) == (f.name == "out_dir"), f.name
+            want, got = getattr(cfg, f.name), getattr(back, f.name)
+            assert (got == want) == (f.name != "out_dir"), f.name
+            assert want != getattr(bare, f.name) or f.name in ("models", "sim"), f.name
 
     def test_config_record_hashes_to_config_sha256(self, tmp_path):
         out = tmp_path / "elsewhere"
@@ -645,9 +656,52 @@ class TestManifest:
         config = manifest["config"]
         canonical = json.dumps(config, sort_keys=True).encode()
         assert hashlib.sha256(canonical).hexdigest() == manifest["config_sha256"]
-        assert set(config) == {f.name for f in fields(RunConfig)} - {"out_dir"}
+        assert set(config) == {"models", "sim", "bound_cases", "smile", "output"}
         assert config["sim"]["seed"] == 123
         assert str(tmp_path) not in json.dumps(config)  # neither --out nor the config's path
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_config_replays_the_run(tmp_path, command):
+    # a manifest's config is a config document: it parses back to the run's
+    # config, out_dir apart, and replayed from a file it gives the same
+    # data files and the same hash
+    cfg = _write_config(tmp_path, smile={**SMILE, "n_base_paths": 150})
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = main([command, "--config", str(cfg), "--out", str(first), "--seed", "7",
+                 "--format", "csv,json"])
+    manifest = json.loads((first / "run_manifest.json").read_text())
+    run = load_config(cfg)
+    run = replace(run, sim=replace(run.sim, seed=7), out_dir=str(first), formats=("csv", "json"))
+    assert replace(_parse(manifest["config"]), out_dir=str(first)) == run
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest["config"]))
+    assert main([command, "--config", str(replay), "--out", str(again)]) == code
+    replayed = json.loads((again / "run_manifest.json").read_text())
+    assert manifest["files"] and replayed["files"] == manifest["files"]
+    assert replayed["config_sha256"] == manifest["config_sha256"]
+
+
+@pytest.mark.skipif("X86_V4" not in SIMD_FOUND, reason="numpy found no X86_V4 target")
+def test_simd_record_explains_a_disabled_target(tmp_path):
+    # numpy's vectorised exp, log and power may give other last bits under
+    # another SIMD target; the same run with the AVX-512 targets disabled
+    # records another versions.simd, so the manifest says why its data
+    # files may hash differently
+    cfg = str(_write_config(tmp_path))
+    native, avx2 = tmp_path / "native", tmp_path / "avx2"
+    assert main(["strong-error", "--config", cfg, "--out", str(native)]) == 0
+    src = Path(varexp.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "varexp.cli", "strong-error", "--config", cfg, "--out", str(avx2)],
+        env={**os.environ, "PYTHONPATH": str(src),
+             "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    want, got = (json.loads((d / "run_manifest.json").read_text()) for d in (native, avx2))
+    assert got["config_sha256"] == want["config_sha256"]
+    assert want["versions"]["simd"] == SIMD_FOUND
+    assert "X86_V4" not in got["versions"]["simd"]
 
 
 def test_golden_digests(tmp_path, strong_error_cli, smile_cli):

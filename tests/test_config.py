@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varexp.config import ConfigError, bundled_paper_text, load_config
+from varexp.config import ConfigError, bundled_paper_text, load_config, load_paper_config
 from conftest import replaced
 
 PAPER = json.loads(bundled_paper_text())
@@ -76,3 +76,10 @@ def test_renamed_key_is_a_config_error_naming_it(tmp_path, path):
              else f"unknown key {path[-1] + '_'!r}")
     with pytest.raises(ConfigError, match=re.escape(error)):
         load_config(cfg)
+
+
+def test_model_by_label():
+    cfg = load_paper_config()
+    assert cfg.labels[1] == "p1" and cfg.model_by_label("p1") is cfg.models[1]
+    with pytest.raises(ValueError):
+        cfg.model_by_label("p9")

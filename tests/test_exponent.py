@@ -253,11 +253,11 @@ class TestPhiRange:
 class TestAdmissibility:
     def test_paper_exponents_pass(self, p1_spec, p2_spec):
         for spec in (p1_spec, p2_spec):
-            report = check_admissibility(spec, cutoff=1e4)
+            report = check_admissibility(spec)
             assert report.passed, report.to_dict()
 
     def test_constant_two_fails_limit(self):
-        report = check_admissibility(ExponentSpec.constant(2.0), cutoff=1e4)
+        report = check_admissibility(ExponentSpec.constant(2.0))
         assert not report.limit_ok.passed
         assert report.range_ok.passed
         assert not report.passed
@@ -283,13 +283,13 @@ class TestAdmissibility:
         assert inv_square_spec.m0 == pytest.approx(2.0)
         assert inv_square_spec.c0 == pytest.approx(2.0)
         assert inv_square_spec.alpha == 2.0
-        report = check_admissibility(inv_square_spec, cutoff=1e4)
+        report = check_admissibility(inv_square_spec)
         assert report.passed, report.to_dict()
 
     def test_violated_derivative_bound_has_witness(self):
         spec = ExponentSpec(kind="exp_decay", a=0.005, b=0.1, p_minus=1.0,
                             p_plus=1.005, delta=1.0, m0=1e-9, c0=0.7, alpha=2.0)
-        report = check_admissibility(spec, cutoff=1e4)
+        report = check_admissibility(spec)
         assert not report.derivative_ok.passed
         assert report.derivative_ok.witness_x is not None
 
@@ -305,13 +305,11 @@ class TestAdmissibility:
         assert set(d) >= {"range_condition", "limit_condition", "derivative_condition", "grid"}
 
     def test_preconditions(self, p1_spec):
-        with pytest.raises(ValueError):
-            check_admissibility(p1_spec, cutoff=0.5)  # below delta
-        with pytest.raises(ValueError):
-            check_admissibility(p1_spec, grid_points=10)
-        for cutoff in (math.inf, math.nan):  # named before the grid is built
-            with pytest.raises(ValueError, match="cutoff must be finite"):
-                check_admissibility(p1_spec, cutoff=cutoff)
+        # the grid ends at 1e4: a delta there or past it leaves no tail to check
+        for delta in (1e4, 2e4):
+            with pytest.raises(ValueError, match=f"delta {delta:g} must be below the "
+                               "check's cutoff 10000"):
+                check_admissibility(replace(p1_spec, delta=delta))
 
 
 class TestEstimateConstants:
