@@ -129,9 +129,10 @@ def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str], None]:
 
 def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> ErrorReport:
     """Evaluate the closed-form bound on the observed path range, for a
-    model with the reference's mu and sigma only (None for any other)."""
+    model with the reference's mu and sigma and within the bound's
+    hypothesis p >= 1 (declared p_minus >= 1) only (None for any other)."""
     model, ref = cfg.models[model_index], cfg.models[0]
-    if (model.mu, model.sigma) != (ref.mu, ref.sigma):
+    if (model.mu, model.sigma) != (ref.mu, ref.sigma) or model.exponent.p_minus < 1.0:
         return report
     lam = min(report.lambda_obs, 1.0 - 1e-9)  # bound needs lambda < 1 < R
     r = max(report.r_obs, 1.0 + 1e-9)

@@ -5,7 +5,12 @@ comparisons), the simulation parameters, the (lambda, R) cases for the
 bound table, and the smile request, whose maturity and spot must match the
 simulation's t_horizon and x0. `load_config` raises ConfigError for
 anything malformed or inconsistent, a key its section does not know
-included; the CLI maps that to exit code 2. `_document` is `_parse`'s
+included; the CLI maps that to exit code 2. Each section's keys are
+checked by the reader that owns them: `_parse` checks the root's, the
+smile's and the output's, and `ModelSpec.from_dict`,
+`ExponentSpec.from_dict` and `SimConfig.from_dict` a model's, an
+exponent's and the sim's, in a config and in library code alike; the
+error names the section and the key. `_document` is `_parse`'s
 inverse: the one writer of the format, whose output the run manifest
 records and `_parse` reads back as the same run.
 """
@@ -14,13 +19,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .engine import SimConfig
-from .exponent import _CONSTANTS, _KIND_PARAMS, KINDS, _integral, _number
+from .exponent import _check_keys, _integral, _number
 from .models import ModelSpec
 from .pricing import SmileRequest
 
@@ -51,7 +56,7 @@ class RunConfig:
 
 
 _FORMATS = ("csv", "json", "svg")
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+_JSON_TYPES = {list: "an array", str: "a string"}
 
 
 def _check_formats(formats) -> tuple[str, ...]:
@@ -71,36 +76,22 @@ def _get(d: dict, key: str, kind: type, default=None):
     return v
 
 
-def _check_keys(d, keys, where: str) -> None:
-    """ConfigError naming the first key of object d that is not in keys: a
-    misspelled optional key would otherwise leave its default in place."""
-    for k in d if isinstance(d, dict) else ():
-        if k not in keys:
-            raise ConfigError(f"unknown key {k!r} in {where}")
-
-
 def _parse(raw) -> RunConfig:
     """The run config a decoded JSON document describes. Any error while
     reading it becomes ConfigError("bad <section>: ..."); a ConfigError
     raised inside passes through unchanged."""
     section = "config"
     try:
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _check_keys(raw, ("models", "sim", "bound_cases", "smile", "output"), section)
+        _check_keys(raw, ("models", "sim", "bound_cases", "smile", "output"))
         models_raw = raw.get("models")
         if not models_raw or not isinstance(models_raw, list):
             raise ConfigError("config needs a non-empty 'models' list")
         labels, models = [], []
         for i, md in enumerate(models_raw):
             section = f"model entry {i}"
-            _check_keys(md, ("label", "mu", "sigma", "exponent"), section)
-            ed = md.get("exponent") if isinstance(md, dict) else None
-            if isinstance(ed, dict) and ed.get("kind") in KINDS:  # from_dict names an unknown kind
-                _check_keys(ed, ["kind", *_KIND_PARAMS[ed["kind"]], *_CONSTANTS],
-                            f"{section} exponent")
+            models.append(ModelSpec.from_dict(
+                {k: v for k, v in md.items() if k != "label"} if isinstance(md, dict) else md))
             label = _get(md, "label", str, f"model_{i}")
-            models.append(ModelSpec.from_dict(md))
             if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):  # names files and SVG text, unescaped
                 raise ValueError(f"model label {label!r} must be letters, digits, _, - or .")
             if label in labels:
@@ -108,7 +99,6 @@ def _parse(raw) -> RunConfig:
             labels.append(label)
 
         section = "sim section"
-        _check_keys(raw["sim"], [f.name for f in fields(SimConfig)], section)
         sim = SimConfig.from_dict(raw["sim"])
 
         section = "bound_cases"
@@ -123,8 +113,8 @@ def _parse(raw) -> RunConfig:
         smile = smile_paths = None
         if "smile" in raw:
             section = "smile section"
-            sd = _get(raw, "smile", dict)
-            _check_keys(sd, ("strikes", "rate", "spot", "maturity", "n_base_paths"), section)
+            sd = raw["smile"]
+            _check_keys(sd, ("strikes", "rate", "spot", "maturity", "n_base_paths"))
             if sd.get("n_base_paths") is not None:
                 smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
                 replace(sim, n_base_paths=smile_paths)  # checked as the sim's count is
@@ -141,8 +131,8 @@ def _parse(raw) -> RunConfig:
                 raise ValueError(f"spot {smile.spot} differs from sim x0 {sim.x0}")
 
         section = "output section"
-        out = _get(raw, "output", dict, {})
-        _check_keys(out, ("dir", "formats"), section)
+        out = raw.get("output", {})
+        _check_keys(out, ("dir", "formats"))
         out_dir = _get(out, "dir", str, "out")
         formats = _check_formats(_get(out, "formats", list, ["csv", "json"]))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:

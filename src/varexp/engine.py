@@ -62,12 +62,14 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exponent import CONSTANT, _integral, _number, _p_dp_kernel, _phi_dphi_kernel
+from .exponent import (CONSTANT, _check_keys, _integral, _number, _p_dp_kernel,
+                       _phi_dphi_kernel)
 from .models import ModelSpec
 
 EULER = "euler"
@@ -176,8 +178,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """The config a JSON object describes: numbers must be JSON numbers,
-        and counts integral (3 or 3.0, not True)."""
+        """The config a JSON object of SimConfig's fields describes: numbers
+        must be JSON numbers, and counts integral (3 or 3.0, not True)."""
+        _check_keys(d, [f.name for f in fields(cls)])
         return cls(
             t_horizon=_number(d["t_horizon"], "t_horizon"), dt=_number(d["dt"], "dt"),
             n_base_paths=_integral(d["n_base_paths"], "n_base_paths"),
@@ -554,6 +557,8 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
     _require_fits(cfg.n_paths * (cfg.n_steps + 1) * 8 * len(models),
                   "dense path storage", "; use simulate_coupled_stats")
     out = _run_chunk(models, cfg, labels, 0, cfg.n_base_paths, PATHS)
+    if isinstance(out, BlowUpError):
+        raise out
     return [PathBatch(time_grid=cfg.time_grid, values=v, model_label=lab, config=cfg,
                       breach_counts=b) for v, lab, b in zip(out["values"], labels, out["breaches"])]
 
@@ -613,13 +618,14 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 
 
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-               lo: int, hi: int, keep: frozenset) -> dict:
+               lo: int, hi: int, keep: frozenset) -> dict | BlowUpError:
     """_advance over base paths [lo, hi) and their antithetic partners,
     reading their _increments in place as one block (and no other copy).
 
     Per-path arrays come back in the chunk's column order (base paths, then
     partners); breaches are per path for the dense grid (GRID) and totals
-    otherwise. A blow-up names global path indices.
+    otherwise. A blow-up is returned, not raised, naming global path
+    indices, so that every chunk of a run reports its own.
     """
     try:
         dw = _increments(cfg, lo, hi, "increment chunk")
@@ -628,18 +634,10 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)
-        raise BlowUpError(paths, exc.step_index, exc.model_label) from None
+        return BlowUpError(paths, exc.step_index, exc.model_label)
     if GRID not in keep:
         out["breaches"] = [int(b.sum()) for b in out["breaches"]]
     return out
-
-
-def _outcome(call, *args):
-    """call(*args), or the BlowUpError it raised."""
-    try:
-        return call(*args)
-    except BlowUpError as exc:
-        return exc
 
 
 def _run_chunked(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
@@ -651,21 +649,17 @@ def _run_chunked(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[s
     earliest (step, model) any chunk reached, with every path failing there.
     """
     bounds, workers = _plan(cfg)
-    args = (models, cfg, labels)
+    los, his = zip(*bounds)
+    chunks = (_run_chunk, repeat(models), repeat(cfg), repeat(labels), los, his, repeat(keep))
     if workers > 1:
         # imported on first use: 20 ms of import time that runs without a
         # pool need not pay
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_run_chunk, *args, lo, hi, keep) for lo, hi in bounds]
-            try:
-                outcomes = [_outcome(f.result) for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+            outcomes = list(pool.map(*chunks))  # cancels the chunks not yet run if one raises
     else:
-        outcomes = [_outcome(_run_chunk, *args, lo, hi, keep) for lo, hi in bounds]
+        outcomes = list(map(*chunks))
     errors = [e for e in outcomes if isinstance(e, BlowUpError)]
     if errors:
         def when(e):

@@ -62,6 +62,17 @@ def _number(v, name: str) -> float:
     return float(v)
 
 
+def _check_keys(d, keys) -> None:
+    """TypeError unless d is a JSON object, ValueError naming its first key
+    not in keys: a misspelled optional key would otherwise leave its
+    default in place."""
+    if not isinstance(d, dict):
+        raise TypeError(f"must be an object, not {d!r}")
+    for k in d:
+        if k not in keys:
+            raise ValueError(f"unknown key {k!r}")
+
+
 def _require_finite(**args: float) -> None:
     """Raise ValueError naming the first argument that is NaN or infinite.
     A hot caller tests the sum of the arguments first (one NaN or infinity
@@ -110,6 +121,9 @@ class ExponentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown exponent kind {self.kind!r}")
+        for name in ("gamma", "a", "b", "c"):  # so that to_dict writes what from_dict reads
+            if getattr(self, name) is not None and name not in _KIND_PARAMS[self.kind]:
+                raise ValueError(f"{self.kind} exponent has no {name}")
         # finite first, so that no NaN slips through a comparison below
         for name in _KIND_PARAMS[self.kind] + _CONSTANTS:
             v = getattr(self, name)
@@ -184,9 +198,14 @@ class ExponentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExponentSpec":
+        """The spec a JSON object describes: its kind, that kind's shape
+        parameters and any of the constants; ValueError for any other key."""
+        if not isinstance(d, dict):
+            raise TypeError(f"exponent must be an object, not {d!r}")
         kind = d.get("kind")
         if kind not in KINDS:
             raise ValueError(f"unknown exponent kind {kind!r}")
+        _check_keys(d, ("kind", *_KIND_PARAMS[kind], *_CONSTANTS))
         # The per-kind constructor's default constants, then explicit overrides.
         base = getattr(cls, kind)(*(_number(d[k], k) for k in _KIND_PARAMS[kind]))
         return replace(base, **{k: _number(d[k], k) for k in _CONSTANTS if k in d})
@@ -355,10 +374,6 @@ class CheckReport:
     range_ok: HypothesisResult        # p bounded in [p_minus, p_plus], p_minus >= 1
     limit_ok: HypothesisResult        # p -> 1, (p-1)*log x bounded
     derivative_ok: HypothesisResult   # piecewise |p'| bound
-    grid_lo: float = 0.0
-    cutoff: float = 0.0
-    grid_points: int = 0
-    tol_limit: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -371,12 +386,12 @@ class CheckReport:
             "limit_condition": self.limit_ok.to_dict(),
             "derivative_condition": self.derivative_ok.to_dict(),
             "grid": {
-                "lo": self.grid_lo,
-                "cutoff": self.cutoff,
-                "points": self.grid_points,
+                "lo": _CHECK_GRID_LO,
+                "cutoff": _CHECK_CUTOFF,
+                "points": _CHECK_GRID_POINTS,
                 "spacing": "log",
             },
-            "tol_limit": self.tol_limit,
+            "tol_limit": _TOL_LIMIT,
             "note": "numerical evidence at grid scale, not a proof",
         }
 
@@ -460,11 +475,7 @@ def check_admissibility(spec: ExponentSpec) -> CheckReport:
         else:
             derivative_ok = HypothesisResult(True, "|p'| within declared piecewise bound on grid")
 
-    return CheckReport(
-        range_ok=range_ok, limit_ok=limit_ok, derivative_ok=derivative_ok,
-        grid_lo=_CHECK_GRID_LO, cutoff=_CHECK_CUTOFF, grid_points=_CHECK_GRID_POINTS,
-        tol_limit=_TOL_LIMIT,
-    )
+    return CheckReport(range_ok=range_ok, limit_ok=limit_ok, derivative_ok=derivative_ok)
 
 
 # -- brute-force Lipschitz / growth constants -----------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exponent import ExponentSpec, _number
+from .exponent import ExponentSpec, _check_keys, _number
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        """The model a JSON object of mu, sigma and exponent describes."""
+        _check_keys(d, ("mu", "sigma", "exponent"))
         return cls(mu=_number(d["mu"], "mu"), sigma=_number(d["sigma"], "sigma"),
                    exponent=ExponentSpec.from_dict(d["exponent"]))
 

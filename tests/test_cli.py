@@ -191,6 +191,22 @@ class TestStrongError:
         out = capsys.readouterr().out.splitlines()
         assert "(bound n/a)" not in out[0] and out[1].endswith("(bound n/a)")
 
+    @pytest.mark.parametrize("gamma,bounded", [(0.8, False), (1.3, True)])
+    def test_no_bound_outside_p_at_least_one(self, tmp_path, capsys, gamma, bounded):
+        # a CEV model with gamma < 1 is outside the bound's hypothesis p >= 1:
+        # its error is written with no bound, and the run still succeeds
+        raw = json.loads(_write_config(tmp_path).read_text())
+        cev = {**raw["models"][0], "label": "cev", "exponent": {"kind": "constant",
+                                                               "gamma": gamma}}
+        cfg = _write_config(tmp_path, models=[raw["models"][0], cev])
+        assert main(["strong-error", "--config", str(cfg)]) == 0
+        row = json.loads((tmp_path / "out" / "strong_error.json").read_text())["results"][0]
+        assert row["strong_error"] > 0
+        assert (row["analytic_bound"] is not None) == bounded
+        assert capsys.readouterr().out.endswith("(bound n/a)\n") != bounded
+        # the bound table keeps refusing such a model
+        assert main(["bound-table", "--config", str(cfg)]) == (0 if bounded else 1)
+
     def test_vol_range_is_phi_over_the_visited_states(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["strong-error", "--config", str(cfg)]) == 0

@@ -1,12 +1,16 @@
 import copy
 import json
+import pathlib
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varexp.config import ConfigError, bundled_paper_text, load_config, load_paper_config
+import varexp
+from varexp import ExponentSpec, ModelSpec
+from varexp.config import (ConfigError, RunConfig, _document, _parse, bundled_paper_text,
+                           load_config, load_paper_config)
 from conftest import replaced
 
 PAPER = json.loads(bundled_paper_text())
@@ -83,3 +87,24 @@ def test_model_by_label():
     assert cfg.labels[1] == "p1" and cfg.model_by_label("p1") is cfg.models[1]
     with pytest.raises(ValueError):
         cfg.model_by_label("p9")
+
+
+@pytest.mark.parametrize("spec", [
+    ExponentSpec.constant(1.0), ExponentSpec.constant(0.8), ExponentSpec.exp_decay(0.005, 0.1),
+    ExponentSpec.inverse_square(0.5), ExponentSpec.rational_decay(1e-3),
+], ids=["gbm", "cev_0.8", "exp_decay", "inverse_square", "rational_decay"])
+def test_document_of_any_spec_parses_back(spec):
+    # a spec holds only its kind's parameters, so the document of a config
+    # built in library code loads as that config
+    cfg = RunConfig(labels=["m"], models=[ModelSpec(0.05, 0.2, spec)],
+                    sim=load_paper_config().sim)
+    assert _parse(json.loads(json.dumps(_document(cfg)))) == cfg
+
+
+def test_only_the_exponent_module_names_its_keys():
+    # each kind's parameters and the constants are named once: the readers
+    # of other sections pass an exponent to ExponentSpec.from_dict
+    src = pathlib.Path(varexp.__file__).parent
+    found = [(f.name, name) for f in sorted(src.glob("*.py")) if f.name != "exponent.py"
+             for name in ("_KIND_PARAMS", "_CONSTANTS") if name in f.read_text(encoding="utf-8")]
+    assert not found

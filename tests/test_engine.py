@@ -70,6 +70,14 @@ class TestSimConfig:
                         antithetic=False, scheme=EULER, x0=2.0)
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_from_dict_rejects_an_unknown_key(self):
+        # a misspelled optional key would leave its default in place
+        d = {**SimConfig(t_horizon=1.0, dt=0.5, n_base_paths=1, seed=0).to_dict(),
+             "antithetc": False}
+        del d["antithetic"]
+        with pytest.raises(ValueError, match="unknown key 'antithetc'"):
+            SimConfig.from_dict(d)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["t_horizon", "dt", "x0"])
     def test_non_finite_rejected(self, field, value):
@@ -897,7 +905,7 @@ def _scripted_chunk(models, cfg, labels, lo, hi, stats):
     """Stand-in for engine._run_chunk whose chunks blow up as scripted."""
     script = {0: (6, "b"), 2: (6, "a"), 4: (9, "a"), 6: (6, "a")}
     if lo in script:
-        raise BlowUpError([lo, cfg.n_base_paths + lo], *script[lo])
+        return BlowUpError([lo, cfg.n_base_paths + lo], *script[lo])
     return {}
 
 
@@ -967,8 +975,7 @@ class TestChunkedRuns:
                 steps, paths = set(), set()
                 for lo in range(0, 16, chunk):
                     hi = min(lo + chunk, 16)
-                    outcome = engine._outcome(engine._run_chunk, models, cfg, labels, lo, hi,
-                                             engine.TERMINAL)
+                    outcome = engine._run_chunk(models, cfg, labels, lo, hi, engine.TERMINAL)
                     if isinstance(outcome, BlowUpError):
                         # global indices: the chunk's base paths and their partners
                         assert set(outcome.path_indices) <= {*range(lo, hi),

@@ -371,6 +371,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ExponentSpec.from_dict({"kind": "sigmoid", "a": 1.0})
 
+    def test_from_dict_rejects_an_unknown_key(self, p1_spec):
+        d = p1_spec.to_dict()
+        d["aa"] = d.pop("a")
+        with pytest.raises(ValueError, match="unknown key 'aa'"):
+            ExponentSpec.from_dict(d)
+
+    @pytest.mark.parametrize("kind,name", [(kind, name) for kind in _KIND_PARAMS
+                                           for name in ("gamma", "a", "b", "c")
+                                           if name not in _KIND_PARAMS[kind]])
+    def test_from_dict_rejects_another_kinds_parameter(self, kind, name):
+        spec = next(s for s in all_kinds() if s.kind == kind)
+        with pytest.raises(ValueError, match=f"unknown key {name!r}"):
+            ExponentSpec.from_dict({**spec.to_dict(), name: 0.5})
+
+    def test_spec_holds_only_its_kinds_parameters(self):
+        # so that to_dict writes only what from_dict reads
+        with pytest.raises(ValueError, match="constant exponent has no a"):
+            ExponentSpec(kind="constant", gamma=1.0, a=0.5)
+
 
 class TestValidation:
     def test_needs_positive_params(self):

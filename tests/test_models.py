@@ -104,3 +104,10 @@ def test_serialization_round_trip(p1_model):
     d = p1_model.to_dict()
     assert d["mu"] == 0.05 and d["sigma"] == 0.2 and "exponent" in d
     assert ModelSpec.from_dict(d) == p1_model
+
+
+def test_from_dict_rejects_an_unknown_key(p1_model):
+    d = p1_model.to_dict()
+    d["sigm"] = d.pop("sigma")
+    with pytest.raises(ValueError, match="unknown key 'sigm'"):
+        ModelSpec.from_dict(d)
