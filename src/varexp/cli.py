@@ -39,8 +39,7 @@ from . import __version__
 from .analysis import ErrorReport, strong_error_from_stats, terminal_stats
 from .bounds import BoundInputs, bound_table, error_bound
 from .config import ConfigError, RunConfig, _check_formats, _document, load_config
-from .engine import (EXTREMA, SUP_DIFFS, BlowUpError, SimConfig, _plan, simulate_coupled,
-                     simulate_coupled_stats)
+from .engine import EXTREMA, SUP_DIFFS, BlowUpError, SimConfig, _plan, simulate_coupled_stats
 from .exponent import CONSTANT, _phi_range, check_admissibility, sup_deviation
 from .pricing import coupled_smile, smile_from_terminal
 from .svgplot import histogram_chart, line_chart
@@ -130,17 +129,19 @@ def cmd_bound_table(cfg: RunConfig) -> tuple[int, dict[str, str], None]:
 def _attach_bound(report: ErrorReport, cfg: RunConfig, model_index: int) -> ErrorReport:
     """Evaluate the closed-form bound on the observed path range, for a
     model with the reference's mu and sigma and within the bound's
-    hypothesis p >= 1 (declared p_minus >= 1) only (None for any other)."""
+    hypothesis 1 <= p <= p_plus only (None for any other): its declared
+    p_minus is at least 1, and |p - 1| on that range at most p_plus - 1."""
     model, ref = cfg.models[model_index], cfg.models[0]
-    if (model.mu, model.sigma) != (ref.mu, ref.sigma) or model.exponent.p_minus < 1.0:
+    spec = model.exponent
+    if (model.mu, model.sigma) != (ref.mu, ref.sigma) or spec.p_minus < 1.0:
         return report
     lam = min(report.lambda_obs, 1.0 - 1e-9)  # bound needs lambda < 1 < R
     r = max(report.r_obs, 1.0 + 1e-9)
-    b = BoundInputs(
-        mu=model.mu, sigma=model.sigma, t_horizon=cfg.sim.t_horizon,
-        lam=lam, r=r, p_plus=model.exponent.p_plus,
-        sup_dev=sup_deviation(model.exponent, lam, r),
-    )
+    sup_dev = sup_deviation(spec, lam, r)
+    if sup_dev > spec.p_plus - 1.0 + 1e-12:  # BoundInputs' own tolerance
+        return report
+    b = BoundInputs(mu=model.mu, sigma=model.sigma, t_horizon=cfg.sim.t_horizon,
+                    lam=lam, r=r, p_plus=spec.p_plus, sup_dev=sup_dev)
     report.analytic_bound = error_bound(b)
     return report
 
@@ -182,14 +183,12 @@ def cmd_strong_error(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
 
 def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     sim = cfg.sim
+    # one run: each model's sample path is base path 0, recorded by its first chunk
     stats = simulate_coupled_stats(cfg.models, sim, cfg.labels, {EXTREMA}).models
-    # path 0 keys its own Philox stream, so it is row 0 of a one-path run;
-    # run after the stats, which report any blow-up
-    paths = [b.values[0] for b in simulate_coupled(
-        cfg.models, replace(sim, n_base_paths=1, antithetic=False), cfg.labels)]
     grid = sim.time_grid
     hists = [terminal_stats(ms) for ms in stats]
-    files = {"sample_paths.csv": _csv(["t", *cfg.labels], zip(grid, *paths), fmt=".12g")}
+    files = {"sample_paths.csv": _csv(["t", *cfg.labels],
+                                      zip(grid, *(ms.sample_path for ms in stats)), fmt=".12g")}
     for ms, ts in zip(stats, hists):
         files[f"terminal_histogram_{ms.label}.csv"] = _csv(
             ["bin_lo", "bin_hi", "count"], zip(ts.bin_edges[:-1], ts.bin_edges[1:], ts.counts))
@@ -200,7 +199,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
          "seed": sim.seed, "scheme": sim.scheme}
         for ms, ts in zip(stats, hists)]})
     files["sample_paths.svg"] = line_chart(
-        [(ms.label, grid, path) for ms, path in zip(stats, paths)],
+        [(ms.label, grid, ms.sample_path) for ms in stats],
         "Sample paths (identical increments)", "t", "X(t)")
     files["terminal_histograms.svg"] = histogram_chart(
         [(ms.label, ts.bin_edges, ts.counts) for ms, ts in zip(stats, hists)],

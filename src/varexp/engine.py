@@ -51,10 +51,11 @@ one block, and increment_matrix is its transposed (Fortran-ordered) view
 over all paths, as PathBatch.values is of the dense states. A caller's
 matrix of either memory order is fed as its transposed view, and the
 refinement study's fine blocks are drawn by each path's own generator kept
-from block to block. Streaming runs keep only reductions over all paths,
-and a sample path is a row of a dense run. The outputs are the same bytes
-however the paths are partitioned, however the steps are blocked and
-whatever the increment matrix's memory order.
+from block to block. Streaming runs keep reductions over all paths and,
+as the sample path of each model, base path 0's states, recorded by the
+chunk that steps it. The outputs are the same bytes however the paths are
+partitioned, however the steps are blocked and whatever the increment
+matrix's memory order.
 """
 
 from __future__ import annotations
@@ -357,7 +358,8 @@ class PathBatch:
 
 # What _advance keeps besides terminals and breaches: a set of reductions,
 # the dense grid (PATHS) or those of simulate_coupled_stats, from none of
-# them (TERMINAL) to both (STATS).
+# them (TERMINAL) to both (STATS), to which simulate_coupled_stats always
+# adds "path0", its sample paths.
 GRID, EXTREMA, SUP_DIFFS = "grid", "extrema", "sup_diffs"
 PATHS, TERMINAL = frozenset((GRID,)), frozenset()
 STATS = frozenset((EXTREMA, SUP_DIFFS))
@@ -374,9 +376,11 @@ def _reductions(keep: frozenset, x0: float, n_steps: int,
     stepped its row of xbuf, and their accumulators, all from x0 itself
     (not exp(log(x0))): the states at every step ("values", the transposed
     view (n_models, m, n_steps + 1) of step-major storage), state extrema
-    per model ("x_min", "x_max") and per-path sup-diffs against model 0
-    ("sup_diff", row 0 zeros). None evaluates an exponent. Chunks merge the
-    streaming ones by extrema and concatenation alone."""
+    per model ("x_min", "x_max"), per-path sup-diffs against model 0
+    ("sup_diff", row 0 zeros) and the first path's states at every step
+    ("path0", (n_models, n_steps + 1), likewise a transposed view). None
+    evaluates an exponent. Chunks merge the streaming ones by extrema and
+    concatenation alone."""
     n, m = xbuf.shape
     steps, acc = [], {}
     if GRID in keep:
@@ -402,6 +406,12 @@ def _reductions(keep: frozenset, x0: float, n_steps: int,
             np.maximum(sup_rest, np.absolute(np.subtract(rest, first, d), d), out=sup_rest)
         if n > 1:
             steps.append(sup_diffs)
+    if "path0" in keep:  # simulate_coupled_stats' own, not one of its reductions
+        path0 = np.empty((n_steps + 1, n))
+        path0[0] = x0
+        acc.update(path0=path0.T)
+        rows0, first_path = iter(path0[1:]), xbuf[:, 0]
+        steps.append(lambda: np.copyto(next(rows0), first_path))
     return steps, acc
 
 
@@ -568,14 +578,16 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
 @dataclass
 class ModelPathStats:
     """Per-model accumulators over all paths, kept when dense paths are not
-    stored; a reduction the run did not compute is None. A sample path is a
-    row of a dense run (simulate_coupled)."""
+    stored, and the model's sample path; a reduction the run did not
+    compute is None. The sample path is base path 0's states, recorded by
+    the first chunk: the bytes of row 0 of a dense run (simulate_coupled)."""
 
     label: str
     terminal: np.ndarray   # (n_paths,)
     min_value: Optional[float]  # extrema of X over visited states
     max_value: Optional[float]
     positivity_breaches: int    # floor clamps over all paths and steps
+    sample_path: np.ndarray     # (n_steps + 1,) X of base path 0 on the time grid
 
 
 @dataclass
@@ -683,14 +695,15 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
                            reductions: Iterable[str] = STATS) -> CoupledStats:
     """Coupled simulation keeping only reductions, never the dense paths.
 
-    Always kept: terminal values and breach totals, all that a run with no
-    reductions (a smile's) keeps. `reductions` names the others to compute,
-    each paid for on every step, both (STATS) by default: EXTREMA
-    ("extrema": min_value, max_value) and SUP_DIFFS ("sup_diffs":
-    sup_abs_diff against the first model). One not asked for is None. Base
-    path i's own states are row i of any dense run (simulate_coupled) of
-    more than i base paths, the same bytes, since each path keys its own
-    Philox stream. Every scheme; the extrema include x0, and x^p(x)'s
+    Always kept: terminal values, breach totals and each model's
+    sample_path, all that a run with no reductions (a smile's) keeps.
+    `reductions` names the others to compute, each paid for on every step,
+    both (STATS) by default: EXTREMA ("extrema": min_value, max_value) and
+    SUP_DIFFS ("sup_diffs": sup_abs_diff against the first model). One not
+    asked for is None. The sample path is base path 0's states, which the
+    first chunk records at every step (n_models floats a step): row 0 of
+    any dense run (simulate_coupled), the same bytes, since each path keys
+    its own Philox stream. Every scheme; the extrema include x0, and x^p(x)'s
     range over the visited states is exponent._phi_range on them, since
     the continuous paths visit every state in between. Base paths run in
     chunks of bounded increment memory, on a pool of min(CPUs, chunks)
@@ -705,7 +718,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     if not keep <= STATS:
         raise ValueError(f"unknown reductions {sorted(keep - STATS)}; "
                          f"choose from {sorted(STATS)}")
-    parts, bounds = _run_chunked(models, cfg, labels, keep)
+    parts, bounds = _run_chunked(models, cfg, labels, keep | {"path0"})
 
     def merged(key, pick, j):
         return float(pick(p[key][j] for p in parts)) if key in parts[0] else None
@@ -714,7 +727,8 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     stats = [ModelPathStats(
         label=labels[j], terminal=terminal[j],
         min_value=merged("x_min", min, j), max_value=merged("x_max", max, j),
-        positivity_breaches=sum(p["breaches"][j] for p in parts))
+        positivity_breaches=sum(p["breaches"][j] for p in parts),
+        sample_path=parts[0]["path0"][j])
         for j in range(len(models))]
     sup_diff = (_in_path_order([p["sup_diff"] for p in parts], bounds)
                 if SUP_DIFFS in keep else None)

@@ -207,6 +207,24 @@ class TestStrongError:
         # the bound table keeps refusing such a model
         assert main(["bound-table", "--config", str(cfg)]) == (0 if bounded else 1)
 
+    def test_no_bound_when_p_leaves_its_declared_range(self, tmp_path, capsys):
+        # gamma 0.8 declared with p_minus = p_plus = 1: |p - 1| = 0.2 exceeds
+        # p_plus - 1 = 0, outside the bound's hypothesis; the other rows are
+        # those of a run without that model
+        raw = json.loads(_write_config(tmp_path).read_text())
+        assert main(["strong-error", "--config", str(_write_config(tmp_path))]) == 0
+        want = json.loads((tmp_path / "out" / "strong_error.json").read_text())["results"]
+        cev = {**raw["models"][0], "label": "cev", "exponent": {
+            "kind": "constant", "gamma": 0.8, "p_minus": 1.0, "p_plus": 1.0}}
+        cfg = _write_config(tmp_path, models=[*raw["models"], cev])
+        capsys.readouterr()
+        assert main(["strong-error", "--config", str(cfg)]) == 0
+        rows = json.loads((tmp_path / "out" / "strong_error.json").read_text())["results"]
+        assert rows[:-1] == want and want[0]["analytic_bound"] > 0
+        assert rows[-1]["model"] == "cev" and rows[-1]["strong_error"] > 0
+        assert rows[-1]["analytic_bound"] is None
+        assert capsys.readouterr().out.splitlines()[-1].endswith("(bound n/a)")
+
     def test_vol_range_is_phi_over_the_visited_states(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["strong-error", "--config", str(cfg)]) == 0

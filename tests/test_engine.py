@@ -33,7 +33,8 @@ def _result_bytes(result, reductions=engine.STATS) -> list:
         return [t.tobytes() for t in result]
     out = [result.sup_abs_diff.tobytes()] if engine.SUP_DIFFS in reductions else []
     for ms in result.models:
-        out += [ms.label, ms.terminal.tobytes(), ms.positivity_breaches]
+        out += [ms.label, ms.terminal.tobytes(), ms.positivity_breaches,
+                ms.sample_path.tobytes()]
         if engine.EXTREMA in reductions:
             out.append(np.array([ms.min_value, ms.max_value]).tobytes())
     return out
@@ -756,8 +757,6 @@ class TestCoupled:
             for x0 in (1.0, 1.7):
                 cfg = SimConfig(**{**small_cfg.to_dict(), "scheme": scheme, "x0": x0})
                 dense = simulate_coupled(models, cfg, labels)
-                one = simulate_coupled(models, replace(cfg, n_base_paths=1, antithetic=False),
-                                       labels)
                 stats = simulate_coupled_stats(models, cfg, labels)
                 for reductions in REDUCTION_SETS:
                     some = simulate_coupled_stats(models, cfg, labels, reductions)
@@ -774,7 +773,7 @@ class TestCoupled:
                     phi = eval_phi(models[j].exponent, b.values.ravel())
                     assert _phi_range(models[j].exponent, b.values.min(),
                                       b.values.max()) == (phi.min(), phi.max())
-                    assert one[j].values[0].tobytes() == b.values[0].tobytes()
+                    assert ms.sample_path.tobytes() == b.values[0].tobytes()
                     assert ms.positivity_breaches == b.breach_counts.sum()
                     if j > 0:
                         sup_diff = np.max(np.abs(b.values - dense[0].values), axis=1)
@@ -851,7 +850,7 @@ class TestCoupled:
 
     def test_unknown_reduction_rejected(self, gbm_model, small_cfg):
         # the dense grid is a reduction of _advance alone, not of the streaming
-        # API, and a sample path is a row of a dense run
+        # API, and every streaming run keeps its sample paths unasked
         for reductions, unknown in (({"path_sup", engine.EXTREMA}, "path_sup"),
                                     ({engine.GRID}, "grid"), ({"path0"}, "path0")):
             with pytest.raises(ValueError, match=rf"unknown reductions \['{unknown}'\]"):
@@ -936,10 +935,12 @@ class TestChunkedRuns:
     @pytest.mark.parametrize("antithetic", [True, False], ids=["antithetic", "plain"])
     @pytest.mark.parametrize("x0", [1.0, 1.7])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_path0_alone_is_path0_of_a_wide_run(self, scheme, x0, antithetic):
-        # path 0 keys its own Philox stream, so a one-path dense run (the
-        # sample paths of `varexp simulate`) steps its bytes; gbm(0, 3)
-        # breaches the floor on path 0 under euler
+    def test_path0_alone_is_path0_of_a_wide_run(self, monkeypatch, scheme, x0, antithetic):
+        # path 0 keys its own Philox stream, so a one-path dense run steps its
+        # bytes, and so does a streaming run's first chunk, which records them
+        # as each model's sample path (those of `varexp simulate`) whatever
+        # the reductions, chunks and workers; gbm(0, 3) breaches the floor on
+        # path 0 under euler
         models = [ModelSpec(0.05, 0.2, spec) for spec in all_kinds()] + [gbm(0.0, 3.0)]
         cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=64, seed=8,
                         antithetic=antithetic, scheme=scheme, x0=x0)
@@ -951,6 +952,18 @@ class TestChunkedRuns:
             assert a.values[0, 0] == x0
         if scheme == EULER:
             assert alone[-1].breach_counts[0] > 0
+        # one chunk, then chunks of the increments of 7 plain paths at most
+        for chunk_bytes, several in ((engine._CHUNK_BYTES, False), (7 * cfg.n_steps * 8, True)):
+            for workers in (1, 2):
+                monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+                monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+                bounds, n_workers = engine._plan(cfg)
+                assert (len(bounds) > 1, n_workers) == (several, workers if several else 1)
+                for reductions in REDUCTION_SETS:
+                    for w, ms in zip(wide, simulate_coupled_stats(models, cfg, None,
+                                                                  reductions).models):
+                        assert ms.sample_path.shape == (cfg.n_steps + 1,)
+                        assert ms.sample_path.tobytes() == w.values[0].tobytes(), w.model_label
 
     # CEV exponent 0 runs away to 0 in log space, path by path; a GBM with
     # sigma 1e150 overflows to inf under euler after a few rising steps and

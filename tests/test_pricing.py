@@ -336,6 +336,30 @@ class TestImportPath:
         assert versions == "['numpy', 'python', 'simd']"
         assert loaded == "[]"
 
+    def test_pooled_commands_draw_only_in_the_workers(self, tmp_path):
+        # each command simulates once, simulate's sample paths included, so
+        # with several chunks on two workers the CLI process draws nothing
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork: every chunk runs in the CLI process")
+        if self._fresh("import sys, numpy\nprint('numpy.random' in sys.modules)",
+                       tmp_path) == "True":
+            pytest.skip("this numpy loads numpy.random on import")
+        code = ("import json, sys\n"
+                "from varexp import cli, engine\n"
+                "from varexp.config import bundled_paper_text\n"
+                "engine._cpu_count = lambda: 2\n"
+                "engine._CHUNK_BYTES = 1 << 16\n"
+                "cfg = json.loads(bundled_paper_text())\n"
+                "cfg['sim'].update(dt=0.01, n_base_paths=200)\n"
+                "cfg['smile']['n_base_paths'] = 400\n"
+                "with open('small.json', 'w') as f:\n"
+                "    json.dump(cfg, f)\n"
+                "for cmd in ('simulate', 'strong-error', 'smile'):\n"
+                "    assert cli.main([cmd, '--config', 'small.json', '--out', 'out']) == 0, cmd\n"
+                "    assert json.load(open('out/run_manifest.json'))['workers'] == 2, cmd\n"
+                "print('numpy.random' in sys.modules)")
+        assert self._fresh(code, tmp_path).splitlines()[-1] == "False"
+
     def test_dependencies_are_the_third_party_imports(self):
         # pyproject.toml declares exactly what the package imports
         tomllib = pytest.importorskip("tomllib")
