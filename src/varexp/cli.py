@@ -216,8 +216,8 @@ def cmd_smile(cfg: RunConfig) -> tuple[int, dict[str, str], SimConfig]:
     req = cfg.smile
     for label, model in zip(cfg.labels, cfg.models):  # a risk-neutral price: drift = rate
         if model.mu != req.rate:
-            raise ConfigError(f"model {label!r} has mu {model.mu}, but the smile discounts "
-                              f"at rate {req.rate}; a price needs mu equal to rate")
+            raise ConfigError(f"model {label!r} has mu {model.mu}, which differs from the "
+                              f"reference's {req.rate}, the rate the smile discounts at")
     sim = cfg.smile_sim()
     terminals = [ms.terminal for ms in
                  simulate_coupled_stats(cfg.models, sim, cfg.labels, reductions=()).models]

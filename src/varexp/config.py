@@ -2,8 +2,9 @@
 
 A run config names the models (first one is the reference for coupled
 comparisons), the simulation parameters, the (lambda, R) cases for the
-bound table, and the smile request, whose maturity and spot must match the
-simulation's t_horizon and x0. `load_config` raises ConfigError for
+bound table, and the smile's strikes: the smile prices the simulated
+terminals, so its rate, maturity and spot are the reference model's mu and
+the simulation's t_horizon and x0. `load_config` raises ConfigError for
 anything malformed or inconsistent, a key its section does not know
 included; the CLI maps that to exit code 2. Each section's keys are
 checked by the reader that owns them: `_parse` checks the root's, the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -114,21 +115,12 @@ def _parse(raw) -> RunConfig:
         if "smile" in raw:
             section = "smile section"
             sd = raw["smile"]
-            _check_keys(sd, ("strikes", "rate", "spot", "maturity", "n_base_paths"))
+            _check_keys(sd, ("strikes", "n_base_paths"))
             if sd.get("n_base_paths") is not None:
                 smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
                 replace(sim, n_base_paths=smile_paths)  # checked as the sim's count is
-            smile = SmileRequest(
-                strikes=tuple(_number(k, "strike") for k in sd["strikes"]),
-                rate=_number(sd["rate"], "rate"), spot=_number(sd["spot"], "spot"),
-                maturity=_number(sd["maturity"], "maturity"),
-            )
-            # the smile prices the simulated terminals, so it must ask about them
-            if abs(smile.maturity - sim.t_horizon) > 1e-12 * smile.maturity:
-                raise ValueError(f"maturity {smile.maturity} differs from "
-                                 f"sim t_horizon {sim.t_horizon}")
-            if smile.spot != sim.x0:
-                raise ValueError(f"spot {smile.spot} differs from sim x0 {sim.x0}")
+            smile = SmileRequest(strikes=tuple(_number(k, "strike") for k in sd["strikes"]),
+                                 rate=models[0].mu, maturity=sim.t_horizon, spot=sim.x0)
 
         section = "output section"
         out = raw.get("output", {})
@@ -155,7 +147,7 @@ def _document(cfg: RunConfig) -> dict:
         "output": {"formats": list(cfg.formats)},
     }
     if cfg.smile is not None:
-        doc["smile"] = {**asdict(cfg.smile), "strikes": list(cfg.smile.strikes)}
+        doc["smile"] = {"strikes": list(cfg.smile.strikes)}
         if cfg.smile_n_base_paths is not None:
             doc["smile"]["n_base_paths"] = cfg.smile_n_base_paths
     return doc

@@ -50,10 +50,10 @@ generator re-keyed per path: a coupled run's chunk is that storage, fed as
 one block, and increment_matrix is its transposed (Fortran-ordered) view
 over all paths, as PathBatch.values is of the dense states. A caller's
 matrix of either memory order is fed as its transposed view, and the
-refinement study's fine blocks are drawn by each path's own generator kept
-from block to block. Streaming runs keep reductions over all paths and,
-as the sample path of each model, base path 0's states, recorded by the
-chunk that steps it. The outputs are the same bytes however the paths are
+refinement study's fine increments are drawn one coarsest-grid interval
+at a time by each path's own generator. Streaming runs keep reductions
+over all paths and, as the sample path of each model, base path 0's
+states, recorded by the chunk that steps it. The outputs are the same bytes however the paths are
 partitioned, however the steps are blocked and whatever the increment
 matrix's memory order.
 """
@@ -89,7 +89,8 @@ LOG_OVERFLOW_LIMIT = 700.0
 
 # Cap on each O(n_paths * n_steps) array: the increment matrix, and the
 # dense paths of a coupled run (larger runs use simulate_coupled_stats) or
-# of run_with_increments, with the float64 copy it makes of another dtype.
+# of run_with_increments, with the float64 copy it makes of another dtype;
+# and on a streaming run's per-path outputs.
 MEMORY_CAP_BYTES = 2 << 30
 
 # Increment bytes per chunk of a streaming run, chosen with perfbench's
@@ -99,8 +100,7 @@ _CHUNK_BYTES = 96 << 20
 
 # Base paths per strip that _increments draws and transposes, in 128 KiB
 # tiles that stay in cache (chosen by timing the transposes of 8000 x 1000
-# and 512 x 100000 matrices on a 2-core host); a refinement fine block is
-# the most coarsest steps (at least one) that fit in this many fine steps.
+# and 512 x 100000 matrices on a 2-core host).
 _BLOCK_STEPS = 128
 
 
@@ -495,25 +495,23 @@ def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConf
     One stream of fine increments at fine_cfg.dt drives everything: the
     reference solution steps it and each coarse level (fine_cfg at a nested
     coarser dt) steps its sums, so differences isolate discretization
-    error. The fine increments are drawn path-major a block of steps at a
-    time (a multiple of the coarsest level's multiple cm of fine_cfg.dt),
-    base path i by its own Generator(Philox(key=[seed, i])) kept from block
-    to block, so its blocks side by side are row i of
-    increment_matrix(fine_cfg). Every run is fed in lockstep, one interval
-    of the coarsest grid (cm fine steps) at a time: the reference the
-    interval's transposed view, in place, and each level its sums; then
-    each level's sup takes in its live distance from the reference. So the
-    study holds one fine block and O(paths) per level, its sups are the
-    same bytes however the steps are blocked, and a blow-up is the earliest
-    interval's (the reference's, then each level's in order). The sup runs
-    over the coarsest grid at every refinement - measuring each level on
-    its own grid would bias the coarse errors downward (fewer points,
-    smaller sup) and flatten the fitted order.
+    error. The fine increments are drawn path-major one interval of the
+    coarsest grid (the coarsest level's multiple cm of fine_cfg.dt) at a
+    time, base path i by its own Generator(Philox(key=[seed, i])) kept from
+    interval to interval, so its intervals side by side are row i of
+    increment_matrix(fine_cfg). Every run is fed each interval in lockstep:
+    the reference its transposed view, in place, and each level its sums;
+    then each level's sup takes in its live distance from the reference.
+    So the study holds one interval's increments and O(paths) per level,
+    and a blow-up is the earliest interval's (the reference's, then each
+    level's in order). The sup runs over the coarsest grid at every
+    refinement - measuring each level on its own grid would bias the
+    coarse errors downward (fewer points, smaller sup) and flatten the
+    fitted order.
     """
     m_paths, nb = fine_cfg.n_paths, fine_cfg.n_base_paths
     mults = [round(c.dt / fine_cfg.dt) for c in levels]
     cm = max(mults)
-    block = max(1, _BLOCK_STEPS // cm) * cm
     labels = ["reference", *(f"coarse dt={c.dt:g}" for c in levels)]
     (feed_ref, ref), *runs = [_advance([m], c, [label], m_paths, TERMINAL)
                               for c, label in zip([fine_cfg, *levels], labels)]
@@ -521,20 +519,17 @@ def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConf
     sups, d = np.zeros((len(levels), m_paths)), np.empty(m_paths)  # 0 at t = 0
     gens = [np.random.Generator(np.random.Philox(key=np.array([fine_cfg.seed, i], dtype=np.uint64)))
             for i in range(nb)]
-    buf = np.empty((m_paths, min(block, fine_cfg.n_steps)))
-    for k0 in range(0, fine_cfg.n_steps, block):
-        dw = buf[:, :min(block, fine_cfg.n_steps - k0)]
+    dw = np.empty((m_paths, cm))
+    for _ in range(fine_cfg.n_steps // cm):
         for gen, row in zip(gens, dw):
             gen.standard_normal(out=row)
         np.add(0.0, np.multiply(scale, dw[:nb], dw[:nb]), dw[:nb])  # as _increments scales
         if fine_cfg.antithetic:
             np.negative(dw[:nb], dw[nb:])
-        for i0 in range(0, dw.shape[1], cm):
-            piece = dw[:, i0:i0 + cm]
-            feed_ref(piece.T)
-            for mult, (feed, out), sup in zip(mults, runs, sups):
-                feed(piece.reshape(m_paths, -1, mult).sum(axis=2).T)
-                np.maximum(sup, np.absolute(np.subtract(out["terminal"][0], x_ref, d), d), out=sup)
+        feed_ref(dw.T)
+        for mult, (feed, out), sup in zip(mults, runs, sups):
+            feed(dw.reshape(m_paths, -1, mult).sum(axis=2).T)
+            np.maximum(sup, np.absolute(np.subtract(out["terminal"][0], x_ref, d), d), out=sup)
     return sups
 
 
@@ -708,7 +703,9 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     the continuous paths visit every state in between. Base paths run in
     chunks of bounded increment memory, on a pool of min(CPUs, chunks)
     forked workers; the merged results are the same bytes however the
-    paths are split and whichever other reductions are computed.
+    paths are split and whichever other reductions are computed. Raises
+    MemoryError, before planning the chunks, if the per-path outputs (the
+    terminals, and the sup-diffs when asked for) exceed MEMORY_CAP_BYTES.
     """
     labels = _labels_for(models, labels)
     if isinstance(reductions, str):  # a set of names, not one name's characters
@@ -718,6 +715,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     if not keep <= STATS:
         raise ValueError(f"unknown reductions {sorted(keep - STATS)}; "
                          f"choose from {sorted(STATS)}")
+    _require_fits(len(models) * cfg.n_paths * 8 * (1 + (SUP_DIFFS in keep)), "per-path outputs")
     parts, bounds = _run_chunked(models, cfg, labels, keep | {"path0"})
 
     def merged(key, pick, j):

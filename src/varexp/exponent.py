@@ -499,8 +499,8 @@ def estimate_constants(spec: ExponentSpec,
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
     xs = log_grid(grid_lo, grid_hi, grid_points)
-    dphi = np.asarray(eval_dphi(spec, xs))
-    ratio = np.asarray(eval_phi(spec, xs)) / (1.0 + xs)
+    phi, dphi = _phi_dphi(spec, _positive(xs), True)
+    ratio = phi / (1.0 + xs)
     if not (np.all(np.isfinite(dphi)) and np.all(np.isfinite(ratio))):
         raise ArithmeticError("non-finite phi'/growth ratio on the grid; "
                               "constants are not estimable for this exponent")

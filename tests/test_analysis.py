@@ -273,15 +273,6 @@ class TestRefinementErrors:
             tracemalloc.stop()
         assert peak < 0.05 * fine_bytes
 
-    # fine blocks of 16 steps (the coarsest level's multiple), of 64 (which
-    # do not divide the 4000 fine steps) and of the whole run
-    @pytest.mark.parametrize("block", [1, 70, 5000])
-    def test_same_bytes_however_blocked(self, monkeypatch, p1_model, block):
-        args = (p1_model, self.DTS, 2.5e-4, 16, 3)
-        want = [(d.hex(), e.hex()) for d, e in refinement_errors(*args)]
-        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
-        assert [(d.hex(), e.hex()) for d, e in refinement_errors(*args)] == want
-
     def test_streams_under_the_memory_cap(self, monkeypatch, p1_model):
         args = (p1_model, self.DTS, 2.5e-4, 16, 3)
         want = [(d.hex(), e.hex()) for d, e in refinement_errors(*args)]
@@ -294,20 +285,15 @@ class TestRefinementErrors:
         monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", fine_bytes // 64)
         assert [(d.hex(), e.hex()) for d, e in refinement_errors(*args)] == want
 
-    def test_blow_up_names_its_level_however_blocked(self, monkeypatch):
-        # the levels step in lockstep with the reference, so the blow-up
-        # reported is the earliest coarsest-grid interval's, whatever the
-        # fine blocks: here the dt=0.05 level's, in the first interval
-        args = (cev(0.0, 5.0, 3.0), [0.1, 0.05])
-        kwargs = dict(ref_dt=1e-3, n_base_paths=4, seed=1)
-        raised = []
-        for block in (1, 70, 5000):
-            monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
-            with pytest.raises(BlowUpError) as exc:
-                refinement_errors(*args, **kwargs)
-            raised.append((str(exc.value), exc.value.step_index, exc.value.path_indices))
-        assert raised == [raised[0]] * 3
-        assert exc.value.model_label == "coarse dt=0.05"
+    def test_blow_up_names_its_level_however_blocked(self):
+        # the levels step in lockstep with the reference, one coarsest-grid
+        # interval at a time, so the blow-up reported is the earliest
+        # interval's: here the dt=0.05 level's, in the first interval
+        with pytest.raises(BlowUpError) as exc:
+            refinement_errors(cev(0.0, 5.0, 3.0), [0.1, 0.05], ref_dt=1e-3, n_base_paths=4,
+                              seed=1)
+        assert str(exc.value) == "path(s) [0, 4] blew up at step 1 for model 'coarse dt=0.05'"
+        assert (exc.value.step_index, exc.value.model_label) == (1, "coarse dt=0.05")
 
     # 0.3 is no multiple of 0.2, at a horizon of 6 or of 6e-9: the check is
     # relative, so it holds before any stepping at either scale

@@ -18,7 +18,7 @@ from conftest import replaced
 
 
 SIMD_FOUND = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-SMILE = {"strikes": [0.9, 1.0, 1.1], "rate": 0.05, "maturity": 1.0, "spot": 1.0}
+SMILE = {"strikes": [0.9, 1.0, 1.1]}
 
 
 def _write_config(tmp_path, **overrides):
@@ -324,7 +324,7 @@ class TestSimulate:
         sim = {"t_horizon": 1.0, "dt": 0.1, "n_base_paths": 4, "antithetic": True,
                "seed": 4, "scheme": "log_milstein", "x0": 1e4}
         cfg = _write_config(tmp_path, models=[model], sim=sim,
-                            smile={"strikes": [1e4], "rate": 0.0, "maturity": 1.0, "spot": 1e4})
+                            smile={"strikes": [1e4]})
         assert main(["simulate", "--config", str(cfg), "--format", "csv"]) == 0
         hist = (tmp_path / "out" / "terminal_histogram_flat.csv").read_text().splitlines()
         assert float(hist[1].split(",")[0]) == 1e4 and hist[1].endswith(",8")
@@ -395,22 +395,29 @@ class TestSmileCommand:
         assert main(["smile", "--config", str(cfg)]) == 2
         assert not list((tmp_path / "out").glob("*"))
 
-    @pytest.mark.parametrize("field,value", [("maturity", 2.0), ("spot", 1.3)],
-                             ids=["maturity_vs_horizon", "spot_vs_x0"])
-    def test_smile_must_match_sim_exits_two(self, tmp_path, field, value):
-        cfg = _write_config(tmp_path, smile={**SMILE, field: value})
-        assert main(["smile", "--config", str(cfg)]) == 2
-        assert not (tmp_path / "out" / "smile_summary.json").exists()
+    def test_request_is_the_runs_terminals(self, tmp_path):
+        # the smile prices the simulated terminals: its rate is the
+        # reference's mu, its maturity t_horizon and its spot x0
+        raw = json.loads(_write_config(tmp_path).read_text())
+        for m in raw["models"]:
+            m["mu"] = 0.03
+        raw["sim"].update(t_horizon=2.5, dt=0.05, x0=1.7)
+        req = _parse(raw).smile
+        assert (req.strikes, req.rate, req.maturity, req.spot) == ((0.9, 1.0, 1.1), 0.03, 2.5, 1.7)
 
-    @pytest.mark.parametrize("field,value", [
-        ("rate", float("nan")), ("rate", float("inf")), ("maturity", float("nan")),
-        ("spot", float("inf")), ("strikes", [0.9, float("nan"), 1.1]),
-        ("strikes", [0.9, 1.0, float("inf")]),
-    ], ids=["rate_NaN", "rate_Infinity", "maturity_NaN", "spot_Infinity", "strike_NaN",
-            "strike_Infinity"])
-    def test_non_finite_input_exits_two(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("key", ["rate", "maturity", "spot"])
+    def test_derived_key_exits_two(self, tmp_path, capsys, key):
+        # rate, maturity and spot come from the run, so the section has no such key
+        cfg = _write_config(tmp_path, smile={**SMILE, key: 1.0})
+        assert main(["smile", "--config", str(cfg)]) == 2
+        assert f"bad smile section: unknown key {key!r}" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("value", [
+        [0.9, float("nan"), 1.1], [0.9, 1.0, float("inf")]], ids=["strike_NaN", "strike_Infinity"])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, value):
         # JSON's NaN and Infinity are rejected with the config, never simulated
-        cfg = _write_config(tmp_path, smile={**SMILE, field: value})
+        cfg = _write_config(tmp_path, smile={"strikes": value})
         assert main(["smile", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
@@ -426,16 +433,16 @@ class TestSmileCommand:
             assert main([command, "--config", str(cfg)]) == 1
         assert "blew up at step 0 for model 'wild'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,field,value,named", [
-        ("models", "mu", 0.1, "p1"), ("smile", "rate", 0.02, "gbm")], ids=["mu", "rate"])
-    def test_mu_other_than_rate_exits_two(self, tmp_path, capsys, section, field, value,
-                                          named):
-        # a smile discounts at rate, so it prices only models drifting at rate
+    @pytest.mark.parametrize("mu", [0.1], ids=["mu"])
+    def test_mu_other_than_rate_exits_two(self, tmp_path, capsys, mu):
+        # a smile discounts at the reference's mu, so it prices only models
+        # drifting at that rate
         raw = json.loads(_write_config(tmp_path).read_text())
-        (raw["models"][1] if section == "models" else raw["smile"])[field] = value
-        cfg = _write_config(tmp_path, **{k: raw[k] for k in ("models", "smile")})
+        raw["models"][1]["mu"] = mu
+        cfg = _write_config(tmp_path, models=raw["models"])
         assert main(["smile", "--config", str(cfg)]) == 2
-        assert f"config error: model {named!r} has mu" in capsys.readouterr().err
+        assert "config error: model 'p1' has mu 0.1, which differs from the reference's 0.05" \
+            in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
 
     def test_one_model_is_plain_monte_carlo(self, tmp_path):
@@ -803,6 +810,21 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("precondition failed: ") and "> cap" in err
         assert err.count("\n") == 1
+        assert not list(out.iterdir())
+
+
+    def test_oversize_streaming_run_exits_one(self, tmp_path, monkeypatch, capsys):
+        # 1e12 base paths: the per-path outputs are over the cap before the
+        # run plans its chunks (a list of about 1.6e8)
+        monkeypatch.setattr(varexp.engine, "_plan", lambda cfg: pytest.fail("planned"))
+        raw = json.loads(bundled_paper_text())
+        raw["sim"]["n_base_paths"] = 1e12
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["strong-error", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: per-path outputs needs ") and "> cap" in err
         assert not list(out.iterdir())
 
 

@@ -470,6 +470,32 @@ class TestSimulateBatch:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_per_path_outputs_capped_before_planning(self, monkeypatch, gbm_model, p1_model):
+        # 1e12 base paths: 29 TiB of terminals alone; _plan would list
+        # about 1.6e8 chunks, so it must not be reached
+        monkeypatch.setattr(engine, "_plan", lambda cfg: pytest.fail("planned an oversize run"))
+        cfg = SimConfig(t_horizon=1.0, dt=1e-3, n_base_paths=10**12, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="per-path outputs needs .* GiB > cap 2 GiB"):
+                simulate_coupled_stats([gbm_model, p1_model], cfg, reductions=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sup_diffs_count_toward_the_output_cap(self, monkeypatch, gbm_model, p1_model):
+        # 2 models x 128 paths: 2048 bytes of terminals fit 3000, and
+        # 4096 with the sup-diffs do not; 16-path chunks keep the
+        # increments (1024 bytes a chunk) under the cap
+        cfg = SimConfig(t_horizon=1.0, dt=0.25, n_base_paths=64, seed=5)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 1024)
+        monkeypatch.setattr(engine, "MEMORY_CAP_BYTES", 3000)
+        run = simulate_coupled_stats([gbm_model, p1_model], cfg, reductions=[engine.EXTREMA])
+        assert run.models[1].terminal.shape == (128,)
+        with pytest.raises(MemoryError, match="per-path outputs needs"):
+            simulate_coupled_stats([gbm_model, p1_model], cfg)
+
     # at a 1 MiB cap: 1000 x 1000 doubles of dense paths are over it alone;
     # 70 x 1000 are under it, but not with the float64 copy of a float32
     # matrix (float64 70 x 1000 fits, and runs)
