@@ -41,13 +41,21 @@ class RunConfig:
     models: list[ModelSpec]
     sim: SimConfig
     bound_cases: list[tuple[float, float]] = field(default_factory=list)
-    smile: Optional[SmileRequest] = None
+    smile_strikes: Optional[tuple[float, ...]] = None  # the smile's, if it has one
     smile_n_base_paths: Optional[int] = None  # overrides sim path count for smiles
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
     def model_by_label(self, label: str) -> ModelSpec:
         return self.models[self.labels.index(label)]
+
+    @property
+    def smile(self) -> Optional[SmileRequest]:
+        """The smile's request: its strikes at the run's current mu, t_horizon and x0."""
+        if self.smile_strikes is None:
+            return None
+        return SmileRequest(self.smile_strikes, rate=self.models[0].mu,
+                            maturity=self.sim.t_horizon, spot=self.sim.x0)
 
     def smile_sim(self) -> SimConfig:
         """Simulation config for the smile command (path count may differ)."""
@@ -111,7 +119,7 @@ def _parse(raw) -> RunConfig:
                 raise ValueError(f"need 0 < lambda < 1 < R, not {pair}")
             cases.append((lam, r))
 
-        smile = smile_paths = None
+        strikes = smile_paths = None
         if "smile" in raw:
             section = "smile section"
             sd = raw["smile"]
@@ -119,8 +127,9 @@ def _parse(raw) -> RunConfig:
             if sd.get("n_base_paths") is not None:
                 smile_paths = _integral(sd["n_base_paths"], "n_base_paths")
                 replace(sim, n_base_paths=smile_paths)  # checked as the sim's count is
-            smile = SmileRequest(strikes=tuple(_number(k, "strike") for k in sd["strikes"]),
-                                 rate=models[0].mu, maturity=sim.t_horizon, spot=sim.x0)
+            # checked, and kept as floats, as RunConfig.smile will read them
+            strikes = SmileRequest(tuple(_number(k, "strike") for k in sd["strikes"]),
+                                   rate=models[0].mu, maturity=sim.t_horizon, spot=sim.x0).strikes
 
         section = "output section"
         out = raw.get("output", {})
@@ -132,7 +141,7 @@ def _parse(raw) -> RunConfig:
         raise ConfigError(f"bad {section}: {why}") from exc
 
     return RunConfig(labels=labels, models=models, sim=sim, bound_cases=cases,
-                     smile=smile, smile_n_base_paths=smile_paths,
+                     smile_strikes=strikes, smile_n_base_paths=smile_paths,
                      out_dir=out_dir, formats=formats)
 
 
@@ -146,8 +155,8 @@ def _document(cfg: RunConfig) -> dict:
         "bound_cases": [list(case) for case in cfg.bound_cases],
         "output": {"formats": list(cfg.formats)},
     }
-    if cfg.smile is not None:
-        doc["smile"] = {"strikes": list(cfg.smile.strikes)}
+    if cfg.smile_strikes is not None:
+        doc["smile"] = {"strikes": list(cfg.smile_strikes)}
         if cfg.smile_n_base_paths is not None:
             doc["smile"]["n_base_paths"] = cfg.smile_n_base_paths
     return doc

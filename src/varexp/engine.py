@@ -5,15 +5,17 @@ Brownian increments come from counter-based Philox streams keyed by
 how paths are partitioned across workers. One private runner, `_advance`,
 is fed step-major increment blocks and steps every model over them with a
 stepper built once per run, which overwrites the model's row of states in
-place, and then runs the reductions its caller asks for: copies of the
-states at every step (PATHS), none (TERMINAL), or the streaming ones (STATS
-being all of them). What a run keeps, and its scheme, are decided once per
-run. Coupled runs step contiguous ranges of base paths (with their
-antithetic partners) as chunks of bounded memory: a dense run is one
-in-process chunk; streaming runs use a pool of forked workers when there
-are several chunks and CPUs, and merge the chunks' results exactly, in
-global path order. run_with_increments feeds a caller's increment matrix,
-and _refinement_sups a self-refinement study's fine and coarse levels in
+place; then one recorder copies the states of the run's leading paths (a
+dense run's all, a streaming chunk's first, none of the refinement
+study's) and the streaming reductions asked for (STATS being all of them)
+take in the new states. What a run keeps, and its scheme, are decided once
+per run. A dense coupled run steps all base paths (and their antithetic
+partners) in process as one block; a streaming run steps contiguous
+ranges of them as chunks of bounded memory, on a pool of forked workers
+when there are several chunks and CPUs, merges the chunks' results
+exactly, in global path order, and takes each model's sample path from
+chunk 0. run_with_increments feeds a caller's increment matrix, and
+_refinement_sups a self-refinement study's fine and coarse levels in
 lockstep, to the same runner; no other module draws increments or steps.
 
 Euler and Milstein step X itself: x' = x + mu x dt + g dW, plus
@@ -46,16 +48,14 @@ Generator(Philox(key=[seed, i])) would draw them, and the runner reads them
 in place as step-major views (B, m), one row per step, whatever their
 strides. _increments fills C-contiguous step-major storage for a range of
 base paths and their partners, a strip of paths at a time with one
-generator re-keyed per path: a coupled run's chunk is that storage, fed as
-one block, and increment_matrix is its transposed (Fortran-ordered) view
+generator re-keyed per path: each block a coupled run feeds is that
+storage, and increment_matrix is its transposed (Fortran-ordered) view
 over all paths, as PathBatch.values is of the dense states. A caller's
 matrix of either memory order is fed as its transposed view, and the
 refinement study's fine increments are drawn one coarsest-grid interval
-at a time by each path's own generator. Streaming runs keep reductions
-over all paths and, as the sample path of each model, base path 0's
-states, recorded by the chunk that steps it. The outputs are the same bytes however the paths are
-partitioned, however the steps are blocked and whatever the increment
-matrix's memory order.
+at a time by each path's own generator. The outputs are the same bytes
+however the paths are partitioned, however the steps are blocked and
+whatever the increment matrix's memory order.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ MEMORY_CAP_BYTES = 2 << 30
 # overhead more often, larger ones hold more memory per worker.
 _CHUNK_BYTES = 96 << 20
 
-# Base paths per strip that _increments draws and transposes, in 128 KiB
-# tiles that stay in cache (chosen by timing the transposes of 8000 x 1000
-# and 512 x 100000 matrices on a 2-core host).
-_BLOCK_STEPS = 128
+# Base paths per strip (its width) that _increments draws and transposes,
+# in 128 KiB tiles that stay in cache (chosen by timing the transposes of
+# 8000 x 1000 and 512 x 100000 matrices on a 2-core host).
+_STRIP_WIDTH = 128
 
 
 class BlowUpError(RuntimeError):
@@ -202,7 +202,7 @@ def _require_fits(need: int, what: str, hint: str = "") -> None:
 def _increments(cfg: SimConfig, lo: int, hi: int, what: str) -> np.ndarray:
     """C-contiguous step-major (n_steps, m) increments of base paths
     lo..hi-1, then their antithetic partners, filled a strip of at most
-    _BLOCK_STEPS base paths at a time: one generator draws the strip
+    _STRIP_WIDTH base paths at a time: one generator draws the strip
     path-major, re-keyed (counter 0, empty buffer) for each path i, so path
     i draws what a new Generator(Philox(key=[seed, i])) draws, and the
     strip is transposed into its columns and negated into its partners'.
@@ -214,9 +214,9 @@ def _increments(cfg: SimConfig, lo: int, hi: int, what: str) -> np.ndarray:
     dw = np.empty((cfg.n_steps, m))
     bitgen = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
     rng, fresh, scale = np.random.Generator(bitgen), bitgen.state, math.sqrt(cfg.dt)
-    buf = np.empty((min(_BLOCK_STEPS, nb), cfg.n_steps))
-    for s in range(lo, hi, _BLOCK_STEPS):
-        strip, c = buf[:min(_BLOCK_STEPS, hi - s)], s - lo
+    buf = np.empty((min(_STRIP_WIDTH, nb), cfg.n_steps))
+    for s in range(lo, hi, _STRIP_WIDTH):
+        strip, c = buf[:min(_STRIP_WIDTH, hi - s)], s - lo
         for i, row in zip(range(s, hi), strip):
             fresh["state"]["key"][1] = i
             bitgen.state = fresh
@@ -356,12 +356,10 @@ class PathBatch:
         return self.values[:, -1]
 
 
-# What _advance keeps besides terminals and breaches: a set of reductions,
-# the dense grid (PATHS) or those of simulate_coupled_stats, from none of
-# them (TERMINAL) to both (STATS), to which simulate_coupled_stats always
-# adds "path0", its sample paths.
-GRID, EXTREMA, SUP_DIFFS = "grid", "extrema", "sup_diffs"
-PATHS, TERMINAL = frozenset((GRID,)), frozenset()
+# The reductions simulate_coupled_stats may ask _advance for, besides the
+# terminals, breaches and recorded paths every run keeps: none, either or
+# both (STATS).
+EXTREMA, SUP_DIFFS = "extrema", "sup_diffs"
 STATS = frozenset((EXTREMA, SUP_DIFFS))
 
 # dW^2 - dt is computed for this many steps of a step-major block at a
@@ -370,25 +368,23 @@ STATS = frozenset((EXTREMA, SUP_DIFFS))
 _DW2_ROWS = 8
 
 
-def _reductions(keep: frozenset, x0: float, n_steps: int,
+def _reductions(keep: frozenset, record: int, x0: float, n_steps: int,
                 xbuf: np.ndarray) -> tuple[list, dict]:
-    """The reductions in keep, as functions run after every model has
-    stepped its row of xbuf, and their accumulators, all from x0 itself
-    (not exp(log(x0))): the states at every step ("values", the transposed
-    view (n_models, m, n_steps + 1) of step-major storage), state extrema
-    per model ("x_min", "x_max"), per-path sup-diffs against model 0
-    ("sup_diff", row 0 zeros) and the first path's states at every step
-    ("path0", (n_models, n_steps + 1), likewise a transposed view). None
-    evaluates an exponent. Chunks merge the streaming ones by extrema and
-    concatenation alone."""
+    """The recorder and the reductions in keep, as functions run after
+    every model has stepped its row of xbuf, and their accumulators, all
+    from x0 itself (not exp(log(x0))): the states of the first `record`
+    paths at every step ("values", the transposed view (n_models, record,
+    n_steps + 1) of step-major storage, copied only when record > 0), state
+    extrema per model ("x_min", "x_max") and per-path sup-diffs against
+    model 0 ("sup_diff", row 0 zeros). None evaluates an exponent. Chunks
+    merge the streaming ones by extrema and concatenation alone."""
     n, m = xbuf.shape
-    steps, acc = [], {}
-    if GRID in keep:
-        rec = np.empty((n, n_steps + 1, m))
-        rec[:, 0] = x0
-        acc.update(values=rec.transpose(0, 2, 1))
-        rows = iter(rec.swapaxes(0, 1)[1:])
-        steps.append(lambda: np.copyto(next(rows), xbuf))
+    rec = np.empty((n, n_steps + 1, record))
+    rec[:, 0] = x0
+    steps, acc = [], {"values": rec.transpose(0, 2, 1)}
+    if record:
+        rows, lead = iter(rec.swapaxes(0, 1)[1:]), xbuf[:, :record]
+        steps.append(lambda: np.copyto(next(rows), lead))
     if EXTREMA in keep:
         x_min, x_max, t = np.full(n, x0), np.full(n, x0), np.empty(n)
         acc.update(x_min=x_min, x_max=x_max)
@@ -406,27 +402,22 @@ def _reductions(keep: frozenset, x0: float, n_steps: int,
             np.maximum(sup_rest, np.absolute(np.subtract(rest, first, d), d), out=sup_rest)
         if n > 1:
             steps.append(sup_diffs)
-    if "path0" in keep:  # simulate_coupled_stats' own, not one of its reductions
-        path0 = np.empty((n_steps + 1, n))
-        path0[0] = x0
-        acc.update(path0=path0.T)
-        rows0, first_path = iter(path0[1:]), xbuf[:, 0]
-        steps.append(lambda: np.copyto(next(rows0), first_path))
     return steps, acc
 
 
 def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
-             m: int, keep: frozenset) -> tuple:
-    """A run of every model over m paths' shared increments that keeps what
-    `keep` asks for, as (feed, out), before any step is taken.
+             m: int, keep: frozenset, record: int) -> tuple:
+    """A run of every model over m paths' shared increments that keeps the
+    reductions in `keep` and the states of its first `record` paths, as
+    (feed, out), before any step is taken.
 
     feed(blk) steps every model over a step-major block (B, m) of any
     strides, read in place; the step count carries over from feed to feed,
     so a blow-up names the run's step, then the first model (step-outer,
     model-inner). out holds "terminal" (n_models, m), the live states, each
     model's per-path positivity-floor breach counts ("breaches") and the
-    accumulators of the reductions in keep (see _reductions), PATHS the
-    states at every step; it is final once cfg.n_steps steps have been fed.
+    recorded states ("values") and the accumulators of the reductions in
+    keep (see _reductions); it is final once cfg.n_steps steps have been fed.
 
     Everything the run keeps is decided here, once: the step loop runs each
     model's stepper, which overwrites the model's row of states in place,
@@ -443,7 +434,7 @@ def _advance(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
     else:
         steps = [_direct_stepper(model, cfg.dt, milstein, cfg.x0, x, b)
                  for model, x, b in zip(models, xbuf, breaches)]
-    reductions, out = _reductions(keep, cfg.x0, cfg.n_steps, xbuf)
+    reductions, out = _reductions(keep, record, cfg.x0, cfg.n_steps, xbuf)
     out.update(terminal=xbuf, breaches=breaches)
     dt0, squares, k = np.array(cfg.dt), np.empty((_DW2_ROWS, m)), 0
 
@@ -483,7 +474,7 @@ def run_with_increments(m: ModelSpec, cfg: SimConfig, dw: np.ndarray,
     copy = dw.size if dw.dtype != np.float64 else 0
     _require_fits((len(dw) * (cfg.n_steps + 1) + copy) * 8, "dense path storage")
     dw = dw.astype(float, copy=False)
-    feed, out = _advance([m], cfg, [label], len(dw), PATHS)
+    feed, out = _advance([m], cfg, [label], len(dw), frozenset(), len(dw))
     feed(dw.T)
     return PathBatch(time_grid=cfg.time_grid, values=out["values"][0],
                      model_label=label, config=cfg, breach_counts=out["breaches"][0])
@@ -513,7 +504,7 @@ def _refinement_sups(m: ModelSpec, fine_cfg: SimConfig, levels: Sequence[SimConf
     mults = [round(c.dt / fine_cfg.dt) for c in levels]
     cm = max(mults)
     labels = ["reference", *(f"coarse dt={c.dt:g}" for c in levels)]
-    (feed_ref, ref), *runs = [_advance([m], c, [label], m_paths, TERMINAL)
+    (feed_ref, ref), *runs = [_advance([m], c, [label], m_paths, frozenset(), 0)
                               for c, label in zip([fine_cfg, *levels], labels)]
     x_ref, scale = ref["terminal"][0], math.sqrt(fine_cfg.dt)
     sups, d = np.zeros((len(levels), m_paths)), np.empty(m_paths)  # 0 at t = 0
@@ -556,14 +547,14 @@ def simulate_coupled(models: Sequence[ModelSpec], cfg: SimConfig,
 
     Path i of every returned batch consumed the same increment array, so
     pathwise differences isolate model structure rather than noise. The run
-    is one in-process chunk of all base paths.
+    steps all base paths' _increments in process, as one block, and records
+    every path.
     """
     labels = _labels_for(models, labels)
     _require_fits(cfg.n_paths * (cfg.n_steps + 1) * 8 * len(models),
                   "dense path storage", "; use simulate_coupled_stats")
-    out = _run_chunk(models, cfg, labels, 0, cfg.n_base_paths, PATHS)
-    if isinstance(out, BlowUpError):
-        raise out
+    feed, out = _advance(models, cfg, labels, cfg.n_paths, frozenset(), cfg.n_paths)
+    feed(_increments(cfg, 0, cfg.n_base_paths, "increment matrix"))
     return [PathBatch(time_grid=cfg.time_grid, values=v, model_label=lab, config=cfg,
                       breach_counts=b) for v, lab, b in zip(out["values"], labels, out["breaches"])]
 
@@ -627,23 +618,22 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                lo: int, hi: int, keep: frozenset) -> dict | BlowUpError:
     """_advance over base paths [lo, hi) and their antithetic partners,
-    reading their _increments in place as one block (and no other copy).
+    reading their _increments in place as one block (and no other copy),
+    and recording its first path, base path lo, at every step.
 
     Per-path arrays come back in the chunk's column order (base paths, then
-    partners); breaches are per path for the dense grid (GRID) and totals
-    otherwise. A blow-up is returned, not raised, naming global path
-    indices, so that every chunk of a run reports its own.
+    partners), and breaches as totals. A blow-up is returned, not raised,
+    naming global path indices, so that every chunk of a run reports its own.
     """
     try:
         dw = _increments(cfg, lo, hi, "increment chunk")
-        feed, out = _advance(models, cfg, labels, dw.shape[1], keep)
+        feed, out = _advance(models, cfg, labels, dw.shape[1], keep, 1)
         feed(dw)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
         paths = np.where(local < nb, lo + local, cfg.n_base_paths + lo + local - nb)
         return BlowUpError(paths, exc.step_index, exc.model_label)
-    if GRID not in keep:
-        out["breaches"] = [int(b.sum()) for b in out["breaches"]]
+    out["breaches"] = [int(b.sum()) for b in out["breaches"]]
     return out
 
 
@@ -716,7 +706,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
         raise ValueError(f"unknown reductions {sorted(keep - STATS)}; "
                          f"choose from {sorted(STATS)}")
     _require_fits(len(models) * cfg.n_paths * 8 * (1 + (SUP_DIFFS in keep)), "per-path outputs")
-    parts, bounds = _run_chunked(models, cfg, labels, keep | {"path0"})
+    parts, bounds = _run_chunked(models, cfg, labels, keep)
 
     def merged(key, pick, j):
         return float(pick(p[key][j] for p in parts)) if key in parts[0] else None
@@ -726,7 +716,7 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
         label=labels[j], terminal=terminal[j],
         min_value=merged("x_min", min, j), max_value=merged("x_max", max, j),
         positivity_breaches=sum(p["breaches"][j] for p in parts),
-        sample_path=parts[0]["path0"][j])
+        sample_path=parts[0]["values"][j][0])
         for j in range(len(models))]
     sup_diff = (_in_path_order([p["sup_diff"] for p in parts], bounds)
                 if SUP_DIFFS in keep else None)

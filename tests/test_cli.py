@@ -12,8 +12,9 @@ import pytest
 
 import varexp
 from varexp import SimConfig, eval_phi, gbm, simulate_coupled
-from varexp.cli import COMMANDS, _config_record, main
-from varexp.config import RunConfig, _parse, bundled_paper_text, load_config
+from varexp.cli import COMMANDS, _config_record, cmd_smile, main
+from varexp.config import (RunConfig, _document, _parse, bundled_paper_text, load_config,
+                           load_paper_config)
 from conftest import replaced
 
 
@@ -404,6 +405,16 @@ class TestSmileCommand:
         raw["sim"].update(t_horizon=2.5, dt=0.05, x0=1.7)
         req = _parse(raw).smile
         assert (req.strikes, req.rate, req.maturity, req.spot) == ((0.9, 1.0, 1.1), 0.03, 2.5, 1.7)
+
+    def test_request_follows_a_changed_sim(self):
+        # the request is read from the run as it is when the smile runs: a
+        # config whose sim changed after loading prices at the new maturity,
+        # as its document (the manifest's record) replays it
+        cfg = load_paper_config()
+        cfg.sim = replace(cfg.sim, n_base_paths=500, t_horizon=0.5)
+        cfg.smile_n_base_paths = 500
+        assert cmd_smile(cfg)[1] == cmd_smile(_parse(_document(cfg)))[1]
+        assert cfg.smile.maturity == 0.5
 
     @pytest.mark.parametrize("key", ["rate", "maturity", "spot"])
     def test_derived_key_exits_two(self, tmp_path, capsys, key):

@@ -146,7 +146,7 @@ class TestIncrements:
         # filled a strip of base paths at a time into step-major storage:
         # the same elements however the strips are cut
         cfg = SimConfig(t_horizon=0.1, dt=0.01, n_base_paths=4, seed=3, antithetic=antithetic)
-        monkeypatch.setattr(engine, "_BLOCK_STEPS", strip)
+        monkeypatch.setattr(engine, "_STRIP_WIDTH", strip)
         dw = increment_matrix(cfg)
         assert dw.shape == (cfg.n_paths, 10) and dw.T.flags.c_contiguous
         for i in range(4):
@@ -168,11 +168,11 @@ class TestIncrements:
             assert dw.tobytes() == storage[:, cols].tobytes(), (lo, hi)
 
     def test_holds_one_strip_besides_its_output(self):
-        # one strip of at most _BLOCK_STEPS base paths is drawn, scaled and
+        # one strip of at most _STRIP_WIDTH base paths is drawn, scaled and
         # copied into the output (its partners negated straight into theirs)
         cfg = SimConfig(t_horizon=1.0, dt=1.0 / 256, n_base_paths=2000, seed=1)
         out_bytes = cfg.n_paths * cfg.n_steps * 8
-        strip_bytes = engine._BLOCK_STEPS * cfg.n_steps * 8
+        strip_bytes = engine._STRIP_WIDTH * cfg.n_steps * 8
         engine._increments(cfg, 0, 1, "warm-up")  # imports and caches outside the trace
         tracemalloc.start()
         try:
@@ -304,7 +304,7 @@ class TestInPlaceIncrements:
         # C-ordered copy, stepped over strided rows
         cfg = SimConfig(**{**self.CFG.to_dict(), "scheme": scheme})
         values_bytes = cfg.n_paths * (cfg.n_steps + 1) * 8
-        piece_bytes = engine._BLOCK_STEPS * cfg.n_paths * 8
+        piece_bytes = 128 * cfg.n_paths * 8  # a (128, m) piece buffer, now gone
         for order in "FC":
             dw = np.asarray(increment_matrix(cfg), order=order)
             tracemalloc.start()
@@ -315,13 +315,13 @@ class TestInPlaceIncrements:
                 tracemalloc.stop()
             assert peak < values_bytes + piece_bytes // 2, order
 
-    @pytest.mark.parametrize("keep", [engine.TERMINAL, engine.STATS], ids=["terminal", "stats"])
+    @pytest.mark.parametrize("keep", [frozenset(), engine.STATS], ids=["terminal", "stats"])
     def test_chunk_holds_only_its_increments(self, gbm_model, keep):
         # one chunk's increments, the strips they are drawn in and O(m)
         # state: no (128, m) piece buffer, which is half of them here
         cfg = SimConfig(t_horizon=1.0, dt=1 / 256, n_base_paths=2000, seed=5)
         increment_bytes = cfg.n_paths * cfg.n_steps * 8
-        piece_bytes = engine._BLOCK_STEPS * cfg.n_paths * 8
+        piece_bytes = 128 * cfg.n_paths * 8  # a (128, m) piece buffer, now gone
         np.random.Philox(0)  # imports numpy.random outside the traced region
         tracemalloc.start()
         try:
@@ -549,7 +549,7 @@ class TestSimulateBatch:
 
 
 class TestStepBlocks:
-    """Dense outputs are the same bytes whatever _BLOCK_STEPS, the width of
+    """Dense outputs are the same bytes whatever _STRIP_WIDTH, the width of
     the strips the increments are drawn in: one base path per strip, or all
     40 in one strip, against the default."""
 
@@ -561,7 +561,7 @@ class TestStepBlocks:
     def test_run_with_increments(self, monkeypatch, p1_model, scheme, block):
         cfg = SimConfig(**{**self.CFG.to_dict(), "scheme": scheme})
         want = run_with_increments(p1_model, cfg, increment_matrix(cfg)).values.tobytes()
-        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        monkeypatch.setattr(engine, "_STRIP_WIDTH", block)
         dw = increment_matrix(cfg)
         for layout in (np.ascontiguousarray(dw), dw):
             assert run_with_increments(p1_model, cfg, layout).values.tobytes() == want
@@ -570,7 +570,7 @@ class TestStepBlocks:
     def test_simulate_coupled(self, monkeypatch, gbm_model, p1_model, block):
         models = [gbm_model, p1_model]
         want = [b.values.tobytes() for b in simulate_coupled(models, self.CFG)]
-        monkeypatch.setattr(engine, "_BLOCK_STEPS", block)
+        monkeypatch.setattr(engine, "_STRIP_WIDTH", block)
         assert [b.values.tobytes() for b in simulate_coupled(models, self.CFG)] == want
 
 
@@ -726,7 +726,8 @@ class TestFusedDirectStep:
 
 def _fed(models, cfg, labels, steps):
     """The dense run of _advance fed one step-major block of increments."""
-    feed, out = engine._advance(models, cfg, labels, steps.shape[1], engine.PATHS)
+    feed, out = engine._advance(models, cfg, labels, steps.shape[1], frozenset(),
+                                steps.shape[1])
     feed(steps)
     return out
 
@@ -751,7 +752,7 @@ class TestStepBuffers:
         for order in "FC":
             steps = np.asarray(dw, order=order).T
             feed, out = engine._advance(list(self.MODELS.values()), cfg, list(self.MODELS),
-                                        len(dw), engine.PATHS)
+                                        len(dw), frozenset(), len(dw))
             for k in range(0, cfg.n_steps, block):
                 feed(steps[k:k + block])
             for j, (name, b) in enumerate(zip(self.MODELS, full)):
@@ -875,10 +876,10 @@ class TestCoupled:
             run([], small_cfg)
 
     def test_unknown_reduction_rejected(self, gbm_model, small_cfg):
-        # the dense grid is a reduction of _advance alone, not of the streaming
-        # API, and every streaming run keeps its sample paths unasked
+        # the recorder is no reduction: a dense run keeps its grid, and every
+        # streaming run its sample paths, unasked; neither name is accepted
         for reductions, unknown in (({"path_sup", engine.EXTREMA}, "path_sup"),
-                                    ({engine.GRID}, "grid"), ({"path0"}, "path0")):
+                                    ({"grid"}, "grid"), ({"path0"}, "path0")):
             with pytest.raises(ValueError, match=rf"unknown reductions \['{unknown}'\]"):
                 simulate_coupled_stats([gbm_model], small_cfg, reductions=reductions)
 
@@ -1014,7 +1015,7 @@ class TestChunkedRuns:
                 steps, paths = set(), set()
                 for lo in range(0, 16, chunk):
                     hi = min(lo + chunk, 16)
-                    outcome = engine._run_chunk(models, cfg, labels, lo, hi, engine.TERMINAL)
+                    outcome = engine._run_chunk(models, cfg, labels, lo, hi, frozenset())
                     if isinstance(outcome, BlowUpError):
                         # global indices: the chunk's base paths and their partners
                         assert set(outcome.path_indices) <= {*range(lo, hi),
@@ -1105,7 +1106,7 @@ class TestChunkedRuns:
 
 # engine internals that draw increments or take steps
 ENGINE_ONLY = ("np.random", "_advance(", "_increments(", "_require_fits(",
-               "_BLOCK_STEPS")
+               "_STRIP_WIDTH")
 
 
 def test_only_the_engine_draws_and_steps():
