@@ -6,15 +6,16 @@ how paths are partitioned across workers. One private runner, `_advance`,
 is fed step-major increment blocks and steps every model over them with a
 stepper built once per run, which overwrites the model's row of states in
 place; then one recorder copies the states of the run's leading paths (a
-dense run's all, a streaming chunk's first, none of the refinement
-study's) and the streaming reductions asked for (STATS being all of them)
-take in the new states. What a run keeps, and its scheme, are decided once
-per run. A dense coupled run steps all base paths (and their antithetic
-partners) in process as one block; a streaming run steps contiguous
-ranges of them as chunks of bounded memory, on a pool of forked workers
-when there are several chunks and CPUs, merges the chunks' results
-exactly, in global path order, and takes each model's sample path from
-chunk 0. run_with_increments feeds a caller's increment matrix, and
+dense run's all, base path 0 in a streaming run's chunk 0, none in its
+other chunks or in the refinement study) and the streaming reductions
+asked for (STATS being all of them) take in the new states. What a run
+keeps, and its scheme, are decided once per run. A dense coupled run
+steps all base paths (and their antithetic partners) in process as one
+block; a streaming run steps contiguous ranges of them as chunks of
+bounded memory, on a pool of forked workers when there are several
+chunks and CPUs, merges the chunks' results exactly, in global path
+order, and takes each model's sample path from chunk 0.
+run_with_increments feeds a caller's increment matrix, and
 _refinement_sups a self-refinement study's fine and coarse levels in
 lockstep, to the same runner; no other module draws increments or steps.
 
@@ -618,8 +619,8 @@ def _plan(cfg: SimConfig) -> tuple[list[tuple[int, int]], int]:
 def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str],
                lo: int, hi: int, keep: frozenset) -> dict | BlowUpError:
     """_advance over base paths [lo, hi) and their antithetic partners,
-    reading their _increments in place as one block (and no other copy),
-    and recording its first path, base path lo, at every step.
+    reading their _increments in place as one block (and no other copy);
+    chunk 0 (lo == 0) records base path 0 at every step, the others none.
 
     Per-path arrays come back in the chunk's column order (base paths, then
     partners), and breaches as totals. A blow-up is returned, not raised,
@@ -627,7 +628,7 @@ def _run_chunk(models: Sequence[ModelSpec], cfg: SimConfig, labels: Sequence[str
     """
     try:
         dw = _increments(cfg, lo, hi, "increment chunk")
-        feed, out = _advance(models, cfg, labels, dw.shape[1], keep, 1)
+        feed, out = _advance(models, cfg, labels, dw.shape[1], keep, int(lo == 0))
         feed(dw)
     except BlowUpError as exc:
         local, nb = np.asarray(exc.path_indices), hi - lo
@@ -685,8 +686,8 @@ def simulate_coupled_stats(models: Sequence[ModelSpec], cfg: SimConfig,
     `reductions` names the others to compute, each paid for on every step,
     both (STATS) by default: EXTREMA ("extrema": min_value, max_value) and
     SUP_DIFFS ("sup_diffs": sup_abs_diff against the first model). One not
-    asked for is None. The sample path is base path 0's states, which the
-    first chunk records at every step (n_models floats a step): row 0 of
+    asked for is None. The sample path is base path 0's states, which chunk
+    0 alone records at every step (n_models floats a step): row 0 of
     any dense run (simulate_coupled), the same bytes, since each path keys
     its own Philox stream. Every scheme; the extrema include x0, and x^p(x)'s
     range over the visited states is exponent._phi_range on them, since

@@ -2,7 +2,7 @@
 
 Prices come from terminal Monte-Carlo samples (antithetic pairs averaged
 before the standard error is formed, see `analysis._pair_mean_ci`) and are
-inverted through the Black-Scholes formula by Brent's method.
+inverted through the Black-Scholes formula by bisection.
 
 Paths are simulated under the real-world measure and discounted at the
 request's `rate`. When that rate equals the models' drift `mu`, the GBM
@@ -151,84 +151,17 @@ def bs_vega(spot: float, strike: float, rate: float, vol: float,
     return spot * math.exp(-0.5 * d1 * d1) / math.sqrt(2 * math.pi) * sqt
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """A root of f in [a, b] by Brent's method.
-
-    A line-for-line port of scipy's C brentq (scipy/optimize/Zeros/brentq.c):
-    the same variables, branch order and floating-point operations in the
-    same order, so it takes the same iterates and returns the same float as
-    scipy.optimize.brentq. Like that function, it returns a or b where f
-    is zero and raises ValueError for a NaN value of f or for f(a) and f(b)
-    of one sign, and RuntimeError after maxiter iterations.
-    """
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2 delta
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den == 0:
-                    # C divides by zero into inf or NaN here, which fails the
-                    # step test below and bisects; Python would raise.
-                    stry = math.inf
-                else:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur:f}")
-
-
 def implied_vol(price: float, spot: float, strike: float, rate: float,
                 maturity: float) -> float:
     """Invert bs_call for the volatility.
 
-    Brent's method on [VOL_FLOOR, VOL_CAP], run until the bracket is
-    narrower than 1e-14 + 4 eps * vol; deep out-of-the-money vegas
-    underflow, so the bracket width, not the price residual, is the
-    stopping rule. A price at (or below the floor-vol price of) intrinsic
-    value returns VOL_FLOOR; a price above the VOL_CAP price raises
-    ImpliedVolError.
+    Bisection on [VOL_FLOOR, VOL_CAP], which bs_call's monotonicity in vol
+    allows, run until the bracket is narrower than 1e-14 + 4 eps * vol (at
+    most 49 halvings); deep out-of-the-money vegas underflow, so the
+    bracket width, not the price residual, is the stopping rule. Returns
+    the end of the final bracket that reprices closer. A price at (or below
+    the floor-vol price of) intrinsic value returns VOL_FLOOR; a price
+    above the VOL_CAP price raises ImpliedVolError.
     """
     if not math.isfinite(price + spot + strike + rate + maturity):
         _require_finite(price=price, spot=spot, strike=strike, rate=rate, maturity=maturity)
@@ -239,15 +172,22 @@ def implied_vol(price: float, spot: float, strike: float, rate: float,
     if price < lower or price >= upper:
         raise ImpliedVolError(price, lower, upper)
 
-    def f(vol: float) -> float:
-        return bs_call(spot, strike, rate, vol, maturity) - price
-
-    if f(VOL_FLOOR) >= 0.0:
+    f_lo = bs_call(spot, strike, rate, VOL_FLOOR, maturity) - price
+    if f_lo >= 0.0:
         return VOL_FLOOR
     cap_price = bs_call(spot, strike, rate, VOL_CAP, maturity)
     if cap_price < price:
         raise ImpliedVolError(price, lower, cap_price, vol_cap=True)
-    return _brentq(f, VOL_FLOOR, VOL_CAP, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+    lo, hi, f_hi = VOL_FLOOR, VOL_CAP, cap_price - price
+    rtol = 4 * np.finfo(float).eps
+    while hi - lo >= 1e-14 + rtol * hi:  # f(lo) < 0 <= f(hi)
+        mid = 0.5 * (lo + hi)
+        f_mid = bs_call(spot, strike, rate, mid, maturity) - price
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if -f_lo < f_hi else hi
 
 
 def mc_call_price(terminal: np.ndarray, strike: float, rate: float,

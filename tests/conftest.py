@@ -6,7 +6,7 @@ import pytest
 
 from varexp import (ExponentSpec, ModelSpec, SimConfig, gbm, run_with_increments,
                     simulate_coupled_stats)
-from varexp.cli import main
+from varexp.cli import COMMANDS, main
 from varexp.engine import LOG_MILSTEIN
 
 
@@ -29,6 +29,17 @@ def strong_error_cli(tmp_path_factory):
 @pytest.fixture(scope="session")
 def smile_cli(tmp_path_factory):
     return _cli_run(tmp_path_factory, "smile")
+
+
+@pytest.fixture(scope="session")
+def paper_outputs(tmp_path_factory, strong_error_cli, smile_cli):
+    """{command: output directory} of the five commands on paper.json (seed
+    42, every format); strong-error and smile are the session's shared runs."""
+    outs = {"strong-error": strong_error_cli[0], "smile": smile_cli[0]}
+    for c in COMMANDS:
+        if c not in outs:
+            outs[c] = _cli_run(tmp_path_factory, c)[0]
+    return outs
 
 
 @pytest.fixture(scope="session")

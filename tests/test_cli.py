@@ -1,10 +1,14 @@
+import csv
 import hashlib
 import json
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ from varexp import SimConfig, eval_phi, gbm, simulate_coupled
 from varexp.cli import COMMANDS, _config_record, cmd_smile, main
 from varexp.config import (RunConfig, _document, _parse, bundled_paper_text, load_config,
                            load_paper_config)
+import golden
 from conftest import replaced
 
 
@@ -756,24 +761,89 @@ def test_simd_record_explains_a_disabled_target(tmp_path):
     assert "X86_V4" not in got["versions"]["simd"]
 
 
-def test_golden_digests(tmp_path, strong_error_cli, smile_cli):
+def test_golden_digests(paper_outputs):
     # the data files of the five commands on paper.json (seed 42, every
     # format) are a function of the config, the numpy version and the SIMD
-    # targets it found: on a platform with recorded digests, these are they;
-    # strong-error and smile are the session's shared runs
-    key = f"numpy {np.__version__} simd {','.join(SIMD_FOUND)}"
-    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
-    if key not in golden:
+    # targets it found: on a platform with recorded digests, these are they
+    key = golden.host_key()
+    recorded = json.loads(golden.DIGESTS.read_text())
+    if key not in recorded:
         pytest.skip(f"no golden digests for {key!r}")
-    outs = {"strong-error": strong_error_cli[0], "smile": smile_cli[0]}
-    got = {}
-    for c in COMMANDS:
-        if c not in outs:
-            outs[c] = tmp_path / c
-            assert main([c, "--config", "paper.json", "--out", str(outs[c])]) == 0
-        got.update({f"{c}/{name}": sha for name, sha in
-                    json.loads((outs[c] / "run_manifest.json").read_text())["files"].items()})
-    assert got == golden[key]
+    assert golden.digests(paper_outputs) == recorded[key]
+
+
+def _json_mismatches(got, want, where):
+    """Where a parsed JSON document differs from the golden one: a number by
+    more than 1e-12 relative to the larger magnitude (so a zero is exact),
+    anything else (structure, strings, nulls, flags) at all."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        for k in want:
+            yield from _json_mismatches(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from _json_mismatches(g, w, f"{where}[{i}]")
+    elif number(got) and number(want) and math.isfinite(got) and math.isfinite(want):
+        if abs(got - want) > 1e-12 * max(abs(got), abs(want)):
+            yield f"{where}: {got!r}, golden {want!r}"
+    elif type(got) is not type(want) or repr(got) != repr(want):
+        yield f"{where}: {got!r}, golden {want!r}"
+
+
+def _cell_differs(got: str, want: str) -> bool:
+    """Whether a CSV cell differs from its golden cell: numbers by more than
+    one unit in the last digit the finer of the two prints, anything else
+    at all."""
+    try:
+        g, w = Decimal(got), Decimal(want)
+    except InvalidOperation:
+        return got != want
+    if not (g.is_finite() and w.is_finite()):
+        return got != want
+    return abs(g - w) > Decimal(1).scaleb(min(g.as_tuple().exponent, w.as_tuple().exponent))
+
+
+def _csv_mismatches(got, want, where):
+    """Where a CSV's lines differ from the golden ones, cell by cell."""
+    if len(got) != len(want):
+        yield f"{where}: {len(got)} lines, golden {len(want)}"
+        return
+    for i, (g, w) in enumerate(zip(csv.reader(got), csv.reader(want))):
+        if len(g) != len(w) or any(map(_cell_differs, g, w)):
+            yield f"{where} line {i + 1}: {got[i]!r}, golden {want[i]!r}"
+
+
+def test_golden_values(paper_outputs):
+    # the digests' host-independent counterpart, checked on every host: the
+    # same files, each JSON number within 1e-12 relative of its golden value
+    # and each CSV cell within one unit in its last printed digit; the
+    # largest difference measured under another SIMD target is 5.8e-14
+    recorded = json.loads(golden.VALUES.read_text())["files"]
+    got = golden.values(paper_outputs)
+    assert got.keys() == recorded.keys()
+    bad = []
+    for name, want in recorded.items():
+        mismatches = _csv_mismatches if name.endswith(".csv") else _json_mismatches
+        bad += mismatches(got[name], want, name)
+    assert not bad, "\n".join(bad[:20])
+
+
+@pytest.mark.skipif("X86_V4" not in SIMD_FOUND, reason="numpy found no X86_V4 target")
+def test_golden_values_hold_under_avx2():
+    # with the AVX-512 targets disabled numpy's vectorised exp, log and
+    # power may round otherwise, the digests' key is missing, and the
+    # values test still runs and passes
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_cli.py'}::test_golden_values"],
+        cwd=tests.parent, capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": str(Path(varexp.__file__).resolve().parents[1]),
+             "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert re.search(r"\b1 passed\b", run.stdout), run.stdout
 
 
 class TestArguments:

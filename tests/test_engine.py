@@ -992,6 +992,19 @@ class TestChunkedRuns:
                         assert ms.sample_path.shape == (cfg.n_steps + 1,)
                         assert ms.sample_path.tobytes() == w.values[0].tobytes(), w.model_label
 
+    def test_only_chunk_0_records(self, monkeypatch, gbm_model, p1_model):
+        # the sample path is chunk 0's first path; the other chunks copy no
+        # state and return an empty grid, and the sample path keeps its bytes
+        models, labels = [gbm_model, p1_model], ["gbm", "p1"]
+        cfg = SimConfig(t_horizon=1.0, dt=0.05, n_base_paths=20, seed=17)
+        dense = simulate_coupled(models, cfg, labels)
+        for lo, hi, want in ((0, 7, 1), (7, 14, 0), (14, 20, 0)):
+            out = engine._run_chunk(models, cfg, labels, lo, hi, frozenset())
+            assert out["values"].shape == (len(models), want, cfg.n_steps + 1)
+        _force_plan(monkeypatch, 7, 2)
+        for b, ms in zip(dense, simulate_coupled_stats(models, cfg, labels).models):
+            assert ms.sample_path.tobytes() == b.values[0].tobytes(), b.model_label
+
     # CEV exponent 0 runs away to 0 in log space, path by path; a GBM with
     # sigma 1e150 overflows to inf under euler after a few rising steps and
     # is clamped to the floor by a falling one. Each: models, paths, step.

@@ -16,8 +16,7 @@ from varexp import (ImpliedVolError, SimConfig, SmileRequest, bs_call, bs_vega,
                     coupled_smile, implied_vol, mc_call_price, simulate_batch,
                     smile_from_terminal)
 from varexp import pricing
-from varexp.pricing import (FLAG_NEAR_BOUND, FLAG_NO_SOLUTION, FLAG_OK, FLAG_VOL_FLOOR,
-                            _brentq)
+from varexp.pricing import FLAG_NEAR_BOUND, FLAG_NO_SOLUTION, FLAG_OK, FLAG_VOL_FLOOR
 from conftest import coupled_terminals
 
 
@@ -87,86 +86,92 @@ class TestBsVega:
 
 
 def _outcome(fn):
-    """fn()'s float as hex, or the type of the exception it raised."""
+    """fn()'s float, or the type and message of the ValueError it raised."""
     try:
         x = fn()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
+    except ValueError as exc:
+        return type(exc), str(exc)
     assert type(x) is float
-    return x.hex()
+    return x
+
+
+def _oracle_implied_vol(price, spot, strike, rate, maturity):
+    """implied_vol's no-arbitrage, floor and cap checks, then scipy's brentq
+    with the bracket and stopping rule that implied_vol bisects to."""
+    from scipy.optimize import brentq
+    lower = max(spot - strike * math.exp(-rate * maturity), 0.0)
+    if price < lower or price >= spot:
+        raise ImpliedVolError(price, lower, spot)
+    if bs_call(spot, strike, rate, pricing.VOL_FLOOR, maturity) >= price:
+        return pricing.VOL_FLOOR
+    cap_price = bs_call(spot, strike, rate, pricing.VOL_CAP, maturity)
+    if cap_price < price:
+        raise ImpliedVolError(price, lower, cap_price, vol_cap=True)
+    return brentq(lambda vol: bs_call(spot, strike, rate, vol, maturity) - price,
+                  pricing.VOL_FLOOR, pricing.VOL_CAP, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+
+
+# (price, strike, rate, maturity) at spot 1: prices at 8 vols, exact and
+# nudged by relative amounts from 1e-13 to 3e-3 (some past a bound), then
+# a price so far out of the money that brentq's inverse-quadratic step
+# divides by zero
+_IV_CASES = [(price * (1.0 + rel), k, rate, mat)
+             for k in np.geomspace(0.4, 2.5, 12)
+             for rate in (-0.01, 0.0, 0.05)
+             for mat in (0.05, 0.5, 1.0, 4.0)
+             for vol in np.geomspace(0.02, 2.0, 8)
+             for price in (float(bs_call(1.0, k, rate, vol, mat)),)
+             for rel in (0.0, 1e-13, -1e-9, 1e-4, -3e-3)] + [(1e-300, 50.0, 0.05, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def iv_outcomes():
+    """implied_vol's and the brentq oracle's outcome on each of _IV_CASES."""
+    return [(_outcome(lambda: implied_vol(price, 1.0, k, rate, mat)),
+             _outcome(lambda: _oracle_implied_vol(price, 1.0, k, rate, mat)))
+            for price, k, rate, mat in _IV_CASES]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestBrentq:
-    """_brentq against scipy.optimize.brentq, compared bit for bit."""
+class TestBisection:
+    """implied_vol's bisection against scipy's brentq on the same bracket."""
 
-    XTOL, RTOL = 1e-14, 4 * np.finfo(float).eps
+    def test_outcomes_equal_the_oracle(self, iv_outcomes):
+        # a vol where the oracle finds one, else the same error and message
+        assert len(iv_outcomes) > 5760
+        assert sum(isinstance(want, float) for _, want in iv_outcomes) >= 5000
+        for (price, k, rate, mat), (got, want) in zip(_IV_CASES, iv_outcomes):
+            assert type(got) is type(want), (price, k, rate, mat)
+            if not isinstance(want, float):
+                assert got == want, (price, k, rate, mat)
 
-    def _scipy(self, f, a, b, xtol, rtol, maxiter=100):
-        from scipy.optimize import brentq
-        return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    def test_vols_equal_the_oracle_where_the_price_resolves_them(self, iv_outcomes):
+        # where one ulp of the price moves the vol by at most 1e-10, the two
+        # roots of the same stopping rule agree to 1e-10
+        checked = 0
+        for (price, k, rate, mat), (got, want) in zip(_IV_CASES, iv_outcomes):
+            if isinstance(want, float) and \
+                    np.spacing(price) <= 1e-10 * bs_vega(1.0, k, rate, want, mat):
+                assert abs(got - want) <= 1e-10, (price, k, rate, mat)
+                checked += 1
+        assert checked >= 4000
 
-    def test_implied_vol_equals_scipy_brentq(self, monkeypatch):
-        cases = [(price * (1.0 + rel), k, rate, mat)
-                 for k in np.geomspace(0.4, 2.5, 12)
-                 for rate in (-0.01, 0.0, 0.05)
-                 for mat in (0.05, 0.5, 1.0, 4.0)
-                 for vol in np.geomspace(0.02, 2.0, 8)
-                 for price in (float(bs_call(1.0, k, rate, vol, mat)),)
-                 for rel in (0.0, 1e-13, -1e-9, 1e-4, -3e-3)]
-        assert len(cases) >= 5000
-        ours = [_outcome(lambda: implied_vol(price, 1.0, k, rate, mat))
-                for price, k, rate, mat in cases]
-        solved = []
+    def test_at_most_51_bs_call_evaluations(self, monkeypatch):
+        # the floor and cap prices, then at most 49 halvings of [1e-6, 5]
+        # before the bracket is narrower than 1e-14
+        calls = []
 
-        def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):
-            solved.append(1)
-            return self._scipy(f, a, b, xtol, rtol, maxiter)
+        def counted(*args):
+            calls.append(1)
+            return bs_call(*args)
 
-        monkeypatch.setattr(pricing, "_brentq", scipy_brentq)
-        want = [_outcome(lambda: implied_vol(price, 1.0, k, rate, mat))
-                for price, k, rate, mat in cases]
-        assert len(solved) >= 4000
-        assert ours == want
-
-    def test_zero_denominator_bisects(self):
-        # the inverse-quadratic step of this inversion divides by zero
-        # (found by counting the branch); C bisects on the inf or NaN step,
-        # and a port without the explicit bisection raises ZeroDivisionError
-        def f(vol):
-            return bs_call(1.0, 50.0, 0.05, vol, 1.0) - 1e-300
-
-        want = self._scipy(f, pricing.VOL_FLOOR, pricing.VOL_CAP, self.XTOL, self.RTOL)
-        assert implied_vol(1e-300, 1.0, 50.0, 0.05, 1.0).hex() == want.hex()
-
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: x - 1.0, 1.0, 2.0),  # f(a) == 0
-        (lambda x: x - 2.0, 1.0, 2.0),  # f(b) == 0
-        (lambda x: x * x - 0.5, 2.0, 0.0),
-        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),
-        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) f(b) underflows
-        (lambda x: math.tanh(50.0 * (x - 0.7)), -1.0, 2.0),
-        (lambda x: 1.0 if x > 0.5 else -1.0, 0.0, 1.0),
-        (lambda x: x - 0.5, 1.0, 2.0),  # one sign
-        (lambda x: 1e-200 * (x + 1.0), 0.0, 1.0),  # one sign, f(a) f(b) underflows
-        (lambda x: math.nan, 0.0, 1.0),
-        (lambda x: math.nan if 0.6 < x < 0.9 else x - 0.75, 0.0, 1.0),  # NaN mid-run
-    ])
-    @pytest.mark.parametrize("maxiter", [0, 3, 100])
-    def test_small_functions_equal_scipy(self, f, a, b, maxiter):
-        assert (_outcome(lambda: _brentq(f, a, b, self.XTOL, self.RTOL, maxiter))
-                == _outcome(lambda: self._scipy(f, a, b, self.XTOL, self.RTOL, maxiter)))
-
-    def test_wrapper_behaviour(self):
-        assert _brentq(lambda x: x - 1.0, 1, 2.0, self.XTOL, self.RTOL).hex() == "0x1.0000000000000p+0"
-        assert _brentq(lambda x: x - 2.0, 1.0, 2, self.XTOL, self.RTOL).hex() == "0x1.0000000000000p+1"
-        with pytest.raises(ValueError, match="NaN"):
-            _brentq(lambda x: math.nan, 0.0, 1.0, self.XTOL, self.RTOL)
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x + 1.0, 0.0, 1.0, self.XTOL, self.RTOL)
-        with pytest.raises(RuntimeError, match="converge"):
-            _brentq(lambda x: x * x - 0.5, 0.0, 1.0, self.XTOL, self.RTOL, maxiter=3)
-        assert type(_brentq(lambda x: np.float64(x) - 0.25, 0, 1, self.XTOL, self.RTOL)) is float
+        monkeypatch.setattr(pricing, "bs_call", counted)
+        counts = []
+        for price, k, rate, mat in _IV_CASES:
+            calls.clear()
+            _outcome(lambda: implied_vol(price, 1.0, k, rate, mat))
+            counts.append(len(calls))
+        assert max(counts) == 51
 
 
 def _hex(x) -> str:
