@@ -17,7 +17,8 @@ run_manifest.json with the sha256 of each, the effective config as a
 config document (`config._document`: saved as a file, it replays the
 run) and its hash, the run's path, step and worker counts, the python
 and numpy versions and the SIMD targets numpy found. Data files are a
-function of the config record, the numpy version and those SIMD targets,
+function of the config record, the numpy version and those SIMD targets
+(the smile's also of the C library's `exp` and `erfc`, through `math`),
 whatever the partitioning or the blocking; timestamps appear only in
 run_manifest.json.
 """

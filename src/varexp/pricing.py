@@ -2,7 +2,9 @@
 
 Prices come from terminal Monte-Carlo samples (antithetic pairs averaged
 before the standard error is formed, see `analysis._pair_mean_ci`) and are
-inverted through the Black-Scholes formula by bisection.
+inverted through the Black-Scholes formula by bisection. The formula's
+normal CDF is the standard library's `math.erfc`, so smile data depends on
+the platform C library's `erfc`, as it does on its `exp`.
 
 Paths are simulated under the real-world measure and discounted at the
 request's `rate`. When that rate equals the models' drift `mu`, the GBM
@@ -33,73 +35,12 @@ FLAG_VOL_FLOOR = "vol_floor"
 FLAG_NO_SOLUTION = "no_solution"
 FLAG_NEAR_BOUND = "near_bound"
 
-
-# -- the standard normal CDF ----------------------------------------------
-#
-# A line-for-line port of Cephes ndtr.c (S. L. Moshier, "Methods and
-# Programs for Mathematical Functions", 1989), the code that scipy.special
-# compiles for ndtr: the same coefficients and floating-point operations in
-# the same order, so it returns scipy.special.ndtr's float bit for bit. Only
-# the branches that ndtr reaches are ported: erf sees |x| < sqrt(1/2) and
-# erfc sees x >= sqrt(1/2). Cephes' polevl(x, C, n) (C[0] x^n + ... + C[n])
-# and p1evl (the same with an implicit leading 1) are written out as
-# fixed-degree Horner expressions of their tables T, U, P, Q, R and S, with
-# polevl's multiplications and additions in its order.
-
-_MAXLOG = 7.09782712893383996843E2
-_SQRT1_2 = 7.07106781186547524401E-1
-
-
-def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    z = x * x
-    t = ((((9.60497373987051638749E0 * z + 9.00260197203842689217E1) * z
-           + 2.23200534594684319226E3) * z + 7.00332514112805075473E3) * z
-         + 5.55923013010394962768E4)  # polevl(z, T, 4)
-    u = (((((z + 3.35617141647503099647E1) * z + 5.21357949780152679795E2) * z
-           + 4.59432382970980127987E3) * z + 2.26290000613890934246E4) * z
-         + 4.92673942608635921086E4)  # p1evl(z, U, 5)
-    return x * t / u
-
-
-def _erfc(a: float) -> float:
-    if a < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if a < 8.0:
-        p = ((((((((2.46196981473530512524E-10 * a + 5.64189564831068821977E-1) * a
-                   + 7.46321056442269912687E0) * a + 4.86371970985681366614E1) * a
-                 + 1.96520832956077098242E2) * a + 5.26445194995477358631E2) * a
-               + 9.34528527171957607540E2) * a + 1.02755188689515710272E3) * a
-             + 5.57535335369399327526E2)  # polevl(a, P, 8)
-        q = ((((((((a + 1.32281951154744992508E1) * a + 8.67072140885989742329E1) * a
-                  + 3.54937778887819891062E2) * a + 9.75708501743205489753E2) * a
-                + 1.82390916687909736289E3) * a + 2.24633760818710981792E3) * a
-              + 1.65666309194161350182E3) * a + 5.57535340817727675546E2)  # p1evl(a, Q, 8)
-    else:
-        p = (((((5.64189583547755073984E-1 * a + 1.27536670759978104416E0) * a
-                + 5.01905042251180477414E0) * a + 6.16021097993053585195E0) * a
-              + 7.40974269950448939160E0) * a + 2.97886665372100240670E0)  # polevl(a, R, 5)
-        q = ((((((a + 2.26052863220117276590E0) * a + 9.39603524938001434673E0) * a
-                + 1.20489539808096656605E1) * a + 1.70814450747565897222E1) * a
-              + 9.60896809063285878198E0) * a + 3.36907645100081516050E0)  # p1evl(a, S, 6)
-    return (z * p) / q  # 0.0 where it underflows, as Cephes returns
+_SQRT1_2 = math.sqrt(0.5)
 
 
 def _ndtr(a: float) -> float:
-    """The standard normal CDF at a, bit for bit scipy.special.ndtr."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+    """The standard normal CDF at a."""
+    return 0.5 * math.erfc(-a * _SQRT1_2)
 
 
 class ImpliedVolError(ValueError):

@@ -9,9 +9,14 @@ file as parsed and each CSV's lines, checked with tolerances by
 purpose rewrites both in one commit, from the repository root:
 
     PYTHONPATH=src python tests/golden.py
+
+It prints each data file whose digest under this host's key changed: for a
+JSON file, how many of its numbers changed and their largest relative
+difference; for a CSV file, how many of its lines changed.
 """
 
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -58,17 +63,65 @@ def values(outs: dict) -> dict:
     return got
 
 
+def _leaves(old, new):
+    """(old, new) of each value at the same place in two parsed JSON
+    documents; a place found in one document only pairs with None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in old.keys() | new.keys():
+            yield from _leaves(old.get(k), new.get(k))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for o, n in zip(old, new):
+            yield from _leaves(o, n)
+    else:
+        yield old, new
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def change(name: str, old, new) -> str:
+    """How data file `name`'s recorded content `old` became `new`: for a
+    CSV's lines, the lines that changed; for a parsed JSON document, the
+    numbers that changed and their largest difference relative to the
+    larger magnitude, and any other value that changed."""
+    if name.endswith(".csv"):
+        changed = sum(o != n for o, n in zip(old, new)) + abs(len(old) - len(new))
+        return f"{changed} of {len(new)} lines changed"
+    pairs = list(_leaves(old, new))
+    numbers = [(o, n) for o, n in pairs if _number(o) and _number(n)]
+    moved = [(o, n) for o, n in numbers if repr(o) != repr(n)]
+    rel = max((abs(o - n) / max(abs(o), abs(n)) if math.isfinite(o - n) else math.inf
+               for o, n in moved), default=0.0)
+    text = f"{len(moved)} of {len(numbers)} numbers changed, largest relative difference {rel:.2g}"
+    others = sum(repr(o) != repr(n) for o, n in pairs if not (_number(o) and _number(n)))
+    return text + (f", other values changed: {others}" if others else "")
+
+
 def _dump(doc, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def write(outs: dict) -> None:
     """Record these outputs in both golden files: the digests under this
-    host's key (other hosts' entries kept), and the values."""
+    host's key (other hosts' entries kept), and the values. Prints each data
+    file whose digest changed, and how (`change`)."""
     recorded = json.loads(DIGESTS.read_text())
-    recorded[host_key()] = digests(outs)
+    old_values = json.loads(VALUES.read_text())["files"]
+    old, new, got = recorded.get(host_key(), {}), digests(outs), values(outs)
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) == new.get(key):
+            continue
+        if key not in old or key not in new:
+            how = "new file" if key not in old else "removed"
+        elif key in got and key in old_values:
+            how = change(key, old_values[key], got[key])
+        else:
+            how = "changed"
+        print(f"{key}: {how}", file=sys.stderr)
+    recorded[host_key()] = new
     _dump(recorded, DIGESTS)
-    _dump({"written_on": host_key(), "files": values(outs)}, VALUES)
+    _dump({"written_on": host_key(), "files": got}, VALUES)
 
 
 if __name__ == "__main__":

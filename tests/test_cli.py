@@ -830,6 +830,17 @@ def test_golden_values(paper_outputs):
     assert not bad, "\n".join(bad[:20])
 
 
+def test_golden_change_counts_what_moved():
+    # what tests/golden.py prints for each data file it rewrites
+    old = {"a": [1.0, 2.0, "x"], "n": 3}
+    new = {"n": 3, "a": [1.0, 2.0 * (1 + 1e-13), "y"]}
+    assert golden.change("f.json", old, new) == \
+        "1 of 3 numbers changed, largest relative difference 1e-13, other values changed: 1"
+    assert golden.change("f.json", old, old) == \
+        "0 of 3 numbers changed, largest relative difference 0"
+    assert golden.change("f.csv", ["h", "1", "2"], ["h", "1", "3", "4"]) == "2 of 4 lines changed"
+
+
 @pytest.mark.skipif("X86_V4" not in SIMD_FOUND, reason="numpy found no X86_V4 target")
 def test_golden_values_hold_under_avx2():
     # with the AVX-512 targets disabled numpy's vectorised exp, log and
